@@ -296,12 +296,17 @@ def cmd_score(args) -> int:
     if overall_ckpt is None and fine_ckpt is None:
         raise DataError("score needs --overall-ckpt and/or --fine-ckpt")
     vocab = (overall_ckpt or fine_ckpt).vocab
+    # Encode as long as the longest-reaching model reads; a Bi-LSTM has no limit.
+    max_len = max(
+        getattr(c.model_cfg, "max_len", sys.maxsize)
+        for c in (overall_ckpt, fine_ckpt) if c is not None
+    )
     parse = alignment.parse_ctm if args.format == "ctm" else alignment.parse_tsv
     with open(args.align) as f:
         utts = parse(f)
     for utt in utts:
         seq = alignment.build_sequence(utt)
-        ids, mask = encode(seq, vocab)
+        ids, mask = encode(seq, vocab, max_len=max_len)
         print(f"utterance {seq.id}:")
         if overall_ckpt is not None:
             rank, probs = tasks.predict_overall(overall_ckpt, ids, mask)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exceptions import DataError
+from .exceptions import BreakscoreError, DataError
 from .rngs import make_rng
 
 
@@ -130,6 +130,9 @@ def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0, n_classes
         train_items = [it for i, it in enumerate(items) if i not in test_set]
         try:
             predictor = train_fn(train_items, make_rng(seed, f"fold{fi}").integers(2**31))
+        except BreakscoreError as e:
+            # Keep the error's type, so its exit code survives the fold wrapper.
+            raise type(e)(f"training failed on fold {fi}: {e}") from e
         except Exception as e:
             raise DataError(f"training failed on fold {fi}: {e}") from e
         cm = ConfusionMatrix.zeros(n_classes)

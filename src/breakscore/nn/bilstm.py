@@ -47,71 +47,92 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _steps(length: int, reverse: bool):
+    return range(length - 1, -1, -1) if reverse else range(length)
+
+
+def _split_gates(act):
+    """Views of the stacked [i|f|g|o] activations."""
+    hid = act.shape[1] // 4
+    return act[:, :hid], act[:, hid : 2 * hid], act[:, 2 * hid : 3 * hid], act[:, 3 * hid :]
+
+
+def _shift_prev(seq, reverse: bool):
+    """State entering each step: the neighbouring step's output, zeros at the start."""
+    prev = np.zeros_like(seq)
+    if reverse:
+        prev[:, :-1] = seq[:, 1:]
+    else:
+        prev[:, 1:] = seq[:, :-1]
+    return prev
+
+
 def _run_direction(x, mask, wx, wh, b, reverse: bool):
-    """One direction's forward scan. Returns (h_seq [B,L,H], step caches)."""
-    bsz, length, _ = x.shape
+    """One direction's forward scan. Returns (h_seq [B,L,H], scan cache).
+
+    The input projection x @ wx + b of every timestep is one [B*L, E] GEMM
+    before the scan, leaving only h @ wh inside it (Appleyard et al. 2016).
+    """
+    bsz, length, emb = x.shape
     hid = wh.shape[0]
+    g_cols = slice(2 * hid, 3 * hid)
+    xw = (x.reshape(-1, emb) @ wx + b).reshape(bsz, length, 4 * hid)
     h = np.zeros((bsz, hid), dtype=x.dtype)
     c = np.zeros((bsz, hid), dtype=x.dtype)
     h_seq = np.zeros((bsz, length, hid), dtype=x.dtype)
-    caches = [None] * length
-    steps = range(length - 1, -1, -1) if reverse else range(length)
-    for t in steps:
-        m = mask[:, t].astype(x.dtype)[:, None]
-        gates = x[:, t] @ wx + h @ wh + b
-        i, f, g, o = np.split(gates, 4, axis=1)
-        i, f, o = _sigmoid(i), _sigmoid(f), _sigmoid(o)
-        g = np.tanh(g)
+    steps = [None] * length
+    for t in _steps(length, reverse):
+        m = mask[:, t, None]
+        gates = xw[:, t] + h @ wh
+        # One sigmoid over all stacked gates [i|f|g|o]; the g slot is then
+        # overwritten with its tanh.
+        act = _sigmoid(gates)
+        act[:, g_cols] = np.tanh(gates[:, g_cols])
+        i, f, g, o = _split_gates(act)
         c_new = f * c + i * g
         tc = np.tanh(c_new)
-        h_new = o * tc
-        caches[t] = (x[:, t], h.copy(), c.copy(), i, f, g, o, c_new, tc, m)
-        c = m * c_new + (1.0 - m) * c
-        h = m * h_new + (1.0 - m) * h
+        # c is rebound below, never mutated, so the cache holds it without a copy.
+        steps[t] = (c, act, tc)
+        # Padded steps carry the previous state through unchanged.
+        c = np.where(m, c_new, c)
+        h = np.where(m, o * tc, h)
         h_seq[:, t] = h
-    return h_seq, caches
+    return h_seq, (x, mask, h_seq, steps)
 
 
-def _backprop_direction(dh_seq, caches, wx, wh, reverse: bool):
-    """BPTT for one direction; returns (dx_seq, dwx, dwh, db)."""
+def _backprop_direction(dh_seq, cache, wx, wh, reverse: bool):
+    """BPTT for one direction; returns (dx_seq, dwx, dwh, db).
+
+    The loop only produces the gate gradients of each step; the input, input
+    weight, recurrent weight and bias gradients are then one GEMM (or sum)
+    each over all timesteps.
+    """
+    x, mask, h_seq, steps = cache
     bsz, length, hid = dh_seq.shape
     dtype = dh_seq.dtype
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(wx.shape[1], dtype=dtype)
-    dx_seq = np.zeros((bsz, length, wx.shape[0]), dtype=dtype)
+    dgates_seq = np.zeros((bsz, length, 4 * hid), dtype=dtype)
     dh_next = np.zeros((bsz, hid), dtype=dtype)
     dc_next = np.zeros((bsz, hid), dtype=dtype)
-    steps = range(length) if reverse else range(length - 1, -1, -1)
-    for t in steps:
-        x_t, h_prev, c_prev, i, f, g, o, c_new, tc, m = caches[t]
+    for t in _steps(length, not reverse):
+        c_prev, act, tc = steps[t]
+        i, f, g, o = _split_gates(act)
+        m = mask[:, t, None]
         dh_total = dh_seq[:, t] + dh_next
         # h_t = m*h_new + (1-m)*h_prev ; c_t = m*c_new + (1-m)*c_prev
-        dh_new = m * dh_total
-        dh_prev_skip = (1.0 - m) * dh_total
-        dc_new = m * dc_next
-        dc_prev_skip = (1.0 - m) * dc_next
-        do = dh_new * tc
-        dc_in = dh_new * o * (1.0 - tc * tc) + dc_new
-        df = dc_in * c_prev
-        di = dc_in * g
-        dg = dc_in * i
-        dc_prev = dc_in * f + dc_prev_skip
-        dgates = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        dwx += x_t.T @ dgates
-        dwh += h_prev.T @ dgates
-        db += dgates.sum(axis=0)
-        dx_seq[:, t] = dgates @ wx.T
-        dh_next = dgates @ wh.T + dh_prev_skip
-        dc_next = dc_prev
+        dh_new = np.where(m, dh_total, 0.0)
+        dc_in = dh_new * o * (1.0 - tc * tc) + np.where(m, dc_next, 0.0)
+        dact = np.concatenate([dc_in * g, dc_in * c_prev, dc_in * i, dh_new * tc], axis=1)
+        deriv = act * (1.0 - act)
+        deriv[:, 2 * hid : 3 * hid] = 1.0 - g * g   # tanh' in the g slot
+        dgates = dact * deriv
+        dgates_seq[:, t] = dgates
+        dh_next = dgates @ wh.T + np.where(m, 0.0, dh_total)
+        dc_next = dc_in * f + np.where(m, 0.0, dc_next)
+    dgates_2d = dgates_seq.reshape(-1, 4 * hid)
+    dx_seq = (dgates_2d @ wx.T).reshape(bsz, length, wx.shape[0])
+    dwx = x.reshape(-1, wx.shape[0]).T @ dgates_2d
+    dwh = _shift_prev(h_seq, reverse).reshape(-1, hid).T @ dgates_2d
+    db = dgates_2d.sum(axis=0)
     return dx_seq, dwx, dwh, db
 
 

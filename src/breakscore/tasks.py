@@ -327,9 +327,12 @@ def pretrain_rbtd(
         samples, 2, "encoder", enc_cfg, tcfg, rng_label="rbtd"
     )
 
+    preds = _predict_classes(
+        params, "encoder", enc_cfg, [(s.ids, s.break_mask) for s in held],
+        tcfg.batch_size, tcfg.max_len,
+    )
     tp = fp = fn = correct = 0
-    for s in held:
-        pred = _predict_class(params, "encoder", enc_cfg, s.ids, s.break_mask, tcfg.max_len)
+    for s, pred in zip(held, preds, strict=True):
         correct += pred == s.label
         tp += pred == LABEL_CORRUPTED and s.label == LABEL_CORRUPTED
         fp += pred == LABEL_CORRUPTED and s.label != LABEL_CORRUPTED
@@ -436,12 +439,17 @@ def _check_sample_vocab(ckpt: Checkpoint, ids) -> None:
         )
 
 
-def _predict_class(params, model, cfg, ids, break_mask, max_len) -> int:
-    batch_ids, pad_mask, _ = _pad_batch([(ids, break_mask)], max_len)
-    hidden, _ = _forward(model, params, cfg, batch_ids, pad_mask)
-    pooled = _pool(model, hidden, pad_mask)
-    logits = pooled @ params["head_w"] + params["head_b"]
-    return int(np.argmax(logits[0]))
+def _predict_classes(
+    params, model, cfg, seqs: list[tuple], batch_size: int, max_len: int
+) -> list[int]:
+    """Sequence-head argmax class of each (ids, break_mask), in padded batches."""
+    preds = []
+    for lo in range(0, len(seqs), batch_size):
+        ids, pad_mask, _ = _pad_batch(seqs[lo : lo + batch_size], max_len)
+        hidden, _ = _forward(model, params, cfg, ids, pad_mask)
+        logits = _pool(model, hidden, pad_mask) @ params["head_w"] + params["head_b"]
+        preds.extend(np.argmax(logits, axis=1).tolist())
+    return preds
 
 
 def predict_overall(ckpt: Checkpoint, ids, break_mask) -> tuple[Rank, np.ndarray]:

@@ -2,6 +2,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -163,3 +164,35 @@ class TestPipeline:
         assert run("finetune", "--config", pipeline["cfg"], "--task", "overall",
                    "--in", pipeline["esl"], "--vocab", os.path.join(other, "vocab.tsv"),
                    "--init", pipeline["rbtd"], "--out", str(tmp_path / "x.pbrk")) == 2
+
+    def test_eval_numeric_failure_exits_3(self, pipeline, monkeypatch):
+        # A non-finite loss inside a CV fold is a numeric failure, not a data error.
+        from breakscore import tasks
+
+        def nan_loss(logits, targets, weights=None):
+            return float("nan"), np.zeros_like(logits)
+
+        monkeypatch.setattr(tasks, "batched_cross_entropy", nan_loss)
+        assert run("eval", "--config", pipeline["cfg"], "--task", "overall",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                   "--model", "scratch", "--k", "3") == 3
+
+    def test_score_reads_past_token_128_with_longer_max_len(self, pipeline, tmp_path, capsys):
+        # A checkpoint trained at max_len 256 scores every break of a 100-word
+        # utterance (199 tokens), not only those within the default 128.
+        cfg = tmp_path / "long.yaml"
+        cfg.write_text(open(pipeline["cfg"]).read().replace(
+            "ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 256\n"))
+        fine = str(tmp_path / "fine256.pbrk")
+        assert run("finetune", "--config", str(cfg), "--task", "fine",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                   "--out", fine) == 0
+        assert load_checkpoint(fine).model_cfg.max_len == 256
+        n_words = 100
+        ctm = tmp_path / "long.ctm"
+        ctm.write_text("".join(
+            f"u1 1 {0.5 * i:.2f} 0.40 the\n" for i in range(n_words)))
+        capsys.readouterr()
+        assert run("score", "--fine-ckpt", fine, "--align", str(ctm)) == 0
+        break_lines = [l for l in capsys.readouterr().out.splitlines() if "[br" in l]
+        assert len(break_lines) == n_words - 1

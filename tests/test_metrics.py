@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from breakscore.exceptions import DataError
+from breakscore.exceptions import DataError, NumericError
 from breakscore.metrics import (
     ConfusionMatrix,
     aggregate_folds,
@@ -140,3 +140,17 @@ class TestCrossValidate:
         cross_validate(items, labels, train_fn, k=3, seed=4, n_classes=2)
         assert seen == first
         assert len(set(first)) == 3
+
+    @pytest.mark.parametrize(
+        "raised, expected", [(NumericError, NumericError), (DataError, DataError),
+                             (ValueError, DataError)],
+    )
+    def test_fold_failure_keeps_pipeline_error_type(self, raised, expected):
+        items = list(range(6))
+
+        def train_fn(train_items, fold_seed):
+            raise raised("boom")
+
+        with pytest.raises(expected, match="fold 0: boom") as info:
+            cross_validate(items, [i % 2 for i in items], train_fn, k=2, n_classes=2)
+        assert type(info.value) is expected

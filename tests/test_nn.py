@@ -1,5 +1,6 @@
 """Numerical core: primitives, encoder, BiLSTM, Adam, gradient checking."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from breakscore.nn import (
     init_bilstm_params,
     init_encoder_params,
     layer_norm,
+    linear,
+    linear_backward,
     softmax,
     softmax_cross_entropy,
     trunc_normal,
@@ -53,6 +56,48 @@ class TestPrimitives:
             want = 0.5 * x * (1 + math.tanh(u))
             got, _ = gelu(np.array([x]))
             assert got[0] == pytest.approx(want, abs=1e-12)
+
+    def test_gelu_not_much_slower_than_tanh(self):
+        # Speed guard: a machine-independent ratio. The tanh-approximation GELU
+        # is a handful of elementwise ops around one tanh; a float32 `x**3`
+        # goes through `pow` and costs more than ten tanh calls on its own.
+        x = make_rng(4, "t").normal(size=(64, 100, 128)).astype(np.float32)
+
+        def best_of(fn, repeats=15):
+            fn(x)   # warm-up: first touches of fresh temporaries page-fault
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                fn(x)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        ratio = best_of(gelu) / best_of(np.tanh)
+        assert ratio <= 10.0, f"gelu takes {ratio:.1f}x the time of np.tanh"
+
+    def test_linear_3d_matches_per_row_reference(self):
+        rng = make_rng(5, "t")
+        x = rng.normal(size=(3, 5, 7)).astype(np.float32)
+        w = rng.normal(size=(7, 4)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        dy = rng.normal(size=(3, 5, 4)).astype(np.float32)
+        x64, w64, dy64 = (a.astype(np.float64) for a in (x, w, dy))
+        y_ref = np.empty((3, 5, 4))
+        dx_ref = np.empty((3, 5, 7))
+        dw_ref = np.zeros((7, 4))
+        for i in range(3):
+            for j in range(5):
+                y_ref[i, j] = x64[i, j] @ w64 + b
+                dx_ref[i, j] = w64 @ dy64[i, j]
+                dw_ref += np.outer(x64[i, j], dy64[i, j])
+        y, cache = linear(x, w, b)
+        dx, dw, db = linear_backward(dy, cache)
+        assert y.shape == (3, 5, 4) and y.dtype == np.float32
+        assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+        np.testing.assert_allclose(y, y_ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(dx, dx_ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(dw, dw_ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(db, dy64.sum(axis=(0, 1)), rtol=1e-5, atol=1e-5)
 
     def test_cross_entropy_uniform_logits(self):
         loss, grad = softmax_cross_entropy(np.zeros(3), 1)
@@ -188,6 +233,24 @@ class TestBiLstm:
         hb, _ = bilstm_forward(b, mask, params, cfg)
         np.testing.assert_allclose(ha[0, :3], hb[0, :3], atol=1e-7)
 
+    def test_batch_padding_invariance_both_directions(self):
+        # Each sample's states, forward and backward halves alike, are the same
+        # alone as inside a mixed-length padded batch.
+        cfg, params = tiny_bilstm()
+        samples = [[2, 8, 4, 9, 5, 7], [2, 10], [2, 3, 6, 11], [2]]
+        width = max(len(s) for s in samples)
+        ids = np.zeros((len(samples), width), dtype=np.int64)
+        for r, s in enumerate(samples):
+            ids[r, : len(s)] = s
+        h_batch, _ = bilstm_forward(ids, ids != 0, params, cfg)
+        hid = cfg.hidden_size
+        for r, s in enumerate(samples):
+            alone = np.array([s])
+            h_alone, _ = bilstm_forward(alone, alone != 0, params, cfg)
+            n = len(s)
+            np.testing.assert_allclose(h_batch[r, :n, :hid], h_alone[0, :, :hid], atol=1e-6)
+            np.testing.assert_allclose(h_batch[r, :n, hid:], h_alone[0, :, hid:], atol=1e-6)
+
     def test_direction_swap_under_reversal(self):
         # Reversing an unpadded sequence swaps and reverses the two halves.
         cfg, params = tiny_bilstm()
@@ -219,6 +282,24 @@ class TestBiLstm:
             return loss, grads
 
         assert grad_check(loss_fn, params, n_coords=40) < 1e-4
+
+    def test_every_gradient_coordinate_on_mixed_lengths(self):
+        # All coordinates of every tensor, on a batch whose rows end at
+        # different steps. The probe also weights padded positions, where the
+        # forward scan's output is its carried last real state.
+        cfg = BiLstmConfig(vocab_size=12, embed_dim=4, hidden_size=3)
+        params = init_bilstm_params(cfg, make_rng(1, "init"))
+        params = {k: v * 20 for k, v in params.items()}   # away from the linear regime
+        ids = np.array([[2, 8, 4, 9, 5], [2, 10, 3, 0, 0], [2, 0, 0, 0, 0]])
+        mask = ids != 0
+        w = make_rng(3, "probe").normal(size=(3, 5, 6))
+
+        def loss_fn(p):
+            h, cache = bilstm_forward(ids, mask, p, cfg)
+            dh = w.astype(h.dtype)
+            return float((h * dh).sum()), bilstm_backward(dh, p, cache)
+
+        assert grad_check(loss_fn, params, n_coords=1000) < 1e-5
 
 
 class TestAdam:

@@ -6,13 +6,14 @@ import pytest
 
 from breakscore.corruption import CorruptionConfig, build_pretrain_dataset
 from breakscore.exceptions import DataError
-from breakscore.nn import BiLstmConfig, EncoderConfig
+from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
 from breakscore.ranks import Rank
 from breakscore.rngs import make_rng
 from breakscore.tasks import (
     RatedSample,
     TrainConfig,
     _pad_batch,
+    _predict_classes,
     finetune_finegrained,
     finetune_overall,
     predict_finegrained,
@@ -124,6 +125,32 @@ class TestPretrainRbtd:
         b, _ = pretrain_rbtd(data, tcfg, small_cfg(12), toy_vocab())
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_batched_prediction_matches_one_at_a_time(self, model):
+        # The held-out split is predicted in padded batches; mixed lengths in
+        # one batch must not change any sample's class.
+        rng = make_rng(2, "mixed")
+        seqs = []
+        for n_words in (2, 7, 3, 12, 5, 9, 2, 4, 6, 10, 3, 8):
+            word_ids = [8 + int(rng.integers(4)) for _ in range(n_words)]
+            seqs.append(encoded(word_ids, [int(rng.integers(4)) for _ in range(n_words - 1)]))
+        if model == "encoder":
+            cfg = small_cfg(12)
+            params = init_encoder_params(cfg, make_rng(0, "init"))
+        else:
+            cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
+            params = init_bilstm_params(cfg, make_rng(0, "init"))
+        # Scale the 0.02-std init up so samples' representations, and so
+        # their classes, differ; layer-norm gains stay at one.
+        params = {k: v if k.endswith("_g") else v * 25 for k, v in params.items()}
+        hdim = 16
+        params["head_w"] = rng.normal(size=(hdim, 2)).astype(np.float32)
+        params["head_b"] = np.zeros(2, dtype=np.float32)
+        single = _predict_classes(params, model, cfg, seqs, batch_size=1, max_len=32)
+        batched = _predict_classes(params, model, cfg, seqs, batch_size=5, max_len=32)
+        assert batched == single
+        assert set(single) == {0, 1}   # both classes occur, so the check has teeth
 
     def test_single_label_rejected(self):
         data = [s for s in self._dataset() if s.label == 0]
