@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .exceptions import DataError, ParseError
@@ -103,11 +104,9 @@ class TokenSequence:
         return out
 
 
-def inter_word_gaps(utt: AlignedUtterance) -> list[float]:
+def inter_word_gaps(words: Sequence[AlignedWord]) -> list[float]:
     """Silence between consecutive words; overlaps clamp to 0."""
-    return [
-        max(0.0, b.start - a.end) for a, b in zip(utt.words, utt.words[1:])
-    ]
+    return [max(0.0, b.start - a.end) for a, b in zip(words, words[1:])]
 
 
 _WORD_KEEP = re.compile(r"[^a-z0-9']+")
@@ -124,18 +123,11 @@ def build_sequence(utt: AlignedUtterance) -> TokenSequence:
     Pure-punctuation words are dropped; the gap then spans from the previous
     kept word's end to the next kept word's start.
     """
-    kept = [
-        (normalize_word(w.surface), w)
-        for w in utt.words
-        if normalize_word(w.surface)
-    ]
+    kept = [(surf, w) for w in utt.words if (surf := normalize_word(w.surface))]
     if not kept:
         raise DataError(f"utterance {utt.id!r} has no words after normalization")
     words = tuple(surf for surf, _ in kept)
-    aligned = [w for _, w in kept]
-    breaks = tuple(
-        quantize(max(0.0, b.start - a.end)) for a, b in zip(aligned, aligned[1:])
-    )
+    breaks = tuple(quantize(g) for g in inter_word_gaps([w for _, w in kept]))
     return TokenSequence(id=utt.id, words=words, breaks=breaks)
 
 

@@ -8,12 +8,13 @@ byte-identically.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import BreakscoreError, DataError
 from .nn import BiLstmConfig, EncoderConfig
 from .vocab import Vocabulary
 
@@ -21,6 +22,11 @@ MAGIC = b"PBRK1\n"
 
 KINDS = ("rbtd", "overall", "fine")
 MODELS = ("encoder", "bilstm")
+# Metadata field -> accepted JSON types.
+_META_TYPES = {
+    "kind": str, "model": str, "model_cfg": dict, "vocab": list, "seed": int,
+    "n_classes": int, "init_from": (str, type(None)), "extra": dict, "params": list,
+}
 
 
 @dataclass
@@ -78,34 +84,47 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
             meta = json.loads(meta_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: corrupt metadata: {e}") from e
-        if meta.get("format") != 1:
-            raise DataError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        if fmt != 1:
+            raise DataError(f"{path}: unsupported checkpoint format {fmt!r}")
+        for key, types in _META_TYPES.items():
+            if not isinstance(meta.get(key, ...), types):
+                raise DataError(f"{path}: metadata field {key!r} is missing or mistyped")
         if expect_kind is not None and meta["kind"] != expect_kind:
             raise DataError(
                 f"{path}: checkpoint kind {meta['kind']!r}, expected {expect_kind!r}"
             )
         params: dict[str, np.ndarray] = {}
-        for name, shape in meta["params"]:
-            n_items = int(np.prod(shape)) if shape else 1
-            raw = f.read(4 * n_items)
-            if len(raw) != 4 * n_items:
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        for entry in meta["params"]:
+            if not (
+                isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list)
+                and all(isinstance(d, int) and d >= 0 for d in entry[1])
+            ):
+                raise DataError(f"{path}: bad parameter table entry {entry!r}")
+            name, shape = entry
+            n_bytes = 4 * math.prod(shape)
+            if n_bytes > remaining:   # checked before reading, so a huge shape allocates nothing
                 raise DataError(f"{path}: truncated parameter blob at {name!r}")
+            remaining -= n_bytes
+            raw = f.read(n_bytes)
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after parameter blob")
 
-    if meta["model"] == "encoder":
-        cfg = EncoderConfig(**meta["model_cfg"])
-    else:
-        cfg = BiLstmConfig(**meta["model_cfg"])
-    return Checkpoint(
-        kind=meta["kind"],
-        model=meta["model"],
-        model_cfg=cfg,
-        vocab=Vocabulary.from_lines(meta["vocab"]),
-        seed=meta["seed"],
-        params=params,
-        n_classes=meta["n_classes"],
-        init_from=meta["init_from"],
-        extra=meta["extra"],
-    )
+    try:
+        cfg_cls = EncoderConfig if meta["model"] == "encoder" else BiLstmConfig
+        return Checkpoint(
+            kind=meta["kind"],
+            model=meta["model"],
+            model_cfg=cfg_cls(**meta["model_cfg"]),
+            vocab=Vocabulary.from_lines(meta["vocab"]),
+            seed=meta["seed"],
+            params=params,
+            n_classes=meta["n_classes"],
+            init_from=meta["init_from"],
+            extra=meta["extra"],
+        )
+    except (AttributeError, TypeError, ValueError, BreakscoreError) as e:
+        raise DataError(f"{path}: bad metadata: {e}") from e

@@ -8,6 +8,7 @@ Set BREAKSCORE_LOG=debug for verbose logging. Outputs are written atomically
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -173,33 +174,38 @@ def cmd_finetune(args) -> int:
         model_cfg = cfg.build("bilstm", vocab_size=vocab.size)
     else:
         model_cfg = cfg.build("encoder", vocab_size=vocab.size)
-    fn = tasks.finetune_overall if args.task == "overall" else tasks.finetune_finegrained
-    ckpt = fn(dataset, init, tcfg, model=args.model, model_cfg=model_cfg, vocab=vocab)
+    ckpt = tasks.finetune(dataset, init, tcfg, args.task, model=args.model, model_cfg=model_cfg,
+                          vocab=vocab)
     save_checkpoint(ckpt, args.out)
     _echo_config(cfg, args.out)
     log.info("fine-tuned %s (%s) -> %s", args.task, args.model, args.out)
     return 0
 
 
-def _load_truth(path: str):
+def _load_truth(path: str) -> dict[str, alignment.TokenSequence]:
+    """Ground-truth sidecar JSONL: item id -> the learner's token sequence."""
     out = {}
     with open(path) as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            out[obj["id"]] = obj
+            try:
+                obj = json.loads(line)
+                out[obj["id"]] = alignment.TokenSequence(
+                    id=obj["id"],
+                    words=tuple(obj["words"]),
+                    breaks=tuple(alignment.BreakClass(b) for b in obj["breaks"]),
+                )
+            except (KeyError, TypeError, ValueError, DataError) as e:
+                raise ParseError(f"{path}: bad truth record: {e!r}", line=line_no) from e
     return out
 
 
 def _against_ref_predictor(task, truth, refs_by_id):
     def predictor(item: tasks.RatedSample):
-        obj = truth[item.id]
-        test_seq = alignment.TokenSequence(
-            id=item.id,
-            words=tuple(obj["words"]),
-            breaks=tuple(alignment.BreakClass(b) for b in obj["breaks"]),
-        )
+        test_seq = truth.get(item.id)
+        if test_seq is None:
+            raise DataError(f"no truth record for {item.id!r}")
         ref_id = item.id.removeprefix("esl-")
         refs = refs_by_id.get(ref_id) or refs_by_id.get(item.id)
         if not refs:
@@ -221,16 +227,9 @@ def make_trained_predictor(task, model, model_cfg, vocab, tcfg, init_ckpt):
     """train_fn for cross_validate over RatedSamples."""
 
     def train_fn(train_items, fold_seed):
-        fold_tcfg = tasks.TrainConfig(
-            batch_size=tcfg.batch_size,
-            epochs=tcfg.epochs,
-            lr=tcfg.lr,
-            seed=int(fold_seed),
-            max_len=tcfg.max_len,
-            class_weighted=tcfg.class_weighted,
-        )
-        fn = tasks.finetune_overall if task == "overall" else tasks.finetune_finegrained
-        ckpt = fn(train_items, init_ckpt, fold_tcfg, model=model, model_cfg=model_cfg, vocab=vocab)
+        fold_tcfg = dataclasses.replace(tcfg, seed=int(fold_seed))
+        ckpt = tasks.finetune(train_items, init_ckpt, fold_tcfg, task, model=model,
+                              model_cfg=model_cfg, vocab=vocab)
 
         def predictor(item: tasks.RatedSample):
             if task == "overall":
@@ -254,7 +253,13 @@ def cmd_eval(args) -> int:
     with open(args.infile) as f:
         dataset = tasks.read_rated(f)
     k = args.k if args.k is not None else cfg.eval.get("k", 5)
-    labels = [rank_to_class(s.overall) for s in dataset]
+    if any(getattr(s, args.task) is None for s in dataset):
+        raise DataError(f"eval --task {args.task} needs {args.task} labels on every item")
+    # Stratify folds on the overall rank when every item has one.
+    if all(s.overall is not None for s in dataset):
+        labels = [rank_to_class(s.overall) for s in dataset]
+    else:
+        labels = [0] * len(dataset)
 
     if args.model == "against-ref":
         if not args.refs or not args.truth:

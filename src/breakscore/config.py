@@ -54,17 +54,6 @@ class RunConfig:
                 kwargs[f.name] = tuple(kwargs[f.name])
         return cls(**kwargs)
 
-    def resolved(self) -> dict:
-        return {
-            "seed": self.seed,
-            "synth": dict(self.synth),
-            "corruption": dict(self.corruption),
-            "encoder": dict(self.encoder),
-            "bilstm": dict(self.bilstm),
-            "train": dict(self.train),
-            "eval": dict(self.eval),
-        }
-
 
 def _check_keys(section: str, given: dict, cls, excluded: tuple) -> None:
     allowed = {f.name for f in dataclasses.fields(cls)} - set(excluded)
@@ -79,24 +68,39 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     with open(path) as f:
-        raw = yaml.safe_load(f) or {}
+        try:
+            raw = yaml.safe_load(f) or {}
+        except yaml.YAMLError as e:
+            raise DataError(f"{path}: malformed YAML: {e}") from e
+    try:
+        return _from_mapping(raw)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
+
+
+def _from_mapping(raw) -> RunConfig:
     if not isinstance(raw, dict):
-        raise DataError(f"{path}: config must be a mapping of sections")
+        raise DataError("config must be a mapping of sections")
     cfg = RunConfig()
     for section, value in raw.items():
         if section == "seed":
-            cfg.seed = int(value)
+            try:
+                cfg.seed = int(value)
+            except (TypeError, ValueError):
+                raise DataError(f"seed must be an integer, got {value!r}") from None
             continue
+        if section != "eval" and section not in _SECTION_TYPES:
+            raise DataError(f"unknown config section [{section}]")
+        if not isinstance(value, dict):
+            raise DataError(f"section [{section}] must be a mapping")
         if section == "eval":
             unknown = set(value) - _EVAL_KEYS
             if unknown:
                 raise DataError(f"unknown key(s) in [eval]: {sorted(unknown)}")
+            if not isinstance(value.get("k", 5), int):
+                raise DataError(f"[eval] k must be an integer, got {value['k']!r}")
             cfg.eval = dict(value)
             continue
-        if section not in _SECTION_TYPES:
-            raise DataError(f"unknown config section [{section}]")
-        if not isinstance(value, dict):
-            raise DataError(f"section [{section}] must be a mapping")
         cls, excluded = _SECTION_TYPES[section]
         _check_keys(section, value, cls, excluded)
         setattr(cfg, section, dict(value))
@@ -104,4 +108,4 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    return yaml.safe_dump(cfg.resolved(), sort_keys=True, default_flow_style=False)
+    return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True, default_flow_style=False)

@@ -8,6 +8,7 @@ every break position; word/CLS/pad positions never contribute loss.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,39 +121,46 @@ def _pad_batch(seqs: list[tuple], max_len: int):
 
 # -- model plumbing ----------------------------------------------------------
 
+_N_CLASSES = {"rbtd": 2, "overall": 3, "fine": 3}
+
+
 def _hidden_dim(model: str, cfg) -> int:
     return cfg.d_model if model == "encoder" else 2 * cfg.hidden_size
 
 
 def _forward(model, params, cfg, ids, pad_mask, train=False, dropout_rng=None):
-    core = {k: v for k, v in params.items() if not k.startswith("head_")}
     if model == "encoder":
-        return encoder_forward(ids, pad_mask, core, cfg, train=train, dropout_rng=dropout_rng)
-    return bilstm_forward(ids, pad_mask, core, cfg)
+        return encoder_forward(ids, pad_mask, params, cfg, train=train, dropout_rng=dropout_rng)
+    return bilstm_forward(ids, pad_mask, params, cfg)
 
 
-def _backward(model, params, cfg, dhidden, cache):
-    core = {k: v for k, v in params.items() if not k.startswith("head_")}
+def _backward(model, params, dhidden, cache):
     if model == "encoder":
         return encoder_backward(dhidden, cache)
-    return bilstm_backward(dhidden, core, cache)
+    return bilstm_backward(dhidden, params, cache)
 
 
-def _pool(model, hidden, pad_mask):
-    """Sequence representation: CLS state (encoder) or masked mean (BiLSTM)."""
+def _head_rows(kind, model, hidden, pad_mask, break_mask):
+    """The hidden states a head reads: one per break position ("fine"), else one
+    per sequence, the CLS state (encoder) or the masked mean (BiLSTM)."""
+    if kind == "fine":
+        return hidden[np.nonzero(break_mask)]
     if model == "encoder":
         return hidden[:, 0, :]
     m = pad_mask.astype(hidden.dtype)
     return (hidden * m[:, :, None]).sum(axis=1) / m.sum(axis=1)[:, None]
 
 
-def _pool_backward(model, dpool, hidden_shape, pad_mask, dtype):
-    dhidden = np.zeros(hidden_shape, dtype=dtype)
-    if model == "encoder":
-        dhidden[:, 0, :] = dpool
+def _head_rows_backward(kind, model, drows, hidden, pad_mask, break_mask):
+    """Scatter the gradient of `_head_rows` back onto the hidden states."""
+    dhidden = np.zeros_like(hidden)
+    if kind == "fine":
+        dhidden[np.nonzero(break_mask)] = drows
+    elif model == "encoder":
+        dhidden[:, 0, :] = drows
     else:
-        m = pad_mask.astype(dtype)
-        dhidden += dpool[:, None, :] * (m / m.sum(axis=1)[:, None])[:, :, None]
+        m = pad_mask.astype(hidden.dtype)
+        dhidden += drows[:, None, :] * (m / m.sum(axis=1)[:, None])[:, :, None]
     return dhidden
 
 
@@ -178,124 +186,85 @@ def _class_weights(targets: np.ndarray, n_classes: int) -> np.ndarray:
     return inv.astype(np.float32)
 
 
-# -- generic training loops --------------------------------------------------
+# -- training ----------------------------------------------------------------
 
-def _train_sequence_head(
-    samples: list[tuple],          # (ids, break_mask, target_class)
-    n_classes: int,
+def _train(
+    samples: list[tuple],          # (ids, break_mask, target classes)
+    kind: str,
     model: str,
     cfg,
     tcfg: TrainConfig,
     init_core: dict | None = None,
-    rng_label: str = "train",
 ) -> tuple[dict, list[float]]:
-    """Minibatch Adam on a linear head over the pooled representation.
+    """Minibatch Adam on a linear head over the rows `_head_rows` selects.
 
-    Returns (params incl. head, per-epoch mean losses).
+    A sample's targets are one class ("rbtd", "overall") or one per break
+    ("fine"). Returns (params incl. head, per-epoch mean losses).
     """
-    init_rng = make_rng(tcfg.seed, rng_label + "-init")
+    n_classes = _N_CLASSES[kind]
+    init_rng = make_rng(tcfg.seed, kind + "-init")
     params = (
         {k: v.copy() for k, v in init_core.items()}
         if init_core is not None
         else _init_model_params(model, cfg, init_rng)
     )
-    hdim = _hidden_dim(model, cfg)
-    params["head_w"] = trunc_normal((hdim, n_classes), init_rng)
+    params["head_w"] = trunc_normal((_hidden_dim(model, cfg), n_classes), init_rng)
     params["head_b"] = np.zeros(n_classes, dtype=np.float32)
 
-    targets_all = np.array([t for _, _, t in samples])
-    weights = _class_weights(targets_all, n_classes) if tcfg.class_weighted else None
-    state = AdamState()
-    order_rng = make_rng(tcfg.seed, rng_label + "-order")
-    drop_rng = make_rng(tcfg.seed, rng_label + "-dropout")
-    epoch_losses = []
-    for _epoch in range(tcfg.epochs):
-        order = order_rng.permutation(len(samples))
-        losses = []
-        for lo in range(0, len(order), tcfg.batch_size):
-            batch = [samples[i] for i in order[lo : lo + tcfg.batch_size]]
-            ids, pad_mask, _ = _pad_batch([(s[0], s[1]) for s in batch], tcfg.max_len)
-            targets = np.array([s[2] for s in batch])
-            hidden, cache = _forward(
-                model, params, cfg, ids, pad_mask, train=True, dropout_rng=drop_rng
-            )
-            pooled = _pool(model, hidden, pad_mask)
-            logits = pooled @ params["head_w"] + params["head_b"]
-            row_w = weights[targets] if weights is not None else None
-            loss, dlogits = batched_cross_entropy(logits, targets, row_w)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {_epoch}")
-            losses.append(loss)
-            grads = {
-                "head_w": pooled.T @ dlogits,
-                "head_b": dlogits.sum(axis=0),
-            }
-            dpool = dlogits @ params["head_w"].T
-            dhidden = _pool_backward(model, dpool, hidden.shape, pad_mask, hidden.dtype)
-            grads.update(_backward(model, params, cfg, dhidden, cache))
-            adam_step(params, grads, state, lr=tcfg.lr)
-        epoch_losses.append(float(np.mean(losses)))
-    return params, epoch_losses
-
-
-def _train_token_head(
-    samples: list[tuple],          # (ids, break_mask, per-break target classes)
-    n_classes: int,
-    model: str,
-    cfg,
-    tcfg: TrainConfig,
-    init_core: dict | None = None,
-    rng_label: str = "train-fine",
-) -> tuple[dict, list[float]]:
-    """Per-position linear head; loss only at break positions."""
-    init_rng = make_rng(tcfg.seed, rng_label + "-init")
-    params = (
-        {k: v.copy() for k, v in init_core.items()}
-        if init_core is not None
-        else _init_model_params(model, cfg, init_rng)
-    )
-    hdim = _hidden_dim(model, cfg)
-    params["head_w"] = trunc_normal((hdim, n_classes), init_rng)
-    params["head_b"] = np.zeros(n_classes, dtype=np.float32)
-
-    all_targets = np.concatenate([np.asarray(s[2]) for s in samples if len(s[2])])
+    all_targets = np.concatenate([np.asarray(s[2], dtype=np.int64) for s in samples])
     weights = _class_weights(all_targets, n_classes) if tcfg.class_weighted else None
     state = AdamState()
-    order_rng = make_rng(tcfg.seed, rng_label + "-order")
-    drop_rng = make_rng(tcfg.seed, rng_label + "-dropout")
+    order_rng = make_rng(tcfg.seed, kind + "-order")
+    drop_rng = make_rng(tcfg.seed, kind + "-dropout")
     epoch_losses = []
-    for _epoch in range(tcfg.epochs):
+    for epoch in range(tcfg.epochs):
         order = order_rng.permutation(len(samples))
         losses = []
         for lo in range(0, len(order), tcfg.batch_size):
             batch = [samples[i] for i in order[lo : lo + tcfg.batch_size]]
             ids, pad_mask, break_mask = _pad_batch([(s[0], s[1]) for s in batch], tcfg.max_len)
-            rows, cols = np.nonzero(break_mask)
-            targets = np.concatenate(
-                [np.asarray(s[2])[: int(break_mask[r].sum())] for r, s in enumerate(batch)]
-            )
-            if len(targets) != len(rows):
-                raise DataError("fine labels misaligned with break positions")
+            # One class per head row; a fine row keeps the labels of the breaks
+            # that survive max_len.
+            targets = np.concatenate([
+                np.asarray(s[2][: int(n)] if kind == "fine" else s[2], dtype=np.int64)
+                for s, n in zip(batch, break_mask.sum(axis=1))
+            ])
             hidden, cache = _forward(
                 model, params, cfg, ids, pad_mask, train=True, dropout_rng=drop_rng
             )
-            pos_states = hidden[rows, cols]
-            logits = pos_states @ params["head_w"] + params["head_b"]
+            rows = _head_rows(kind, model, hidden, pad_mask, break_mask)
+            if len(rows) != len(targets):
+                raise DataError(f"{len(targets)} {kind} labels for {len(rows)} head positions")
+            logits = rows @ params["head_w"] + params["head_b"]
             row_w = weights[targets] if weights is not None else None
             loss, dlogits = batched_cross_entropy(logits, targets, row_w)
             if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {_epoch}")
+                raise NumericError(f"non-finite loss at epoch {epoch}")
             losses.append(loss)
-            grads = {
-                "head_w": pos_states.T @ dlogits,
-                "head_b": dlogits.sum(axis=0),
-            }
-            dhidden = np.zeros_like(hidden)
-            dhidden[rows, cols] = dlogits @ params["head_w"].T
-            grads.update(_backward(model, params, cfg, dhidden, cache))
+            grads = {"head_w": rows.T @ dlogits, "head_b": dlogits.sum(axis=0)}
+            dhidden = _head_rows_backward(
+                kind, model, dlogits @ params["head_w"].T, hidden, pad_mask, break_mask
+            )
+            grads.update(_backward(model, params, dhidden, cache))
             adam_step(params, grads, state, lr=tcfg.lr)
         epoch_losses.append(float(np.mean(losses)))
     return params, epoch_losses
+
+
+def _predict_logits(params, kind, model, cfg, seqs: list[tuple], batch_size: int, max_len: int):
+    """Head logits of each (ids, break_mask), in padded batches: one [n_classes]
+    array per sample, or one [n_breaks, n_classes] array for the "fine" head."""
+    out = []
+    for lo in range(0, len(seqs), batch_size):
+        ids, pad_mask, break_mask = _pad_batch(seqs[lo : lo + batch_size], max_len)
+        hidden, _ = _forward(model, params, cfg, ids, pad_mask)
+        rows = _head_rows(kind, model, hidden, pad_mask, break_mask)
+        logits = rows @ params["head_w"] + params["head_b"]
+        if kind == "fine":
+            out.extend(np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1]))
+        else:
+            out.extend(logits)
+    return out
 
 
 # -- task entry points -------------------------------------------------------
@@ -322,17 +291,16 @@ def pretrain_rbtd(
     train = [dataset[i] for i in range(len(dataset)) if i not in hold_idx]
     held = [dataset[i] for i in sorted(hold_idx)]
 
-    samples = [(s.ids, s.break_mask, s.label) for s in train]
-    params, epoch_losses = _train_sequence_head(
-        samples, 2, "encoder", enc_cfg, tcfg, rng_label="rbtd"
-    )
+    samples = [(s.ids, s.break_mask, [s.label]) for s in train]
+    params, epoch_losses = _train(samples, "rbtd", "encoder", enc_cfg, tcfg)
 
-    preds = _predict_classes(
-        params, "encoder", enc_cfg, [(s.ids, s.break_mask) for s in held],
+    logits = _predict_logits(
+        params, "rbtd", "encoder", enc_cfg, [(s.ids, s.break_mask) for s in held],
         tcfg.batch_size, tcfg.max_len,
     )
     tp = fp = fn = correct = 0
-    for s, pred in zip(held, preds, strict=True):
+    for s, row in zip(held, logits, strict=True):
+        pred = int(np.argmax(row))
         correct += pred == s.label
         tp += pred == LABEL_CORRUPTED and s.label == LABEL_CORRUPTED
         fp += pred == LABEL_CORRUPTED and s.label != LABEL_CORRUPTED
@@ -360,69 +328,40 @@ def pretrain_rbtd(
     return ckpt, report
 
 
-def finetune_overall(
+def finetune(
     dataset: list[RatedSample],
     init: Checkpoint | None,
     tcfg: TrainConfig,
+    task: str,
     model: str = "encoder",
     model_cfg=None,
     vocab=None,
 ) -> Checkpoint:
-    """3-class sequence classifier; full fine-tuning when `init` is given."""
-    if any(s.overall is None for s in dataset):
-        raise DataError("finetune_overall needs an overall rank on every sample")
-    if init is not None:
-        _check_init_compat(init, model, model_cfg, vocab)
-        init_core = {k: v for k, v in init.params.items() if not k.startswith("head_")}
-    else:
-        init_core = None
-    samples = [(s.ids, s.break_mask, rank_to_class(s.overall)) for s in dataset]
-    params, epoch_losses = _train_sequence_head(
-        samples, 3, model, model_cfg, tcfg, init_core=init_core, rng_label="overall"
-    )
-    return Checkpoint(
-        kind="overall",
-        model=model,
-        model_cfg=model_cfg,
-        vocab=vocab,
-        seed=tcfg.seed,
-        params=params,
-        n_classes=3,
-        init_from=init.kind if init is not None else None,
-        extra={"epoch_losses": epoch_losses},
-    )
-
-
-def finetune_finegrained(
-    dataset: list[RatedSample],
-    init: Checkpoint | None,
-    tcfg: TrainConfig,
-    model: str = "encoder",
-    model_cfg=None,
-    vocab=None,
-) -> Checkpoint:
-    """Per-break-position 3-class labeler."""
-    if any(s.fine is None for s in dataset):
-        raise DataError("finetune_finegrained needs fine labels on every sample")
+    """3-class "overall" sequence classifier or "fine" per-break labeler; full
+    fine-tuning when `init` is given."""
+    if task not in ("overall", "fine"):
+        raise DataError(f"unknown fine-tuning task {task!r}")
+    labels = [getattr(s, task) for s in dataset]
+    if any(lab is None for lab in labels):
+        raise DataError(f"fine-tuning the {task!r} head needs {task} labels on every sample")
     if init is not None:
         _check_init_compat(init, model, model_cfg, vocab)
         init_core = {k: v for k, v in init.params.items() if not k.startswith("head_")}
     else:
         init_core = None
     samples = [
-        (s.ids, s.break_mask, [rank_to_class(r) for r in s.fine]) for s in dataset
+        (s.ids, s.break_mask, [rank_to_class(r) for r in (lab if task == "fine" else [lab])])
+        for s, lab in zip(dataset, labels)
     ]
-    params, epoch_losses = _train_token_head(
-        samples, 3, model, model_cfg, tcfg, init_core=init_core, rng_label="fine"
-    )
+    params, epoch_losses = _train(samples, task, model, model_cfg, tcfg, init_core)
     return Checkpoint(
-        kind="fine",
+        kind=task,
         model=model,
         model_cfg=model_cfg,
         vocab=vocab,
         seed=tcfg.seed,
         params=params,
-        n_classes=3,
+        n_classes=_N_CLASSES[task],
         init_from=init.kind if init is not None else None,
         extra={"epoch_losses": epoch_losses},
     )
@@ -430,48 +369,30 @@ def finetune_finegrained(
 
 # -- prediction --------------------------------------------------------------
 
-def _check_sample_vocab(ckpt: Checkpoint, ids) -> None:
+def _predict_one(ckpt: Checkpoint, kind: str, ids, break_mask) -> np.ndarray:
+    """Logits of one sample under a checkpoint of the given kind."""
+    if ckpt.kind != kind:
+        raise DataError(f"expected a {kind!r} checkpoint, got {ckpt.kind!r}")
     vocab_size = ckpt.model_cfg.vocab_size
     if max(ids) >= vocab_size or min(ids) < 0:
         raise DataError(
             f"sample ids exceed checkpoint vocabulary (size {vocab_size}); "
             "was it encoded with a different vocabulary?"
         )
-
-
-def _predict_classes(
-    params, model, cfg, seqs: list[tuple], batch_size: int, max_len: int
-) -> list[int]:
-    """Sequence-head argmax class of each (ids, break_mask), in padded batches."""
-    preds = []
-    for lo in range(0, len(seqs), batch_size):
-        ids, pad_mask, _ = _pad_batch(seqs[lo : lo + batch_size], max_len)
-        hidden, _ = _forward(model, params, cfg, ids, pad_mask)
-        logits = _pool(model, hidden, pad_mask) @ params["head_w"] + params["head_b"]
-        preds.extend(np.argmax(logits, axis=1).tolist())
-    return preds
+    # A BiLSTM has no length limit.
+    max_len = getattr(ckpt.model_cfg, "max_len", sys.maxsize)
+    return _predict_logits(
+        ckpt.params, kind, ckpt.model, ckpt.model_cfg, [(ids, break_mask)], 1, max_len
+    )[0]
 
 
 def predict_overall(ckpt: Checkpoint, ids, break_mask) -> tuple[Rank, np.ndarray]:
     """Rank plus class probabilities; ties break toward the lower rank."""
-    if ckpt.kind != "overall":
-        raise DataError(f"predict_overall needs an 'overall' checkpoint, got {ckpt.kind!r}")
-    _check_sample_vocab(ckpt, ids)
-    batch_ids, pad_mask, _ = _pad_batch([(ids, break_mask)], ckpt.model_cfg.max_len if ckpt.model == "encoder" else 10**9)
-    hidden, _ = _forward(ckpt.model, ckpt.params, ckpt.model_cfg, batch_ids, pad_mask)
-    pooled = _pool(ckpt.model, hidden, pad_mask)
-    logits = (pooled @ ckpt.params["head_w"] + ckpt.params["head_b"])[0]
-    probs = softmax(logits)
-    return class_to_rank(int(np.argmax(logits))), probs
+    logits = _predict_one(ckpt, "overall", ids, break_mask)
+    return class_to_rank(int(np.argmax(logits))), softmax(logits)
 
 
 def predict_finegrained(ckpt: Checkpoint, ids, break_mask) -> list[Rank]:
     """One rank per break position, in position order."""
-    if ckpt.kind != "fine":
-        raise DataError(f"predict_finegrained needs a 'fine' checkpoint, got {ckpt.kind!r}")
-    _check_sample_vocab(ckpt, ids)
-    batch_ids, pad_mask, bmask = _pad_batch([(ids, break_mask)], ckpt.model_cfg.max_len if ckpt.model == "encoder" else 10**9)
-    hidden, _ = _forward(ckpt.model, ckpt.params, ckpt.model_cfg, batch_ids, pad_mask)
-    rows, cols = np.nonzero(bmask)
-    logits = hidden[rows, cols] @ ckpt.params["head_w"] + ckpt.params["head_b"]
+    logits = _predict_one(ckpt, "fine", ids, break_mask)
     return [class_to_rank(int(np.argmax(row))) for row in logits]

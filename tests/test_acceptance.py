@@ -366,8 +366,8 @@ def test_diverse_pattern_failure_mode():
         [(s.id, *encode(s, vocab)) for s in native], corruption.CorruptionConfig(seed=SEED)
     )
     ckpt, _ = tasks.pretrain_rbtd(pre, TrainConfig(epochs=3, seed=SEED), enc_cfg, vocab)
-    ov = tasks.finetune_overall(
-        train, ckpt, TrainConfig(batch_size=16, epochs=10, lr=1e-4, seed=SEED),
+    ov = tasks.finetune(
+        train, ckpt, TrainConfig(batch_size=16, epochs=10, lr=1e-4, seed=SEED), "overall",
         model="encoder", model_cfg=enc_cfg, vocab=vocab,
     )
     model_pairs = [

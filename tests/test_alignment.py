@@ -76,7 +76,7 @@ def _utt(times, id="u1"):
 class TestGapsAndSequences:
     def test_gaps_and_overlap_clamp(self):
         utt = _utt([(0.0, 0.5), (0.45, 0.9), (1.0, 1.4)])
-        assert inter_word_gaps(utt) == [0.0, pytest.approx(0.1)]
+        assert inter_word_gaps(utt.words) == [0.0, pytest.approx(0.1)]
 
     def test_build_sequence_quantizes_gaps(self):
         utt = _utt([(0.0, 0.5), (0.53, 0.9), (1.2, 1.4)])

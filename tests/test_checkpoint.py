@@ -1,4 +1,5 @@
 """On-disk model format: round trips, corruption detection, atomicity."""
+import json
 import os
 
 import numpy as np
@@ -93,6 +94,34 @@ class TestCorruptionDetection:
         path = str(tmp_path / "m.pbrk")
         save_checkpoint(make_ckpt(kind="overall"), path)
         with pytest.raises(DataError, match="kind"):
+            load_checkpoint(path, expect_kind="rbtd")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("kind"),
+            lambda m: m.pop("init_from"),
+            lambda m: m.update(seed="42"),
+            lambda m: m.update(model_cfg=[]),
+            lambda m: m.update(model_cfg={"vocab_size": 10, "colour": 1}),
+            lambda m: m.update(vocab=[7]),
+            lambda m: m.update(params=[["a"]]),
+            lambda m: m.update(params=[["a", [-5]]]),
+            lambda m: m.update(params=[["a", [2**40, 2**40]]]),
+        ],
+        ids=["no-kind", "no-init_from", "str-seed", "list-model_cfg", "unknown-cfg-key",
+             "int-vocab-line", "short-param-entry", "negative-dim", "huge-shape"],
+    )
+    def test_bad_metadata_field_names_path(self, tmp_path, edit):
+        path = str(tmp_path / "m.pbrk")
+        save_checkpoint(make_ckpt(), path)
+        with open(path, "rb") as f:
+            f.readline()
+            meta, blob = json.loads(f.readline()), f.read()
+        edit(meta)
+        with open(path, "wb") as f:
+            f.write(MAGIC + json.dumps(meta).encode() + b"\n" + blob)
+        with pytest.raises(DataError, match="m.pbrk"):
             load_checkpoint(path, expect_kind="rbtd")
 
     def test_unknown_kind_rejected_at_construction(self):

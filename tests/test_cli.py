@@ -81,6 +81,25 @@ class TestSynth:
         cfg.write_text("synth:\n  n_sentence: 5\n")
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 2
 
+    @pytest.mark.parametrize(
+        "text", ["seed: [1\n", "eval: 5\n", "seed: abc\n", "eval:\n  k: abc\n"])
+    def test_bad_config_exits_2_naming_file(self, tmp_path, caplog, text):
+        # Malformed YAML, a non-mapping section, a non-integer seed and k.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 2
+        assert str(cfg) in caplog.text
+
+    def test_config_echo_round_trips(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("seed: 4\ntrain:\n  epochs: 2\neval:\n  k: 3\n")
+        out_dir = tmp_path / "d"
+        assert run("synth", "--config", str(cfg), "--n-sentences", "5", "--out-dir", str(out_dir)) == 0
+        assert (out_dir / "synth.config.yaml").read_text() == (
+            "bilstm: {}\ncorruption: {}\nencoder: {}\neval:\n  k: 3\nseed: 4\n"
+            "synth:\n  n_sentences: 5\ntrain:\n  epochs: 2\n"
+        )
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -176,6 +195,37 @@ class TestPipeline:
         assert run("eval", "--config", pipeline["cfg"], "--task", "overall",
                    "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
                    "--model", "scratch", "--k", "3") == 3
+
+    def test_eval_fine_without_overall_labels(self, pipeline, tmp_path):
+        # Folds fall back to one stratum when items carry no overall rank.
+        esl = tmp_path / "fine_only.jsonl"
+        records = [json.loads(l) for l in open(pipeline["esl"])]
+        esl.write_text("".join(
+            json.dumps({k: v for k, v in r.items() if k != "overall"}) + "\n" for r in records))
+        argv = ("eval", "--config", pipeline["cfg"], "--in", str(esl),
+                "--vocab", pipeline["vocab"], "--model", "bilstm", "--k", "2")
+        assert run(*argv, "--task", "fine") == 0
+        assert run(*argv, "--task", "overall") == 2
+
+    @pytest.mark.parametrize("bad_line", ["{not json\n", '{"words": ["a"], "breaks": []}\n'])
+    def test_eval_bad_truth_line_exits_2(self, pipeline, tmp_path, caplog, bad_line):
+        truth = tmp_path / "truth.jsonl"
+        good = open(os.path.join(pipeline["out_dir"], "esl_truth.jsonl")).readline()
+        truth.write_text(good + bad_line)
+        assert run("eval", "--task", "overall", "--in", pipeline["esl"],
+                   "--vocab", pipeline["vocab"], "--model", "against-ref",
+                   "--refs", pipeline["native"], "--truth", str(truth), "--k", "3") == 2
+        assert "line 2" in caplog.text
+
+    def test_checkpoint_without_kind_exits_2(self, pipeline, tmp_path):
+        with open(pipeline["rbtd"], "rb") as f:
+            magic, meta, blob = f.readline(), json.loads(f.readline()), f.read()
+        del meta["kind"]
+        ckpt = tmp_path / "nokind.pbrk"
+        ckpt.write_bytes(magic + json.dumps(meta).encode() + b"\n" + blob)
+        assert run("eval", "--config", pipeline["cfg"], "--task", "overall",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                   "--model", str(ckpt), "--k", "3") == 2
 
     def test_score_reads_past_token_128_with_longer_max_len(self, pipeline, tmp_path, capsys):
         # A checkpoint trained at max_len 256 scores every break of a 100-word

@@ -13,9 +13,8 @@ from breakscore.tasks import (
     RatedSample,
     TrainConfig,
     _pad_batch,
-    _predict_classes,
-    finetune_finegrained,
-    finetune_overall,
+    _predict_logits,
+    finetune,
     predict_finegrained,
     predict_overall,
     pretrain_rbtd,
@@ -128,8 +127,9 @@ class TestPretrainRbtd:
 
     @pytest.mark.parametrize("model", ["encoder", "bilstm"])
     def test_batched_prediction_matches_one_at_a_time(self, model):
-        # The held-out split is predicted in padded batches; mixed lengths in
-        # one batch must not change any sample's class.
+        # Held-out samples are predicted in padded batches; mixed lengths in
+        # one batch must not change any sample's logits, per sequence for the
+        # sequence heads and per break for the fine head.
         rng = make_rng(2, "mixed")
         seqs = []
         for n_words in (2, 7, 3, 12, 5, 9, 2, 4, 6, 10, 3, 8):
@@ -147,10 +147,15 @@ class TestPretrainRbtd:
         hdim = 16
         params["head_w"] = rng.normal(size=(hdim, 2)).astype(np.float32)
         params["head_b"] = np.zeros(2, dtype=np.float32)
-        single = _predict_classes(params, model, cfg, seqs, batch_size=1, max_len=32)
-        batched = _predict_classes(params, model, cfg, seqs, batch_size=5, max_len=32)
-        assert batched == single
-        assert set(single) == {0, 1}   # both classes occur, so the check has teeth
+        for kind, rows_per_seq in (("rbtd", [1] * len(seqs)), ("fine", [sum(m) for _, m in seqs])):
+            single = _predict_logits(params, kind, model, cfg, seqs, batch_size=1, max_len=32)
+            batched = _predict_logits(params, kind, model, cfg, seqs, batch_size=5, max_len=32)
+            assert [len(np.atleast_2d(l)) for l in single] == rows_per_seq
+            for a, b in zip(single, batched, strict=True):
+                np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-5)
+                np.testing.assert_array_equal(np.argmax(b, axis=-1), np.argmax(a, axis=-1))
+            classes = np.concatenate([np.atleast_2d(l) for l in single]).argmax(axis=1)
+            assert set(classes.tolist()) == {0, 1}   # both classes occur, so the check has teeth
 
     def test_single_label_rejected(self):
         data = [s for s in self._dataset() if s.label == 0]
@@ -165,8 +170,8 @@ class TestFinetuneOverall:
             for i, ids, mask, c in separable_corpus(64)
         ]
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=0)
-        ckpt = finetune_overall(dataset, None, tcfg, model="encoder",
-                                model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "overall", model="encoder",
+                        model_cfg=small_cfg(12), vocab=toy_vocab())
         preds = [predict_overall(ckpt, s.ids, s.break_mask)[0] for s in dataset]
         acc = np.mean([p == s.overall for p, s in zip(preds, dataset)])
         assert acc == 1.0
@@ -179,8 +184,8 @@ class TestFinetuneOverall:
             for i, ids, mask, c in items
         ]
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=1)
-        ckpt = finetune_overall(dataset[:64], None, tcfg, model="encoder",
-                                model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset[:64], None, tcfg, "overall", model="encoder",
+                        model_cfg=small_cfg(12), vocab=toy_vocab())
         held = dataset[64:]
         acc = np.mean([predict_overall(ckpt, s.ids, s.break_mask)[0] == s.overall for s in held])
         assert acc == 1.0
@@ -192,8 +197,8 @@ class TestFinetuneOverall:
         ]
         tcfg = TrainConfig(batch_size=8, epochs=60, lr=1e-2, seed=0)
         cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
-        ckpt = finetune_overall(dataset, None, tcfg, model="bilstm",
-                                model_cfg=cfg, vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "overall", model="bilstm",
+                        model_cfg=cfg, vocab=toy_vocab())
         acc = np.mean(
             [predict_overall(ckpt, s.ids, s.break_mask)[0] == s.overall for s in dataset]
         )
@@ -202,8 +207,8 @@ class TestFinetuneOverall:
     def test_missing_labels_rejected(self):
         ids, mask = encoded([8, 9], [0])
         with pytest.raises(DataError):
-            finetune_overall(
-                [RatedSample(id="a", ids=ids, break_mask=mask)], None, TrainConfig(),
+            finetune(
+                [RatedSample(id="a", ids=ids, break_mask=mask)], None, TrainConfig(), "overall",
                 model_cfg=small_cfg(12), vocab=toy_vocab(),
             )
 
@@ -217,7 +222,7 @@ class TestFinetuneOverall:
         ckpt, _ = pretrain_rbtd(pre, TrainConfig(batch_size=8, epochs=1), small_cfg(12), toy_vocab())
         other_cfg = small_cfg(13)
         with pytest.raises(DataError, match="config"):
-            finetune_overall(data, ckpt, TrainConfig(), model_cfg=other_cfg, vocab=toy_vocab())
+            finetune(data, ckpt, TrainConfig(), "overall", model_cfg=other_cfg, vocab=toy_vocab())
 
 
 class TestFinetuneFinegrained:
@@ -242,8 +247,8 @@ class TestFinetuneFinegrained:
     def test_learns_positionwise_rule(self):
         dataset = self._dataset()
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=0)
-        ckpt = finetune_finegrained(dataset, None, tcfg, model="encoder",
-                                    model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "fine", model="encoder",
+                        model_cfg=small_cfg(12), vocab=toy_vocab())
         hits = total = 0
         for s in dataset:
             preds = predict_finegrained(ckpt, s.ids, s.break_mask)
@@ -257,24 +262,24 @@ class TestFinetuneFinegrained:
         # ordering constraints; check the API refuses misaligned labels instead.
         ids, mask = encoded([8, 9], [0])
         with pytest.raises(DataError):
-            finetune_finegrained(
-                [RatedSample(id="a", ids=ids, break_mask=mask)], None, TrainConfig(),
+            finetune(
+                [RatedSample(id="a", ids=ids, break_mask=mask)], None, TrainConfig(), "fine",
                 model_cfg=small_cfg(12), vocab=toy_vocab(),
             )
 
     def test_prediction_kind_checked(self):
         dataset = self._dataset(8)
         tcfg = TrainConfig(batch_size=8, epochs=1, seed=0)
-        ckpt = finetune_finegrained(dataset, None, tcfg, model="encoder",
-                                    model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "fine", model="encoder",
+                        model_cfg=small_cfg(12), vocab=toy_vocab())
         with pytest.raises(DataError):
             predict_overall(ckpt, dataset[0].ids, dataset[0].break_mask)
 
     def test_out_of_vocab_sample_rejected_at_predict(self):
         dataset = self._dataset(8)
         tcfg = TrainConfig(batch_size=8, epochs=1, seed=0)
-        ckpt = finetune_finegrained(dataset, None, tcfg, model="encoder",
-                                    model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "fine", model="encoder",
+                        model_cfg=small_cfg(12), vocab=toy_vocab())
         bad_ids = tuple(list(dataset[0].ids[:-1]) + [99])
         with pytest.raises(DataError, match="vocabulary"):
             predict_finegrained(ckpt, bad_ids, dataset[0].break_mask)
