@@ -302,16 +302,24 @@ def cmd_score(args) -> int:
         raise DataError("score needs --overall-ckpt and/or --fine-ckpt")
     vocab = (overall_ckpt or fine_ckpt).vocab
     # Encode as long as the longest-reaching model reads; a Bi-LSTM has no limit.
-    max_len = max(
-        getattr(c.model_cfg, "max_len", sys.maxsize)
+    max_lens = {
+        c.kind: getattr(c.model_cfg, "max_len", sys.maxsize)
         for c in (overall_ckpt, fine_ckpt) if c is not None
-    )
+    }
+    max_len = max(max_lens.values())
     parse = alignment.parse_ctm if args.format == "ctm" else alignment.parse_tsv
     with open(args.align) as f:
         utts = parse(f)
     for utt in utts:
         seq = alignment.build_sequence(utt)
         ids, mask = encode(seq, vocab, max_len=max_len)
+        n_tokens = 2 * len(seq.words)   # [CLS], the words and the breaks between them
+        for kind, ckpt_len in max_lens.items():
+            if n_tokens > ckpt_len:
+                unscored = len(seq.breaks) - sum(mask[:ckpt_len])
+                log.warning("utterance %s: %d tokens exceed the %s checkpoint's max_len %d; "
+                            "its last %d break positions are left unscored",
+                            seq.id, n_tokens, kind, ckpt_len, unscored)
         print(f"utterance {seq.id}:")
         if overall_ckpt is not None:
             rank, probs = tasks.predict_overall(overall_ckpt, ids, mask)

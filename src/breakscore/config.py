@@ -55,13 +55,27 @@ class RunConfig:
         return cls(**kwargs)
 
 
-def _check_keys(section: str, given: dict, cls, excluded: tuple) -> None:
-    allowed = {f.name for f in dataclasses.fields(cls)} - set(excluded)
-    unknown = set(given) - allowed
+# The YAML values each annotated field type takes; an int is a valid float,
+# a bool is no number.
+_ACCEPTED = {
+    "int": (int,), "float": (int, float), "bool": (bool,), "tuple": (list, tuple), "dict": (dict,)
+}
+
+
+def _check_section(section: str, given: dict, cls, excluded: tuple) -> None:
+    fields = [f for f in dataclasses.fields(cls) if f.name not in excluded]
+    unknown = set(given) - {f.name for f in fields}
     if unknown:
         raise DataError(
-            f"unknown key(s) in [{section}]: {sorted(unknown)}; allowed: {sorted(allowed)}"
+            f"unknown key(s) in [{section}]: {sorted(unknown)}; "
+            f"allowed: {sorted(f.name for f in fields)}"
         )
+    for f in fields:
+        if f.name not in given:
+            continue
+        value, accepted = given[f.name], _ACCEPTED[f.type.split("[")[0]]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+            raise DataError(f"[{section}] {f.name} must be {f.type}, got {value!r}")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -102,7 +116,7 @@ def _from_mapping(raw) -> RunConfig:
             cfg.eval = dict(value)
             continue
         cls, excluded = _SECTION_TYPES[section]
-        _check_keys(section, value, cls, excluded)
+        _check_section(section, value, cls, excluded)
         setattr(cfg, section, dict(value))
     return cfg
 

@@ -91,9 +91,12 @@ def gelu_backward(dy, cache):
 # -- softmax -----------------------------------------------------------------
 
 def softmax(x, axis=-1):
+    # One temporary, updated in place; bitwise equal to e / e.sum() with
+    # e = exp(x - max).
     z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
 
 
 def softmax_backward(dy, probs, axis=-1):

@@ -119,6 +119,18 @@ def _pad_batch(seqs: list[tuple], max_len: int):
     return ids, pad_mask, break_mask
 
 
+def _length_batches(seqs: list[tuple], order: np.ndarray, batch_size: int, max_len: int):
+    """Indices into `seqs`, cut into batches of similar length.
+
+    `order` is stable-sorted by sequence length capped at max_len, so samples
+    of equal length keep their order in it, then cut every batch_size. Padding
+    a batch to its longest row then wastes little (sequence bucketing).
+    """
+    lengths = np.array([min(len(s[0]), max_len) for s in seqs], dtype=np.int64)
+    order = order[np.argsort(lengths[order], kind="stable")]
+    return [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
+
+
 # -- model plumbing ----------------------------------------------------------
 
 _N_CLASSES = {"rbtd": 2, "overall": 3, "fine": 3}
@@ -211,33 +223,44 @@ def _train(
     params["head_w"] = trunc_normal((_hidden_dim(model, cfg), n_classes), init_rng)
     params["head_b"] = np.zeros(n_classes, dtype=np.float32)
 
-    all_targets = np.concatenate([np.asarray(s[2], dtype=np.int64) for s in samples])
+    # One class per head row; a fine sample keeps the labels of the breaks
+    # that survive max_len.
+    targets = [
+        np.asarray(s[2][: sum(s[1][: tcfg.max_len])] if kind == "fine" else s[2], dtype=np.int64)
+        for s in samples
+    ]
+    all_targets = np.concatenate(targets)
+    if not len(all_targets):
+        raise DataError(f"no sample has a {kind} target to train on")
     weights = _class_weights(all_targets, n_classes) if tcfg.class_weighted else None
     state = AdamState()
     order_rng = make_rng(tcfg.seed, kind + "-order")
     drop_rng = make_rng(tcfg.seed, kind + "-dropout")
     epoch_losses = []
     for epoch in range(tcfg.epochs):
-        order = order_rng.permutation(len(samples))
+        batches = _length_batches(
+            samples, order_rng.permutation(len(samples)), tcfg.batch_size, tcfg.max_len
+        )
         losses = []
-        for lo in range(0, len(order), tcfg.batch_size):
-            batch = [samples[i] for i in order[lo : lo + tcfg.batch_size]]
-            ids, pad_mask, break_mask = _pad_batch([(s[0], s[1]) for s in batch], tcfg.max_len)
-            # One class per head row; a fine row keeps the labels of the breaks
-            # that survive max_len.
-            targets = np.concatenate([
-                np.asarray(s[2][: int(n)] if kind == "fine" else s[2], dtype=np.int64)
-                for s, n in zip(batch, break_mask.sum(axis=1))
-            ])
+        for b in order_rng.permutation(len(batches)):
+            batch = batches[b]
+            batch_targets = np.concatenate([targets[i] for i in batch])
+            if not len(batch_targets):
+                continue   # say, only one-word items for the fine head: nothing to learn
+            ids, pad_mask, break_mask = _pad_batch(
+                [(samples[i][0], samples[i][1]) for i in batch], tcfg.max_len
+            )
             hidden, cache = _forward(
                 model, params, cfg, ids, pad_mask, train=True, dropout_rng=drop_rng
             )
             rows = _head_rows(kind, model, hidden, pad_mask, break_mask)
-            if len(rows) != len(targets):
-                raise DataError(f"{len(targets)} {kind} labels for {len(rows)} head positions")
+            if len(rows) != len(batch_targets):
+                raise DataError(
+                    f"{len(batch_targets)} {kind} labels for {len(rows)} head positions"
+                )
             logits = rows @ params["head_w"] + params["head_b"]
-            row_w = weights[targets] if weights is not None else None
-            loss, dlogits = batched_cross_entropy(logits, targets, row_w)
+            row_w = weights[batch_targets] if weights is not None else None
+            loss, dlogits = batched_cross_entropy(logits, batch_targets, row_w)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             losses.append(loss)
@@ -252,18 +275,19 @@ def _train(
 
 
 def _predict_logits(params, kind, model, cfg, seqs: list[tuple], batch_size: int, max_len: int):
-    """Head logits of each (ids, break_mask), in padded batches: one [n_classes]
-    array per sample, or one [n_breaks, n_classes] array for the "fine" head."""
-    out = []
-    for lo in range(0, len(seqs), batch_size):
-        ids, pad_mask, break_mask = _pad_batch(seqs[lo : lo + batch_size], max_len)
+    """Head logits of each (ids, break_mask), in input order: one [n_classes]
+    array per sample, or one [n_breaks, n_classes] array for the "fine" head.
+    Samples run in padded batches of similar length."""
+    out = [None] * len(seqs)
+    for batch in _length_batches(seqs, np.arange(len(seqs)), batch_size, max_len):
+        ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch], max_len)
         hidden, _ = _forward(model, params, cfg, ids, pad_mask)
         rows = _head_rows(kind, model, hidden, pad_mask, break_mask)
         logits = rows @ params["head_w"] + params["head_b"]
         if kind == "fine":
-            out.extend(np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1]))
-        else:
-            out.extend(logits)
+            logits = np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1])
+        for i, row in zip(batch, logits, strict=True):
+            out[i] = row
     return out
 
 

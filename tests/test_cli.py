@@ -82,9 +82,12 @@ class TestSynth:
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 2
 
     @pytest.mark.parametrize(
-        "text", ["seed: [1\n", "eval: 5\n", "seed: abc\n", "eval:\n  k: abc\n"])
+        "text", ["seed: [1\n", "eval: 5\n", "seed: abc\n", "eval:\n  k: abc\n",
+                 "train:\n  class_weighted: 1\n", "encoder:\n  d_model: true\n",
+                 "synth:\n  class_shape: 0.5\n"])
     def test_bad_config_exits_2_naming_file(self, tmp_path, caplog, text):
-        # Malformed YAML, a non-mapping section, a non-integer seed and k.
+        # Malformed YAML, a non-mapping section, a non-integer seed and k, and
+        # section values of the wrong type.
         cfg = tmp_path / "c.yaml"
         cfg.write_text(text)
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 2
@@ -246,3 +249,48 @@ class TestPipeline:
         assert run("score", "--fine-ckpt", fine, "--align", str(ctm)) == 0
         break_lines = [l for l in capsys.readouterr().out.splitlines() if "[br" in l]
         assert len(break_lines) == n_words - 1
+
+    def test_score_warns_when_utterance_exceeds_max_len(self, pipeline, tmp_path, capsys, caplog):
+        # A checkpoint trained at max_len 16 reads [CLS] and the first 15 tokens
+        # of a 20-word utterance: 7 of its 19 breaks. The other 12 go unscored,
+        # which is logged; standard output still lists only the scored ones.
+        cfg = tmp_path / "short.yaml"
+        cfg.write_text(open(pipeline["cfg"]).read()
+                       .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n")
+                       .replace("epochs: 1\n", "epochs: 1\n  max_len: 16\n"))
+        fine = str(tmp_path / "fine16.pbrk")
+        assert run("finetune", "--config", str(cfg), "--task", "fine",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"], "--out", fine) == 0
+        ctm = tmp_path / "long.ctm"
+        ctm.write_text("".join(f"long1 1 {0.5 * i:.2f} 0.40 the\n" for i in range(20))
+                       + "short1 1 0.00 0.40 the\nshort1 1 0.50 0.40 fox\n")
+        capsys.readouterr()
+        caplog.clear()
+        assert run("score", "--fine-ckpt", fine, "--align", str(ctm)) == 0
+        out = capsys.readouterr().out
+        assert len([l for l in out.splitlines() if "[br" in l]) == 7 + 1
+        assert "max_len" not in out
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "long1" in warnings[0] and "max_len 16" in warnings[0]
+        assert "last 12 break positions" in warnings[0]
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("entry", ["batch_size: abc", "lr: abc", "epochs: 2.5"])
+    def test_bad_train_value_exits_2(self, pipeline, tmp_path, caplog, entry):
+        # A value of the wrong type is a data error naming file, section and
+        # key, not a TypeError from deep inside training.
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"train:\n  {entry}\n")
+        assert run("finetune", "--config", str(cfg), "--task", "overall",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                   "--out", str(tmp_path / "x.pbrk")) == 2
+        key = entry.split(":")[0]
+        assert f"{cfg}: [train] {key} must be" in caplog.text
+
+    def test_int_accepted_as_float_and_list_as_tuple(self, tmp_path):
+        cfg = tmp_path / "ok.yaml"
+        cfg.write_text(
+            "train:\n  lr: 1\nsynth:\n  n_sentences: 5\n  class_shape: [0.2, 0.3, 0.5]\n")
+        assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 0

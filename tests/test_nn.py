@@ -42,6 +42,20 @@ class TestPrimitives:
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(softmax(x), softmax(x + 1000.0), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_in_place_bitwise_equal(self, dtype):
+        # The in-place form must round exactly like exp(x - max) / sum, on an
+        # attention-shaped input and along a non-last axis; x stays unchanged.
+        x = (make_rng(3, "t").normal(size=(2, 4, 9, 9)) * 5).astype(dtype)
+        before = x.copy()
+        for axis in (-1, 1):
+            e = np.exp(x - x.max(axis=axis, keepdims=True))
+            ref = e / e.sum(axis=axis, keepdims=True)
+            got = softmax(x, axis=axis)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(x, before)
+
     def test_layer_norm_statistics(self):
         rng = make_rng(1, "t")
         x = rng.normal(size=(3, 5, 16)) * 4 + 2

@@ -9,7 +9,9 @@ from breakscore.exceptions import DataError
 from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
 from breakscore.ranks import Rank
 from breakscore.rngs import make_rng
+from breakscore import tasks
 from breakscore.tasks import (
+    _N_CLASSES,
     RatedSample,
     TrainConfig,
     _pad_batch,
@@ -88,6 +90,79 @@ class TestPadBatch:
         assert ids.shape == (1, 7) and pad_mask.all()
 
 
+class TestTrainBatches:
+    """`_train` batches: length-bucketed, every sample once per epoch, seeded."""
+
+    def _mixed(self, n=96):
+        # 2 to 30 words; the first two word ids make every sample unique.
+        rng = make_rng(5, "mixed-train")
+        out = []
+        for i in range(n):
+            n_words = 2 + (i * 7) % 29
+            word_ids = [8 + i % 50, 8 + i // 50]
+            word_ids += [8 + int(rng.integers(50)) for _ in range(n_words - 2)]
+            ids, mask = encoded(word_ids, [int(rng.integers(4)) for _ in range(n_words - 1)])
+            out.append(RatedSample(id=f"m{i}", ids=ids, break_mask=mask, overall=list(Rank)[i % 3]))
+        return out
+
+    def _recorded_batches(self, monkeypatch, dataset, seed):
+        batches, pad = [], []
+
+        def recording(seqs, max_len):
+            out = _pad_batch(seqs, max_len)
+            batches.append([ids for ids, _ in seqs])
+            pad.append(out[1])
+            return out
+
+        monkeypatch.setattr(tasks, "_pad_batch", recording)
+        cfg = EncoderConfig(vocab_size=64, d_model=16, n_heads=2, n_layers=1, ffn_dim=32,
+                            max_len=64, dropout_prob=0.0)
+        tcfg = TrainConfig(batch_size=8, epochs=2, lr=1e-3, seed=seed, max_len=64)
+        finetune(dataset, None, tcfg, "overall", model_cfg=cfg, vocab=toy_vocab(56))
+        return batches, pad
+
+    def test_every_sample_once_per_epoch_and_seeded(self, monkeypatch):
+        dataset = self._mixed()
+        batches, _ = self._recorded_batches(monkeypatch, dataset, seed=4)
+        per_epoch = len(dataset) // 8
+        assert len(batches) == 2 * per_epoch
+        epochs = [batches[:per_epoch], batches[per_epoch:]]
+        for epoch in epochs:
+            assert sorted(ids for batch in epoch for ids in batch) == sorted(s.ids for s in dataset)
+        assert epochs[0] != epochs[1]   # batch order is still drawn at random
+        again, _ = self._recorded_batches(monkeypatch, dataset, seed=4)
+        assert again == batches
+        other, _ = self._recorded_batches(monkeypatch, dataset, seed=5)
+        assert other != batches
+
+    def test_batches_hold_similar_lengths(self, monkeypatch):
+        _, pad = self._recorded_batches(monkeypatch, self._mixed(), seed=4)
+        real = sum(int(m.sum()) for m in pad)
+        padded = sum(m.size for m in pad)
+        assert real / padded >= 0.9
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_fine_batches_without_breaks_are_skipped(self, model):
+        # Bucketing puts the one-word items (no break, so no fine row) in one
+        # batch of their own; it has nothing to learn from and is skipped.
+        dataset = [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i), break_mask=(False, False),
+                               fine=()) for i in range(3)]
+        dataset += TestFinetuneFinegrained()._dataset(6)
+        cfg = small_cfg(12) if model == "encoder" else BiLstmConfig(vocab_size=12, embed_dim=8,
+                                                                    hidden_size=8)
+        tcfg = TrainConfig(batch_size=3, epochs=3, lr=1e-3, seed=0)
+        ckpt = finetune(dataset, None, tcfg, "fine", model=model, model_cfg=cfg, vocab=toy_vocab())
+        losses = ckpt.extra["epoch_losses"]
+        assert len(losses) == 3 and np.isfinite(losses).all()
+
+    def test_no_fine_target_at_all_rejected(self):
+        dataset = [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i), break_mask=(False, False),
+                               fine=()) for i in range(3)]
+        with pytest.raises(DataError, match="no sample"):
+            finetune(dataset, None, TrainConfig(batch_size=2, epochs=1), "fine",
+                     model_cfg=small_cfg(12), vocab=toy_vocab())
+
+
 def separable_corpus(n=64):
     """Class fully determined by the break token at the single break site."""
     out = []
@@ -127,9 +202,9 @@ class TestPretrainRbtd:
 
     @pytest.mark.parametrize("model", ["encoder", "bilstm"])
     def test_batched_prediction_matches_one_at_a_time(self, model):
-        # Held-out samples are predicted in padded batches; mixed lengths in
-        # one batch must not change any sample's logits, per sequence for the
-        # sequence heads and per break for the fine head.
+        # Samples are predicted in padded batches, reordered by length; the
+        # logits must come back in input order and equal one-at-a-time ones,
+        # per sequence for the sequence heads and per break for the fine head.
         rng = make_rng(2, "mixed")
         seqs = []
         for n_words in (2, 7, 3, 12, 5, 9, 2, 4, 6, 10, 3, 8):
@@ -145,9 +220,16 @@ class TestPretrainRbtd:
         # their classes, differ; layer-norm gains stay at one.
         params = {k: v if k.endswith("_g") else v * 25 for k, v in params.items()}
         hdim = 16
-        params["head_w"] = rng.normal(size=(hdim, 2)).astype(np.float32)
-        params["head_b"] = np.zeros(2, dtype=np.float32)
-        for kind, rows_per_seq in (("rbtd", [1] * len(seqs)), ("fine", [sum(m) for _, m in seqs])):
+        for kind, rows_per_seq in (
+            ("rbtd", [1] * len(seqs)), ("overall", [1] * len(seqs)),
+            ("fine", [sum(m) for _, m in seqs]),
+        ):
+            n_classes = _N_CLASSES[kind]
+            params["head_w"] = rng.normal(size=(hdim, n_classes)).astype(np.float32)
+            params["head_b"] = np.zeros(n_classes, dtype=np.float32)
+            # Centre the logits so that the argmax varies across samples.
+            first = _predict_logits(params, kind, model, cfg, seqs, batch_size=1, max_len=32)
+            params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in first]).mean(axis=0)
             single = _predict_logits(params, kind, model, cfg, seqs, batch_size=1, max_len=32)
             batched = _predict_logits(params, kind, model, cfg, seqs, batch_size=5, max_len=32)
             assert [len(np.atleast_2d(l)) for l in single] == rows_per_seq
@@ -155,7 +237,7 @@ class TestPretrainRbtd:
                 np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-5)
                 np.testing.assert_array_equal(np.argmax(b, axis=-1), np.argmax(a, axis=-1))
             classes = np.concatenate([np.atleast_2d(l) for l in single]).argmax(axis=1)
-            assert set(classes.tolist()) == {0, 1}   # both classes occur, so the check has teeth
+            assert len(set(classes.tolist())) >= 2   # classes differ, so the check has teeth
 
     def test_single_label_rejected(self):
         data = [s for s in self._dataset() if s.label == 0]
