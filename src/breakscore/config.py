@@ -84,7 +84,7 @@ def load_config(path: str | None) -> RunConfig:
     with open(path) as f:
         try:
             raw = yaml.safe_load(f) or {}
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
             raise DataError(f"{path}: malformed YAML: {e}") from e
     try:
         return _from_mapping(raw)
@@ -100,7 +100,7 @@ def _from_mapping(raw) -> RunConfig:
         if section == "seed":
             try:
                 cfg.seed = int(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise DataError(f"seed must be an integer, got {value!r}") from None
             continue
         if section != "eval" and section not in _SECTION_TYPES:

@@ -48,7 +48,7 @@ class LabeledSequence:
         if (self.label == LABEL_CORRUPTED) != bool(self.edits):
             raise DataError(f"sample {self.id!r}: label inconsistent with edit list")
         for pos, _, _ in self.edits:
-            if not self.break_mask[pos]:
+            if not 0 <= pos < len(self.break_mask) or not self.break_mask[pos]:
                 raise DataError(f"sample {self.id!r}: edit at non-break position {pos}")
 
 

@@ -40,6 +40,8 @@ class EncoderConfig:
     dropout_prob: float = 0.1
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise DataError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise DataError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"

@@ -8,6 +8,7 @@ every break position; word/CLS/pad positions never contribute loss.
 from __future__ import annotations
 
 import json
+import logging
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ from .nn.functional import batched_cross_entropy, softmax, trunc_normal
 from .rngs import make_rng
 from .ranks import Rank, class_to_rank, rank_to_class
 from .vocab import PAD_ID
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,12 @@ def _length_batches(seqs: list[tuple], order: np.ndarray, batch_size: int, max_l
 _N_CLASSES = {"rbtd": 2, "overall": 3, "fine": 3}
 
 
+def _seq_max_len(model: str, cfg, tcfg: TrainConfig) -> int:
+    """Tokens a model reads per sequence: the training cut, and for an encoder
+    no more than its position table holds. A Bi-LSTM has no limit of its own."""
+    return min(tcfg.max_len, cfg.max_len) if model == "encoder" else tcfg.max_len
+
+
 def _hidden_dim(model: str, cfg) -> int:
     return cfg.d_model if model == "encoder" else 2 * cfg.hidden_size
 
@@ -223,10 +232,15 @@ def _train(
     params["head_w"] = trunc_normal((_hidden_dim(model, cfg), n_classes), init_rng)
     params["head_b"] = np.zeros(n_classes, dtype=np.float32)
 
+    max_len = _seq_max_len(model, cfg, tcfg)
+    n_cut = sum(len(s[0]) > max_len for s in samples)
+    if n_cut:
+        log.warning("%d of %d %s samples are longer than max_len %d and are cut to it",
+                    n_cut, len(samples), kind, max_len)
     # One class per head row; a fine sample keeps the labels of the breaks
     # that survive max_len.
     targets = [
-        np.asarray(s[2][: sum(s[1][: tcfg.max_len])] if kind == "fine" else s[2], dtype=np.int64)
+        np.asarray(s[2][: sum(s[1][:max_len])] if kind == "fine" else s[2], dtype=np.int64)
         for s in samples
     ]
     all_targets = np.concatenate(targets)
@@ -239,7 +253,7 @@ def _train(
     epoch_losses = []
     for epoch in range(tcfg.epochs):
         batches = _length_batches(
-            samples, order_rng.permutation(len(samples)), tcfg.batch_size, tcfg.max_len
+            samples, order_rng.permutation(len(samples)), tcfg.batch_size, max_len
         )
         losses = []
         for b in order_rng.permutation(len(batches)):
@@ -248,7 +262,7 @@ def _train(
             if not len(batch_targets):
                 continue   # say, only one-word items for the fine head: nothing to learn
             ids, pad_mask, break_mask = _pad_batch(
-                [(samples[i][0], samples[i][1]) for i in batch], tcfg.max_len
+                [(samples[i][0], samples[i][1]) for i in batch], max_len
             )
             hidden, cache = _forward(
                 model, params, cfg, ids, pad_mask, train=True, dropout_rng=drop_rng
@@ -320,7 +334,7 @@ def pretrain_rbtd(
 
     logits = _predict_logits(
         params, "rbtd", "encoder", enc_cfg, [(s.ids, s.break_mask) for s in held],
-        tcfg.batch_size, tcfg.max_len,
+        tcfg.batch_size, _seq_max_len("encoder", enc_cfg, tcfg),
     )
     tp = fp = fn = correct = 0
     for s, row in zip(held, logits, strict=True):

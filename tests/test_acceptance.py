@@ -278,6 +278,7 @@ def test_metric_oracle():
 
 # -- 5. discriminator learnability -------------------------------------------
 
+@pytest.mark.slow
 def test_rbtd_learnability(pretrain_bundle):
     rep = pretrain_bundle["report"]
     ok = rep["accuracy"] >= 0.75 and rep["elapsed"] < 600
@@ -291,6 +292,7 @@ def test_rbtd_learnability(pretrain_bundle):
 
 # -- 6. pretraining transfer -------------------------------------------------
 
+@pytest.mark.slow
 def test_pretraining_transfer(pretrain_bundle):
     t0 = time.time()
     b = pretrain_bundle

@@ -275,6 +275,31 @@ class TestPipeline:
         assert "long1" in warnings[0] and "max_len 16" in warnings[0]
         assert "last 12 break positions" in warnings[0]
 
+    def test_finetune_cuts_to_encoder_max_len(self, tmp_path, caplog):
+        # The training max_len (default 128) exceeds the encoder's 16: samples
+        # are cut to what the encoder reads, with one warning, instead of
+        # failing on the first long batch.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "seed: 3\n"
+            "synth:\n  n_sentences: 20\n"
+            "encoder:\n  d_model: 16\n  n_heads: 2\n  n_layers: 1\n  ffn_dim: 32\n  max_len: 16\n"
+            "train:\n  batch_size: 16\n  epochs: 1\n"
+        )
+        out_dir = tmp_path / "data"
+        assert run("synth", "--config", str(cfg), "--out-dir", str(out_dir)) == 0
+        esl = [json.loads(l) for l in open(out_dir / "esl.jsonl")]
+        n_long = sum(len(s["ids"]) > 16 for s in esl)
+        assert n_long > 0
+        caplog.clear()
+        assert run("finetune", "--config", str(cfg), "--task", "fine",
+                   "--in", str(out_dir / "esl.jsonl"), "--vocab", str(out_dir / "vocab.tsv"),
+                   "--out", str(tmp_path / "fine.pbrk")) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert f"{n_long} of {len(esl)} fine samples" in warnings[0]
+        assert "max_len 16" in warnings[0]
+
 
 class TestConfigValueTypes:
     @pytest.mark.parametrize("entry", ["batch_size: abc", "lr: abc", "epochs: 2.5"])

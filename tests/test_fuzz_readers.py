@@ -1,0 +1,237 @@
+"""Fuzz every reader of user input: CTM, TSV, the sequence, labeled and rated
+JSONL records, the vocabulary, config YAML and PBRK1 checkpoints.
+
+The property is the exit-code contract: any input either parses or raises a
+`BreakscoreError`, never another exception. Inputs mix raw text with records
+close to valid ones, so both the tokenizer and the field checks are reached.
+"""
+import dataclasses
+import io
+import json
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
+
+from breakscore import alignment, corruption, tasks
+from breakscore.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from breakscore.config import _SECTION_TYPES, load_config
+from breakscore.exceptions import BreakscoreError
+from breakscore.nn import EncoderConfig
+from breakscore.vocab import RESERVED_TOKENS, Vocabulary
+
+fuzz = settings(max_examples=200, deadline=None)
+
+numbers = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "0x1", "1_0", "", "-0", "+.5"]),
+)
+tokens = st.one_of(st.text(max_size=6), numbers, st.sampled_from(["the", "fox", "u1", "#", ";;"]))
+json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.integers(), st.floats(), st.text(max_size=5)
+)
+json_any = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=10,
+)
+small_ints = st.lists(st.integers(-2, 12), max_size=6)
+flags = st.lists(st.booleans() | st.integers(0, 1), max_size=6)
+classes = st.lists(st.integers(-1, 4), max_size=5)
+
+
+def lines(line):
+    """A document of lines drawn from `line` or from arbitrary text."""
+    return st.lists(st.one_of(line, st.text()), max_size=8).map("\n".join)
+
+
+def records(fields: dict):
+    """JSON lines holding any subset of `fields`, each plausible or arbitrary."""
+    record = st.fixed_dictionaries(
+        {}, optional={k: st.one_of(v, json_any) for k, v in fields.items()}
+    ).map(json.dumps)
+    return lines(st.one_of(record, json_any.map(json.dumps)))
+
+
+def parses_or_raises(read, *args):
+    try:
+        read(*args)
+    except BreakscoreError:
+        pass
+
+
+class TestTextReaders:
+    @fuzz
+    @given(lines(st.one_of(
+        st.tuples(st.sampled_from(["u1", "u2", "u3"]) | tokens, st.just("1") | tokens,
+                  numbers, numbers, st.sampled_from(["the", "fox"]) | tokens).map(" ".join),
+        st.lists(tokens, max_size=7).map(" ".join),
+    )))
+    def test_ctm(self, text):
+        parses_or_raises(alignment.parse_ctm, io.StringIO(text))
+
+    @fuzz
+    @given(lines(st.one_of(
+        st.tuples(st.sampled_from(["u1", "u2", "u3"]) | tokens,
+                  st.sampled_from(["the", "fox"]) | tokens, numbers, numbers).map("\t".join),
+        st.lists(tokens, max_size=6).map("\t".join),
+    )))
+    def test_tsv(self, text):
+        parses_or_raises(alignment.parse_tsv, io.StringIO(text))
+
+    @fuzz
+    @given(records({
+        "id": st.text(max_size=4),
+        "words": st.lists(st.sampled_from(["the", "fox", ""]) | st.text(max_size=4), max_size=5),
+        "breaks": classes,
+    }))
+    def test_sequence_jsonl(self, text):
+        parses_or_raises(alignment.read_sequences, io.StringIO(text))
+
+    @fuzz
+    @given(records({
+        "id": st.text(max_size=4),
+        "ids": small_ints,
+        "break_mask": flags,
+        "label": st.integers(-1, 2),
+        "edits": st.lists(st.tuples(st.integers(-8, 8), st.integers(-1, 4), st.integers(-1, 4))
+                          .map(list), max_size=3),
+    }))
+    @example('{"id":"a","ids":[1,2],"break_mask":[false,true],"label":1,"edits":[[5,1,2]]}')
+    @example('{"id":"a","ids":[1,2],"break_mask":[false,true],"label":1,"edits":[[-2,1,2]]}')
+    def test_labeled_jsonl(self, text):
+        parses_or_raises(corruption.read_labeled, io.StringIO(text))
+
+    @fuzz
+    @given(records({
+        "id": st.text(max_size=4),
+        "ids": small_ints,
+        "break_mask": flags,
+        "overall": st.integers(-1, 4),
+        "fine": classes,
+    }))
+    def test_rated_jsonl(self, text):
+        parses_or_raises(tasks.read_rated, io.StringIO(text))
+
+    @fuzz
+    @given(lines(st.tuples(
+        st.integers(-2, 12).map(str) | numbers,
+        st.sampled_from(RESERVED_TOKENS + ("fox", "the")) | tokens,
+        numbers,
+    ).map("\t".join)))
+    def test_vocab(self, text):
+        parses_or_raises(Vocabulary.from_lines, io.StringIO(text))
+
+
+# -- file readers ------------------------------------------------------------
+
+yaml_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 200), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=5),
+    st.lists(st.integers(-1, 5) | st.floats(0, 1) | st.text(max_size=2), max_size=4),
+)
+_KEYS = sorted({f.name for cls, _ in _SECTION_TYPES.values() for f in dataclasses.fields(cls)}
+               | {"k", "bogus"})
+config_mapping = st.dictionaries(
+    st.sampled_from(sorted(_SECTION_TYPES) + ["seed", "eval", "bogus"]),
+    st.one_of(yaml_leaf, st.dictionaries(st.sampled_from(_KEYS), yaml_leaf, max_size=4)),
+    max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _write(path, data: bytes) -> str:
+    with open(path, "wb") as f:
+        f.write(data)
+    return str(path)
+
+
+def _load_and_build(path):
+    """Read a config and build every section, as the commands do."""
+    cfg = load_config(path)
+    for section in _SECTION_TYPES:
+        runtime = {"vocab_size": 20} if section in ("encoder", "bilstm") else {}
+        cfg.build(section, **runtime)
+
+
+class TestConfigYaml:
+    @fuzz
+    @given(data=st.one_of(
+        config_mapping.map(lambda m: yaml.safe_dump(m).encode("utf-8")),
+        st.text().map(lambda t: t.encode("utf-8")),
+        st.binary(max_size=40),
+    ))
+    @example(data=b"seed: .inf\n")
+    @example(data=b"encoder:\n  n_heads: 0\n")
+    def test_config(self, workdir, data):
+        parses_or_raises(_load_and_build, _write(workdir / "cfg.yaml", data))
+
+
+def _valid_checkpoint_bytes(path) -> bytes:
+    cfg = EncoderConfig(vocab_size=10, d_model=4, n_heads=2, n_layers=1, ffn_dim=8, max_len=8)
+    params = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(2, np.float32)}
+    save_checkpoint(Checkpoint(
+        kind="fine", model="encoder", model_cfg=cfg,
+        vocab=Vocabulary(word_to_id={"fox": 8, "the": 9}, counts={"fox": 1}),
+        seed=3, params=params, n_classes=3,
+    ), str(path))
+    with open(path, "rb") as f:
+        return f.read()
+
+
+@st.composite
+def checkpoint_bytes(draw, valid: bytes):
+    """Bytes around a valid checkpoint: random, spliced, truncated, or with
+    fuzzed metadata fields."""
+    head, _, blob = valid[len(MAGIC):].partition(b"\n")
+    meta = json.loads(head)
+    kind = draw(st.sampled_from(["random", "magic", "splice", "truncate", "meta"]))
+    if kind == "random":
+        return draw(st.binary(max_size=60))
+    if kind == "magic":
+        return MAGIC + draw(st.binary(max_size=60))
+    if kind == "splice":
+        at = draw(st.integers(0, len(valid)))
+        return valid[:at] + draw(st.binary(min_size=1, max_size=8)) + valid[at + 1:]
+    if kind == "truncate":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    for key in draw(st.lists(st.sampled_from(sorted(meta)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            meta.pop(key)
+        elif key == "model_cfg":
+            meta[key] = draw(st.dictionaries(
+                st.sampled_from(sorted(meta[key]) + ["hidden_size", "bogus"]),
+                st.integers(-1, 4) | json_leaf, max_size=7))
+        else:
+            meta[key] = draw(json_any)
+    return MAGIC + json.dumps(meta).encode("utf-8") + b"\n" + blob
+
+
+class TestCheckpointBytes:
+    @pytest.fixture(scope="class")
+    def valid(self, workdir):
+        return _valid_checkpoint_bytes(workdir / "valid.pbrk")
+
+    def test_valid_bytes_load(self, workdir, valid):
+        ckpt = load_checkpoint(_write(workdir / "copy.pbrk", valid))
+        assert ckpt.kind == "fine" and ckpt.params["a"].shape == (2, 3)
+
+    @fuzz
+    @given(data=st.data())
+    def test_pbrk1(self, workdir, valid, data):
+        path = _write(workdir / "fuzz.pbrk", data.draw(checkpoint_bytes(valid)))
+        parses_or_raises(load_checkpoint, path)
+
+    def test_zero_heads_is_a_data_error(self, workdir, valid):
+        head, _, blob = valid[len(MAGIC):].partition(b"\n")
+        meta = json.loads(head)
+        meta["model_cfg"]["n_heads"] = 0
+        path = _write(workdir / "zero_heads.pbrk", MAGIC + json.dumps(meta).encode() + b"\n" + blob)
+        with pytest.raises(BreakscoreError, match="n_heads"):
+            load_checkpoint(path)

@@ -316,6 +316,82 @@ class TestBiLstm:
         assert grad_check(loss_fn, params, n_coords=1000) < 1e-5
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def reference_bilstm(ids, lengths, dhidden, params, hid):
+    """Textbook Bi-LSTM, one row and one step at a time, with the carry
+    semantics: past a row's length the forward direction repeats its last
+    state and the backward direction still holds its zero initial state.
+    Returns (hidden [B, L, 2H], grads) for the loss sum(hidden * dhidden)."""
+    bsz, length = ids.shape
+    hidden = np.zeros((bsz, length, 2 * hid))
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    for r in range(bsz):
+        n = lengths[r]
+        for d, col in (("fw", 0), ("bw", hid)):
+            wx, wh, b = params[f"{d}_wx"], params[f"{d}_wh"], params[f"{d}_b"]
+            order = list(range(n)) if d == "fw" else list(range(n - 1, -1, -1))
+            h, c, steps = np.zeros(hid), np.zeros(hid), []
+            for t in order:
+                x = params["emb"][ids[r, t]]
+                z = x @ wx + h @ wh + b
+                i, f = _sigmoid(z[:hid]), _sigmoid(z[hid : 2 * hid])
+                g, o = np.tanh(z[2 * hid : 3 * hid]), _sigmoid(z[3 * hid :])
+                c_new = f * c + i * g
+                steps.append((t, x, h, c, i, f, g, o, np.tanh(c_new)))
+                c, h = c_new, o * np.tanh(c_new)
+                hidden[r, t, col : col + hid] = h
+            dh_out = dhidden[r, :, col : col + hid].copy()
+            if d == "fw":
+                hidden[r, n:, :hid] = h
+                dh_out[n - 1] += dh_out[n:].sum(axis=0)
+            dh_next, dc_next = np.zeros(hid), np.zeros(hid)
+            for t, x, h_prev, c_prev, i, f, g, o, tc in reversed(steps):
+                dh = dh_out[t] + dh_next
+                dc = dh * o * (1 - tc**2) + dc_next
+                dz = np.concatenate([dc * g * i * (1 - i), dc * c_prev * f * (1 - f),
+                                     dc * i * (1 - g**2), dh * tc * o * (1 - o)])
+                grads[f"{d}_wx"] += np.outer(x, dz)
+                grads[f"{d}_wh"] += np.outer(h_prev, dz)
+                grads[f"{d}_b"] += dz
+                grads["emb"][ids[r, t]] += dz @ wx.T
+                dh_next, dc_next = dz @ wh.T, dc * f
+    return hidden, grads
+
+
+class TestBiLstmAgainstReference:
+    """The batched time-major scan against `reference_bilstm` in float64."""
+
+    @pytest.mark.parametrize("lengths", [[6, 6, 6], [6, 3, 6, 1, 4], [5]],
+                             ids=["full", "mixed", "batch1"])
+    def test_forward_and_every_gradient(self, lengths):
+        cfg = BiLstmConfig(vocab_size=12, embed_dim=5, hidden_size=4)
+        rng = make_rng(4, "reference")
+        params = {k: rng.normal(0.0, 0.5, size=v.shape)
+                  for k, v in init_bilstm_params(cfg, rng).items()}
+        width = max(lengths)
+        mask = np.arange(width)[None, :] < np.array(lengths)[:, None]
+        ids = np.where(mask, rng.integers(1, cfg.vocab_size, size=mask.shape), 0)
+        if len(set(lengths)) > 1:
+            # Both scan branches run: steps where every row is real, and padded ones.
+            assert mask.all(axis=0).any() and not mask.all(axis=0).all()
+        dhidden = rng.normal(size=(len(lengths), width, 2 * cfg.hidden_size))
+
+        h, cache = bilstm_forward(ids, mask, params, cfg)
+        grads = bilstm_backward(dhidden, params, cache)
+        h_ref, grads_ref = reference_bilstm(ids, lengths, dhidden, params, cfg.hidden_size)
+
+        hid = cfg.hidden_size
+        assert h.dtype == np.float64
+        np.testing.assert_allclose(h[..., :hid], h_ref[..., :hid], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(h[..., hid:], h_ref[..., hid:], rtol=0, atol=1e-6)
+        assert set(grads) == set(params)
+        for k in params:
+            np.testing.assert_allclose(grads[k], grads_ref[k], rtol=0, atol=1e-6, err_msg=k)
+
+
 class TestAdam:
     def test_matches_reference_implementation(self):
         # Oracle: textbook bias-corrected Adam on a quadratic, 5 steps.
