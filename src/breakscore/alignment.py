@@ -15,6 +15,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from . import jsonl
 from .exceptions import DataError, ParseError
 
 
@@ -226,33 +227,21 @@ def serialize_ctm(utts: list[AlignedUtterance]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def sequence_to_json(seq: TokenSequence) -> str:
-    return json.dumps(
-        {"id": seq.id, "words": list(seq.words), "breaks": [int(b) for b in seq.breaks]},
-        sort_keys=True,
-        separators=(",", ":"),
+def sequence_to_json(seq: TokenSequence, **extra) -> str:
+    """One JSONL line; `extra` keys ride along (a reader of sequences ignores them)."""
+    return jsonl.dumps(
+        {"id": seq.id, "words": list(seq.words), "breaks": [int(b) for b in seq.breaks], **extra}
     )
 
 
 def sequence_from_json(line: str) -> TokenSequence:
-    try:
-        obj = json.loads(line)
-        return TokenSequence(
-            id=obj["id"],
-            words=tuple(obj["words"]),
-            breaks=tuple(BreakClass(b) for b in obj["breaks"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad token-sequence record: {e}") from e
+    obj = json.loads(line)
+    return TokenSequence(
+        id=obj["id"],
+        words=tuple(obj["words"]),
+        breaks=tuple(BreakClass(b) for b in obj["breaks"]),
+    )
 
 
 def read_sequences(stream) -> list[TokenSequence]:
-    out = []
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(sequence_from_json(line))
-        except ParseError as e:
-            raise ParseError(str(e), line=line_no) from e
-    return out
+    return jsonl.read(stream, sequence_from_json, "token-sequence")

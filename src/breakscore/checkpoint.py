@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonl
 from .exceptions import BreakscoreError, DataError
 from .nn import BiLstmConfig, EncoderConfig
 from .vocab import Vocabulary
@@ -68,7 +69,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(MAGIC)
-        f.write(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        f.write(jsonl.dumps(meta).encode("utf-8"))
         f.write(b"\n")
         f.write(blob)
     os.replace(tmp, path)

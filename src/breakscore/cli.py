@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -40,14 +41,16 @@ def _echo_config(cfg: RunConfig, out_path: str) -> None:
     write_atomic(out_path + ".config.yaml", dump_config(cfg))
 
 
-def _read_vocab(path: str) -> Vocabulary:
+def _read(path: str, parse):
+    """`parse` the text file at `path`; its errors name the path and keep their line."""
     with open(path) as f:
-        return Vocabulary.from_lines(f)
-
-
-def _read_sequences(path: str) -> list[alignment.TokenSequence]:
-    with open(path) as f:
-        return alignment.read_sequences(f)
+        try:
+            return parse(f)
+        except BreakscoreError as e:
+            e.args = (f"{path}: {e}",)
+            raise
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e}") from e
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
@@ -70,11 +73,7 @@ def cmd_ingest(args) -> int:
     parse = alignment.parse_ctm if args.format == "ctm" else alignment.parse_tsv
     utts = []
     for path in args.inputs:
-        with open(path) as f:
-            try:
-                utts.extend(parse(f))
-            except ParseError as e:
-                raise ParseError(f"{path}: {e}") from e
+        utts.extend(_read(path, parse))
     seen = set()
     for u in utts:
         if u.id in seen:
@@ -95,7 +94,7 @@ def cmd_synth(args) -> int:
     native = synth.generate_native(scfg)
     esl = synth.generate_esl(scfg, native)
     vocab = build_vocab(native)
-    max_len = cfg.train.get("max_len", 128)
+    max_len = cfg.build("train").max_len
     rated = [synth.encode_rated(s, vocab, max_len=max_len) for s in esl]
 
     def out(name):
@@ -105,17 +104,8 @@ def cmd_synth(args) -> int:
     write_atomic(out("vocab.tsv"), "\n".join(vocab.to_lines()) + "\n")
     write_atomic(out("esl.jsonl"), "\n".join(tasks.rated_to_json(r) for r in rated) + "\n")
     truth_lines = [
-        json.dumps(
-            {
-                "id": s.seq.id,
-                "words": list(s.seq.words),
-                "breaks": [int(b) for b in s.seq.breaks],
-                "overall": int(s.overall),
-                "fine": [int(r) for r in s.fine],
-                "trace": list(s.trace),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        alignment.sequence_to_json(
+            s.seq, overall=int(s.overall), fine=[int(r) for r in s.fine], trace=list(s.trace)
         )
         for s in esl
     ]
@@ -131,9 +121,9 @@ def cmd_corrupt(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     ccfg = cfg.build("corruption")
-    vocab = _read_vocab(args.vocab)
-    seqs = _read_sequences(args.infile)
-    max_len = cfg.train.get("max_len", 128)
+    vocab = _read(args.vocab, Vocabulary.from_lines)
+    seqs = _read(args.infile, alignment.read_sequences)
+    max_len = cfg.build("train").max_len
     corpus = []
     for s in seqs:
         ids, mask = encode(s, vocab, max_len=max_len)
@@ -149,9 +139,8 @@ def cmd_corrupt(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    vocab = _read_vocab(args.vocab)
-    with open(args.infile) as f:
-        dataset = corruption.read_labeled(f)
+    vocab = _read(args.vocab, Vocabulary.from_lines)
+    dataset = _read(args.infile, corruption.read_labeled)
     tcfg = cfg.build("train")
     enc_cfg = cfg.build("encoder", vocab_size=vocab.size)
     ckpt, report = tasks.pretrain_rbtd(dataset, tcfg, enc_cfg, vocab)
@@ -165,9 +154,8 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    vocab = _read_vocab(args.vocab)
-    with open(args.infile) as f:
-        dataset = tasks.read_rated(f)
+    vocab = _read(args.vocab, Vocabulary.from_lines)
+    dataset = _read(args.infile, tasks.read_rated)
     tcfg = cfg.build("train")
     init = load_checkpoint(args.init) if args.init else None
     if args.model == "bilstm":
@@ -180,25 +168,6 @@ def cmd_finetune(args) -> int:
     _echo_config(cfg, args.out)
     log.info("fine-tuned %s (%s) -> %s", args.task, args.model, args.out)
     return 0
-
-
-def _load_truth(path: str) -> dict[str, alignment.TokenSequence]:
-    """Ground-truth sidecar JSONL: item id -> the learner's token sequence."""
-    out = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                out[obj["id"]] = alignment.TokenSequence(
-                    id=obj["id"],
-                    words=tuple(obj["words"]),
-                    breaks=tuple(alignment.BreakClass(b) for b in obj["breaks"]),
-                )
-            except (KeyError, TypeError, ValueError, DataError) as e:
-                raise ParseError(f"{path}: bad truth record: {e!r}", line=line_no) from e
-    return out
 
 
 def _against_ref_predictor(task, truth, refs_by_id):
@@ -249,9 +218,8 @@ def make_trained_predictor(task, model, model_cfg, vocab, tcfg, init_ckpt):
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    vocab = _read_vocab(args.vocab)
-    with open(args.infile) as f:
-        dataset = tasks.read_rated(f)
+    vocab = _read(args.vocab, Vocabulary.from_lines)
+    dataset = _read(args.infile, tasks.read_rated)
     k = args.k if args.k is not None else cfg.eval.get("k", 5)
     if any(getattr(s, args.task) is None for s in dataset):
         raise DataError(f"eval --task {args.task} needs {args.task} labels on every item")
@@ -264,9 +232,10 @@ def cmd_eval(args) -> int:
     if args.model == "against-ref":
         if not args.refs or not args.truth:
             raise DataError("--model against-ref needs --refs and --truth")
-        truth = _load_truth(args.truth)
+        # A truth record is a token sequence with the ranks alongside.
+        truth = {s.id: s for s in _read(args.truth, alignment.read_sequences)}
         refs_by_id: dict[str, list] = {}
-        for seq in _read_sequences(args.refs):
+        for seq in _read(args.refs, alignment.read_sequences):
             refs_by_id.setdefault(seq.id, []).append(seq)
         predictor = _against_ref_predictor(args.task, truth, refs_by_id)
         train_fn = lambda items, fold_seed: predictor
@@ -301,16 +270,11 @@ def cmd_score(args) -> int:
     if overall_ckpt is None and fine_ckpt is None:
         raise DataError("score needs --overall-ckpt and/or --fine-ckpt")
     vocab = (overall_ckpt or fine_ckpt).vocab
-    # Encode as long as the longest-reaching model reads; a Bi-LSTM has no limit.
-    max_lens = {
-        c.kind: getattr(c.model_cfg, "max_len", sys.maxsize)
-        for c in (overall_ckpt, fine_ckpt) if c is not None
-    }
+    # Encode as long as the longest-reaching model reads.
+    max_lens = {c.kind: c.model_cfg.max_len for c in (overall_ckpt, fine_ckpt) if c is not None}
     max_len = max(max_lens.values())
     parse = alignment.parse_ctm if args.format == "ctm" else alignment.parse_tsv
-    with open(args.align) as f:
-        utts = parse(f)
-    for utt in utts:
+    for utt in _read(args.align, parse):
         seq = alignment.build_sequence(utt)
         ids, mask = encode(seq, vocab, max_len=max_len)
         n_tokens = 2 * len(seq.words)   # [CLS], the words and the breaks between them
@@ -337,7 +301,9 @@ def cmd_score(args) -> int:
 
 # -- entry point -------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; a subcommand `x` runs `cmd_x`."""
     p = argparse.ArgumentParser(prog="breakscore", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -350,20 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("inputs", nargs="+")
     sp.add_argument("--format", choices=("ctm", "tsv"), default="ctm")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_ingest)
 
     sp = sub.add_parser("synth", help="generate native + learner corpora")
     common(sp)
     sp.add_argument("--n-sentences", type=int, dest="n_sentences")
     sp.add_argument("--out-dir", required=True)
-    sp.set_defaults(fn=cmd_synth)
 
     sp = sub.add_parser("corrupt", help="token sequences -> pretraining dataset")
     common(sp)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--vocab", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_corrupt)
 
     sp = sub.add_parser("pretrain", help="train the break-corruption discriminator")
     common(sp)
@@ -373,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--batch-size", type=int, dest="batch_size")
     sp.add_argument("--lr", type=float)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_pretrain)
 
     sp = sub.add_parser("finetune", help="train an assessment head")
     common(sp)
@@ -386,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--batch-size", type=int, dest="batch_size")
     sp.add_argument("--lr", type=float)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_finetune)
 
     sp = sub.add_parser("eval", help="cross-validated evaluation report")
     common(sp)
@@ -405,27 +366,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--batch-size", type=int, dest="batch_size")
     sp.add_argument("--lr", type=float)
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("score", help="score an alignment file with trained models")
     sp.add_argument("--overall-ckpt")
     sp.add_argument("--fine-ckpt")
     sp.add_argument("--align", required=True)
     sp.add_argument("--format", choices=("ctm", "tsv"), default="ctm")
-    sp.set_defaults(fn=cmd_score)
 
     return p
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # Looked up per call, so a patched cmd_x takes effect.
+        return globals()[f"cmd_{args.command}"](args)
     except NumericError as e:
         log.error("numeric failure: %s", e)
         return 3

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonl
 from .alignment import BreakClass
-from .exceptions import DataError, ParseError
+from .exceptions import DataError
 from .rngs import make_rng
 from .vocab import BR_BASE_ID, is_break_id
 
@@ -45,6 +46,8 @@ class LabeledSequence:
     def __post_init__(self):
         if len(self.ids) != len(self.break_mask):
             raise DataError(f"sample {self.id!r}: ids/break_mask length mismatch")
+        if not all(isinstance(i, int) and i >= 0 for i in self.ids):
+            raise DataError(f"sample {self.id!r}: token ids must be non-negative integers")
         if (self.label == LABEL_CORRUPTED) != bool(self.edits):
             raise DataError(f"sample {self.id!r}: label inconsistent with edit list")
         for pos, _, _ in self.edits:
@@ -114,42 +117,27 @@ def build_pretrain_dataset(
 
 
 def labeled_to_json(s: LabeledSequence) -> str:
-    return json.dumps(
+    return jsonl.dumps(
         {
             "id": s.id,
             "ids": list(s.ids),
             "break_mask": [bool(b) for b in s.break_mask],
             "label": s.label,
             "edits": [[pos, int(old), int(new)] for pos, old, new in s.edits],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
 
 
 def labeled_from_json(line: str) -> LabeledSequence:
-    try:
-        obj = json.loads(line)
-        return LabeledSequence(
-            id=obj["id"],
-            ids=tuple(obj["ids"]),
-            break_mask=tuple(bool(b) for b in obj["break_mask"]),
-            label=int(obj["label"]),
-            edits=tuple(
-                (pos, BreakClass(old), BreakClass(new)) for pos, old, new in obj["edits"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad pretraining record: {e}") from e
+    obj = json.loads(line)
+    return LabeledSequence(
+        id=obj["id"],
+        ids=tuple(obj["ids"]),
+        break_mask=tuple(bool(b) for b in obj["break_mask"]),
+        label=int(obj["label"]),
+        edits=tuple((pos, BreakClass(old), BreakClass(new)) for pos, old, new in obj["edits"]),
+    )
 
 
 def read_labeled(stream) -> list[LabeledSequence]:
-    out = []
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(labeled_from_json(line))
-        except ParseError as e:
-            raise ParseError(str(e), line=line_no) from e
-    return out
+    return jsonl.read(stream, labeled_from_json, "pretraining")

@@ -13,7 +13,6 @@ from .functional import (
     linear_backward,
     softmax,
     softmax_backward,
-    softmax_cross_entropy,
     trunc_normal,
 )
 from .gradcheck import grad_check
@@ -31,7 +30,6 @@ __all__ = [
     "init_encoder_params",
     "softmax",
     "softmax_backward",
-    "softmax_cross_entropy",
     "batched_cross_entropy",
     "linear",
     "linear_backward",

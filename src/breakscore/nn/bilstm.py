@@ -15,6 +15,7 @@ step where every row is real skips the masked carry.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ class BiLstmConfig:
             "embed_dim": self.embed_dim,
             "hidden_size": self.hidden_size,
         }
+
+    @property
+    def max_len(self) -> int:
+        """A Bi-LSTM reads sequences of any length."""
+        return sys.maxsize
 
 
 def init_bilstm_params(cfg: BiLstmConfig, rng: np.random.Generator) -> dict:

@@ -162,7 +162,6 @@ def encoder_forward(
     cache = {
         "ids": ids, "l": l, "scale": scale, "emb_drop": emb_drop,
         "layers": layer_caches, "lnf": lnf_cache, "cfg": cfg, "dtype": dtype,
-        "attn_probs": [c["probs"] for c in layer_caches],
     }
     return hidden, cache
 

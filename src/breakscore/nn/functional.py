@@ -120,19 +120,6 @@ def dropout_backward(dy, mask):
 
 # -- cross entropy -----------------------------------------------------------
 
-def softmax_cross_entropy(logits, target: int):
-    """Loss and d(loss)/d(logits) for one sample; loss = -log softmax[target]."""
-    logits = np.asarray(logits)
-    c = logits.shape[-1]
-    if not 0 <= target < c:
-        raise DataError(f"target class {target} out of range for {c} logits")
-    p = softmax(logits)
-    loss = -np.log(max(p[target], np.finfo(p.dtype).tiny))
-    grad = p.copy()
-    grad[target] -= 1.0
-    return float(loss), grad
-
-
 def batched_cross_entropy(logits, targets, weights=None):
     """Mean weighted cross entropy over rows of logits [N, C].
 

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonl
 from .checkpoint import Checkpoint
 from .corruption import LABEL_CORRUPTED, LabeledSequence
-from .exceptions import DataError, NumericError, ParseError
+from .exceptions import DataError, NumericError
 from .nn import (
     AdamState,
     EncoderConfig,
@@ -46,6 +47,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise DataError("batch_size and epochs must be >= 1")
+        if self.max_len < 2:
+            raise DataError(f"max_len must be >= 2, got {self.max_len}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DataError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,8 @@ class RatedSample:
     def __post_init__(self):
         if len(self.ids) != len(self.break_mask):
             raise DataError(f"sample {self.id!r}: ids/break_mask length mismatch")
+        if not all(isinstance(i, int) and i >= 0 for i in self.ids):
+            raise DataError(f"sample {self.id!r}: token ids must be non-negative integers")
         if self.fine is not None and len(self.fine) != sum(self.break_mask):
             raise DataError(
                 f"sample {self.id!r}: {len(self.fine)} fine labels for "
@@ -76,33 +83,22 @@ def rated_to_json(s: RatedSample) -> str:
         obj["overall"] = int(s.overall)
     if s.fine is not None:
         obj["fine"] = [int(r) for r in s.fine]
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return jsonl.dumps(obj)
 
 
 def rated_from_json(line: str) -> RatedSample:
-    try:
-        obj = json.loads(line)
-        return RatedSample(
-            id=obj["id"],
-            ids=tuple(obj["ids"]),
-            break_mask=tuple(bool(b) for b in obj["break_mask"]),
-            overall=Rank(obj["overall"]) if "overall" in obj else None,
-            fine=tuple(Rank(r) for r in obj["fine"]) if "fine" in obj else None,
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad rated record: {e}") from e
+    obj = json.loads(line)
+    return RatedSample(
+        id=obj["id"],
+        ids=tuple(obj["ids"]),
+        break_mask=tuple(bool(b) for b in obj["break_mask"]),
+        overall=Rank(obj["overall"]) if "overall" in obj else None,
+        fine=tuple(Rank(r) for r in obj["fine"]) if "fine" in obj else None,
+    )
 
 
 def read_rated(stream) -> list[RatedSample]:
-    out = []
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(rated_from_json(line))
-        except ParseError as e:
-            raise ParseError(str(e), line=line_no) from e
-    return out
+    return jsonl.read(stream, rated_from_json, "rated")
 
 
 # -- batching ----------------------------------------------------------------
@@ -139,10 +135,10 @@ def _length_batches(seqs: list[tuple], order: np.ndarray, batch_size: int, max_l
 _N_CLASSES = {"rbtd": 2, "overall": 3, "fine": 3}
 
 
-def _seq_max_len(model: str, cfg, tcfg: TrainConfig) -> int:
-    """Tokens a model reads per sequence: the training cut, and for an encoder
-    no more than its position table holds. A Bi-LSTM has no limit of its own."""
-    return min(tcfg.max_len, cfg.max_len) if model == "encoder" else tcfg.max_len
+def _seq_max_len(cfg, tcfg: TrainConfig) -> int:
+    """Tokens a model reads per sequence: the training cut, and no more than
+    the model itself reads."""
+    return min(tcfg.max_len, cfg.max_len)
 
 
 def _hidden_dim(model: str, cfg) -> int:
@@ -232,7 +228,7 @@ def _train(
     params["head_w"] = trunc_normal((_hidden_dim(model, cfg), n_classes), init_rng)
     params["head_b"] = np.zeros(n_classes, dtype=np.float32)
 
-    max_len = _seq_max_len(model, cfg, tcfg)
+    max_len = _seq_max_len(cfg, tcfg)
     n_cut = sum(len(s[0]) > max_len for s in samples)
     if n_cut:
         log.warning("%d of %d %s samples are longer than max_len %d and are cut to it",
@@ -243,10 +239,9 @@ def _train(
         np.asarray(s[2][: sum(s[1][:max_len])] if kind == "fine" else s[2], dtype=np.int64)
         for s in samples
     ]
-    all_targets = np.concatenate(targets)
-    if not len(all_targets):
+    if not any(len(t) for t in targets):
         raise DataError(f"no sample has a {kind} target to train on")
-    weights = _class_weights(all_targets, n_classes) if tcfg.class_weighted else None
+    weights = _class_weights(np.concatenate(targets), n_classes) if tcfg.class_weighted else None
     state = AdamState()
     order_rng = make_rng(tcfg.seed, kind + "-order")
     drop_rng = make_rng(tcfg.seed, kind + "-dropout")
@@ -334,7 +329,7 @@ def pretrain_rbtd(
 
     logits = _predict_logits(
         params, "rbtd", "encoder", enc_cfg, [(s.ids, s.break_mask) for s in held],
-        tcfg.batch_size, _seq_max_len("encoder", enc_cfg, tcfg),
+        tcfg.batch_size, _seq_max_len(enc_cfg, tcfg),
     )
     tp = fp = fn = correct = 0
     for s, row in zip(held, logits, strict=True):
@@ -417,10 +412,9 @@ def _predict_one(ckpt: Checkpoint, kind: str, ids, break_mask) -> np.ndarray:
             f"sample ids exceed checkpoint vocabulary (size {vocab_size}); "
             "was it encoded with a different vocabulary?"
         )
-    # A BiLSTM has no length limit.
-    max_len = getattr(ckpt.model_cfg, "max_len", sys.maxsize)
     return _predict_logits(
-        ckpt.params, kind, ckpt.model, ckpt.model_cfg, [(ids, break_mask)], 1, max_len
+        ckpt.params, kind, ckpt.model, ckpt.model_cfg, [(ids, break_mask)], 1,
+        ckpt.model_cfg.max_len,
     )[0]
 
 

@@ -319,3 +319,75 @@ class TestConfigValueTypes:
         cfg.write_text(
             "train:\n  lr: 1\nsynth:\n  n_sentences: 5\n  class_shape: [0.2, 0.3, 0.5]\n")
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 0
+
+
+def _first_line(path):
+    with open(path) as f:
+        return f.readline()
+
+
+# Per dataset file kind: the command that reads it, given the pipeline and the
+# bad file, and a line 2 that parses as JSON or text but breaks the record's
+# contract.
+_BAD_LINE_2 = {
+    "rated": (lambda p, bad: ("eval", "--task", "overall", "--in", bad, "--vocab", p["vocab"],
+                              "--model", "bilstm"),
+              "esl", '{"id":"b","ids":[2,8,4],"break_mask":[false,false]}\n'),
+    "labeled": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
+                                "--out", str(p["root"] / "x.pbrk")),
+                "pretrain",
+                '{"id":"b","ids":[2,8],"break_mask":[false,false],"label":1,"edits":[]}\n'),
+    "sequence": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
+                                 "--out", str(p["root"] / "x.jsonl")),
+                 "native", '{"id":"b","words":["a","b"],"breaks":[]}\n'),
+    "truth": (lambda p, bad: ("eval", "--task", "overall", "--in", p["esl"], "--vocab", p["vocab"],
+                              "--model", "against-ref", "--refs", p["native"], "--truth", bad),
+              "truth", '{"id":"b","words":["a"],"breaks":[1],"overall":0}\n'),
+    "vocab": (lambda p, bad: ("corrupt", "--in", p["native"], "--vocab", bad,
+                              "--out", str(p["root"] / "x.jsonl")),
+              "vocab", "1\t[CLS]\t0\n"),
+    "ctm": (lambda p, bad: ("ingest", bad, "--out", str(p["root"] / "x.jsonl")),
+            None, "u1 1 0.00 0.40 hello\nu1 1 0.50 -0.40 world\n"),
+}
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("kind", sorted(_BAD_LINE_2))
+    def test_bad_line_names_file_and_line(self, pipeline, tmp_path, caplog, kind):
+        argv, good_from, line2 = _BAD_LINE_2[kind]
+        sources = dict(pipeline, truth=os.path.join(pipeline["out_dir"], "esl_truth.jsonl"))
+        bad = str(tmp_path / f"bad_{kind}")
+        with open(bad, "w") as f:
+            f.write((_first_line(sources[good_from]) if good_from else "") + line2)
+        caplog.clear()
+        assert run(*argv(pipeline, bad)) == 2
+        assert f"{bad}: line 2: " in caplog.text
+
+    def test_non_utf8_input_names_file(self, pipeline, tmp_path, caplog):
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(_first_line(pipeline["esl"]).encode() + b'{"id":"caf\xe9"}\n')
+        assert run("finetune", "--task", "overall", "--in", str(bad),
+                   "--vocab", pipeline["vocab"], "--out", str(tmp_path / "x.pbrk")) == 2
+        assert f"{bad}: not UTF-8 text" in caplog.text
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_empty_training_input_exits_2(self, pipeline, tmp_path, model):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        assert run("finetune", "--config", pipeline["cfg"], "--task", "overall",
+                   "--in", str(empty), "--vocab", pipeline["vocab"], "--model", model,
+                   "--out", str(tmp_path / "x.pbrk")) == 2
+
+    @pytest.mark.parametrize("argv, config", [
+        (("--lr", "nan"), ""), (("--lr", "0"), ""), (("--lr", "inf"), ""),
+        ((), "train:\n  max_len: 0\n"), ((), "train:\n  max_len: 1\n"),
+    ], ids=["lr-nan", "lr-0", "lr-inf", "max_len-0", "max_len-1"])
+    def test_bad_train_setting_exits_2_before_training(self, pipeline, tmp_path, caplog,
+                                                       argv, config):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "x.pbrk"
+        assert run("finetune", "--config", str(cfg), "--task", "overall", "--in", pipeline["esl"],
+                   "--vocab", pipeline["vocab"], "--out", str(out), *argv) == 2
+        assert not out.exists()
+        assert ("lr must be" if argv else "max_len must be") in caplog.text

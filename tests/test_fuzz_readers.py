@@ -2,8 +2,9 @@
 JSONL records, the vocabulary, config YAML and PBRK1 checkpoints.
 
 The property is the exit-code contract: any input either parses or raises a
-`BreakscoreError`, never another exception. Inputs mix raw text with records
-close to valid ones, so both the tokenizer and the field checks are reached.
+`BreakscoreError`, never another exception; a JSONL reader raises a
+`ParseError` that names the line. Inputs mix raw text with records close to
+valid ones, so both the tokenizer and the field checks are reached.
 """
 import dataclasses
 import io
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from breakscore import alignment, corruption, tasks
 from breakscore.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
 from breakscore.config import _SECTION_TYPES, load_config
-from breakscore.exceptions import BreakscoreError
+from breakscore.exceptions import BreakscoreError, ParseError
 from breakscore.nn import EncoderConfig
 from breakscore.vocab import RESERVED_TOKENS, Vocabulary
 
@@ -62,6 +63,13 @@ def parses_or_raises(read, *args):
         pass
 
 
+def parses_or_rejects_a_line(read, text):
+    try:
+        read(io.StringIO(text))
+    except ParseError as e:
+        assert e.line is not None, e
+
+
 class TestTextReaders:
     @fuzz
     @given(lines(st.one_of(
@@ -88,7 +96,7 @@ class TestTextReaders:
         "breaks": classes,
     }))
     def test_sequence_jsonl(self, text):
-        parses_or_raises(alignment.read_sequences, io.StringIO(text))
+        parses_or_rejects_a_line(alignment.read_sequences, text)
 
     @fuzz
     @given(records({
@@ -102,7 +110,7 @@ class TestTextReaders:
     @example('{"id":"a","ids":[1,2],"break_mask":[false,true],"label":1,"edits":[[5,1,2]]}')
     @example('{"id":"a","ids":[1,2],"break_mask":[false,true],"label":1,"edits":[[-2,1,2]]}')
     def test_labeled_jsonl(self, text):
-        parses_or_raises(corruption.read_labeled, io.StringIO(text))
+        parses_or_rejects_a_line(corruption.read_labeled, text)
 
     @fuzz
     @given(records({
@@ -113,7 +121,7 @@ class TestTextReaders:
         "fine": classes,
     }))
     def test_rated_jsonl(self, text):
-        parses_or_raises(tasks.read_rated, io.StringIO(text))
+        parses_or_rejects_a_line(tasks.read_rated, text)
 
     @fuzz
     @given(lines(st.tuples(

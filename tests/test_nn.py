@@ -24,10 +24,17 @@ from breakscore.nn import (
     linear,
     linear_backward,
     softmax,
-    softmax_cross_entropy,
     trunc_normal,
 )
 from breakscore.rngs import make_rng
+
+
+def softmax_cross_entropy(logits, target: int):
+    """Reference loss and d(loss)/d(logits) for one sample: -log softmax[target]."""
+    p = softmax(np.asarray(logits))
+    grad = p.copy()
+    grad[target] -= 1.0
+    return float(-np.log(p[target])), grad
 
 
 class TestPrimitives:
@@ -164,8 +171,8 @@ class TestEncoder:
         cfg, params = tiny_encoder()
         ids = np.array([[2, 8, 4, 9, 0]])
         _, cache = encoder_forward(ids, ids != 0, params, cfg)
-        for probs in cache["attn_probs"]:
-            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
+        for layer in cache["layers"]:
+            np.testing.assert_allclose(layer["probs"].sum(axis=-1), 1.0, atol=1e-5)
 
     def test_padding_cannot_influence_real_positions(self):
         cfg, params = tiny_encoder()

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from breakscore.corruption import CorruptionConfig, build_pretrain_dataset
+from breakscore.corruption import CorruptionConfig, LabeledSequence, build_pretrain_dataset
 from breakscore.exceptions import DataError
 from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
 from breakscore.ranks import Rank
@@ -54,6 +54,14 @@ class TestRatedSample:
         RatedSample(id="a", ids=ids, break_mask=mask, fine=(Rank.GREAT,))
         with pytest.raises(DataError):
             RatedSample(id="a", ids=ids, break_mask=mask, fine=(Rank.GREAT, Rank.POOR))
+
+    @pytest.mark.parametrize("bad_ids", [(2, "x"), (2, -1), (2, 1.5), (2, None)])
+    @pytest.mark.parametrize("cls", [RatedSample, LabeledSequence])
+    def test_token_ids_are_non_negative_ints(self, cls, bad_ids):
+        # Checked when a record is read, not as a traceback from batch padding.
+        labels = {"label": 0} if cls is LabeledSequence else {}
+        with pytest.raises(DataError, match="token ids"):
+            cls(id="a", ids=bad_ids, break_mask=(False, False), **labels)
 
     def test_json_round_trip(self):
         ids, mask = encoded([8, 9, 10], [1, 3])
@@ -161,6 +169,21 @@ class TestTrainBatches:
         with pytest.raises(DataError, match="no sample"):
             finetune(dataset, None, TrainConfig(batch_size=2, epochs=1), "fine",
                      model_cfg=small_cfg(12), vocab=toy_vocab())
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_len": 1}, {"max_len": 0}, {"lr": 0.0}, {"lr": -1e-4},
+        {"lr": float("nan")}, {"lr": float("inf")},
+    ])
+    def test_rejected_up_front(self, kwargs):
+        with pytest.raises(DataError):
+            TrainConfig(**kwargs)
+
+    def test_bilstm_reads_any_length(self):
+        cfg = BiLstmConfig(vocab_size=12)
+        assert cfg.max_len > 10**9 and "max_len" not in cfg.to_dict()
+        assert tasks._seq_max_len(cfg, TrainConfig(max_len=64)) == 64
 
 
 def separable_corpus(n=64):
