@@ -88,6 +88,8 @@ class TokenSequence:
     breaks: tuple[BreakClass, ...]
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise DataError(f"token sequence id must be a string, got {self.id!r}")
         if not self.words:
             raise DataError(f"token sequence {self.id!r} is empty")
         if len(self.breaks) != len(self.words) - 1:
@@ -238,7 +240,7 @@ def sequence_from_json(line: str) -> TokenSequence:
     obj = json.loads(line)
     return TokenSequence(
         id=obj["id"],
-        words=tuple(obj["words"]),
+        words=jsonl.array(obj, "words", str),
         breaks=tuple(BreakClass(b) for b in obj["breaks"]),
     )
 

@@ -53,6 +53,24 @@ def _read(path: str, parse):
             raise ParseError(f"{path}: not UTF-8 text: {e}") from e
 
 
+def _read_samples(path: str, parse, vocab: Vocabulary) -> list:
+    """The dataset records in `path`, each of whose token ids has a row in `vocab`."""
+    samples = _read(path, parse)
+    for s in samples:
+        top = max(s.ids, default=0)
+        if top >= vocab.size:
+            raise DataError(f"{path}: sample {s.id!r}: token id {top} is outside the "
+                            f"vocabulary of size {vocab.size}")
+    return samples
+
+
+def _check_out_dir(path: str) -> None:
+    """Fail before any training when `path` could not be written at the end."""
+    out_dir = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(out_dir):
+        raise DataError(f"{path}: output directory {out_dir} does not exist")
+
+
 def _apply_overrides(cfg: RunConfig, args) -> None:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
@@ -137,10 +155,11 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    _check_out_dir(args.out)
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     vocab = _read(args.vocab, Vocabulary.from_lines)
-    dataset = _read(args.infile, corruption.read_labeled)
+    dataset = _read_samples(args.infile, corruption.read_labeled, vocab)
     tcfg = cfg.build("train")
     enc_cfg = cfg.build("encoder", vocab_size=vocab.size)
     ckpt, report = tasks.pretrain_rbtd(dataset, tcfg, enc_cfg, vocab)
@@ -152,10 +171,11 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    _check_out_dir(args.out)
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     vocab = _read(args.vocab, Vocabulary.from_lines)
-    dataset = _read(args.infile, tasks.read_rated)
+    dataset = _read_samples(args.infile, tasks.read_rated, vocab)
     tcfg = cfg.build("train")
     init = load_checkpoint(args.init) if args.init else None
     if args.model == "bilstm":
@@ -216,10 +236,12 @@ def make_trained_predictor(task, model, model_cfg, vocab, tcfg, init_ckpt):
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     vocab = _read(args.vocab, Vocabulary.from_lines)
-    dataset = _read(args.infile, tasks.read_rated)
+    dataset = _read_samples(args.infile, tasks.read_rated, vocab)
     k = args.k if args.k is not None else cfg.eval.get("k", 5)
     if any(getattr(s, args.task) is None for s in dataset):
         raise DataError(f"eval --task {args.task} needs {args.task} labels on every item")

@@ -133,7 +133,7 @@ def labeled_from_json(line: str) -> LabeledSequence:
     return LabeledSequence(
         id=obj["id"],
         ids=tuple(obj["ids"]),
-        break_mask=tuple(bool(b) for b in obj["break_mask"]),
+        break_mask=jsonl.array(obj, "break_mask", bool),
         label=int(obj["label"]),
         edits=tuple((pos, BreakClass(old), BreakClass(new)) for pos, old, new in obj["edits"]),
     )

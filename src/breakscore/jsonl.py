@@ -8,6 +8,15 @@ import json
 from .exceptions import DataError, ParseError
 
 
+def array(obj: dict, key: str, kind: type) -> tuple:
+    """`obj[key]` as a tuple; it must be a JSON array of `kind` values. No
+    coercion: `bool` admits only true/false, `str` only strings."""
+    values = obj[key]
+    if not isinstance(values, list) or not all(isinstance(v, kind) for v in values):
+        raise DataError(f"{key!r} must be an array of {kind.__name__} values, got {values!r}")
+    return tuple(values)
+
+
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

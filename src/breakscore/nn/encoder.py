@@ -90,9 +90,13 @@ def _split_heads(x, n_heads):
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+def _matmul_merged(a, b):
+    """a @ b per head ([B, H, L, m] @ [B, H, m, dh]), written straight into a
+    [B, L, H * dh] array with the heads merged."""
+    bsz, n_heads, l, _ = a.shape
+    out = np.empty((bsz, l, n_heads * b.shape[-1]), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=_split_heads(out, n_heads))
+    return out
 
 
 def encoder_forward(
@@ -119,11 +123,14 @@ def encoder_forward(
 
     dtype = params["tok_emb"].dtype
     drop_p = cfg.dropout_prob if train else 0.0
-    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    # Additive mask over key positions.
-    key_bias = np.where(pad_mask, 0.0, _NEG_INF).astype(dtype)[:, None, None, :]
+    scale = np.asarray(1.0 / math.sqrt(cfg.d_model // cfg.n_heads), dtype=dtype)
+    # Attention scores are laid out keys-major, [B, H, keys, queries], so the
+    # softmax and its backward reduce over axis -2, which numpy does several
+    # times faster than over 45-long last-axis rows. Additive mask over keys.
+    key_bias = np.where(pad_mask, 0.0, _NEG_INF).astype(dtype)[:, None, :, None]
 
-    x = params["tok_emb"][ids] + params["pos_emb"][:l][None, :, :]
+    x = params["tok_emb"][ids]
+    x += params["pos_emb"][:l]
     x, emb_drop = dropout(x, drop_p, dropout_rng) if drop_p else (x, None)
 
     layer_caches = []
@@ -133,26 +140,29 @@ def encoder_forward(
         q, q_cache = linear(h, params[pre + "wq"], params[pre + "bq"])
         k, k_cache = linear(h, params[pre + "wk"], params[pre + "bk"])
         v, v_cache = linear(h, params[pre + "wv"], params[pre + "bv"])
+        q *= scale   # on q's [B, L, d], not on the [B, H, L, L] scores
         qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
-        scores = qh @ kh.transpose(0, 1, 3, 2) * np.asarray(scale, dtype=dtype)
-        scores = scores + key_bias
-        probs = softmax(scores, axis=-1)
-        ctx = _merge_heads(probs @ vh)
+        scores = kh @ qh.transpose(0, 1, 3, 2)
+        scores += key_bias
+        probs = softmax(scores, axis=-2)
+        ctx = _matmul_merged(probs.transpose(0, 1, 3, 2), vh)
         attn_out, o_cache = linear(ctx, params[pre + "wo"], params[pre + "bo"])
         attn_out, attn_drop = dropout(attn_out, drop_p, dropout_rng) if drop_p else (attn_out, None)
-        x = x + attn_out
+        x += attn_out
 
         h2, ln2_cache = layer_norm(x, params[pre + "ln2_g"], params[pre + "ln2_b"])
         f1, f1_cache = linear(h2, params[pre + "ffn_w1"], params[pre + "ffn_b1"])
         a, gelu_cache = gelu(f1)
         f2, f2_cache = linear(a, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
         f2, ffn_drop = dropout(f2, drop_p, dropout_rng) if drop_p else (f2, None)
-        x = x + f2
+        x += f2
 
         layer_caches.append(
             {
                 "ln1": ln1_cache, "q": q_cache, "k": k_cache, "v": v_cache,
-                "qh": qh, "kh": kh, "vh": vh, "probs": probs, "o": o_cache,
+                # "qh" is the scaled q; "probs" is query-major, a view.
+                "qh": qh, "kh": kh, "vh": vh, "probs": probs.transpose(0, 1, 3, 2),
+                "o": o_cache,
                 "attn_drop": attn_drop, "ln2": ln2_cache, "f1": f1_cache,
                 "gelu": gelu_cache, "f2": f2_cache, "ffn_drop": ffn_drop,
             }
@@ -184,31 +194,35 @@ def encoder_backward(dhidden, cache) -> dict:
         df1 = gelu_backward(da, c["gelu"])
         dh2, grads[pre + "ffn_w1"], grads[pre + "ffn_b1"] = linear_backward(df1, c["f1"])
         dres, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = layer_norm_backward(dh2, c["ln2"])
-        dx = dx + dres
+        dx += dres
 
         # Attention sublayer.
         dattn = dropout_backward(dx, c["attn_drop"])
         dctx, grads[pre + "wo"], grads[pre + "bo"] = linear_backward(dattn, c["o"])
+        # Keys-major throughout: probs_t and dscores are [B, H, keys, queries].
         dctx_h = _split_heads(dctx, cfg.n_heads)
-        dprobs = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
-        dvh = c["probs"].transpose(0, 1, 3, 2) @ dctx_h
-        dscores = softmax_backward(dprobs, c["probs"], axis=-1)
-        scale = np.asarray(cache["scale"], dtype=cache["dtype"])
-        dqh = dscores @ c["kh"] * scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"] * scale
-        dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
-        dh_q, grads[pre + "wq"], grads[pre + "bq"] = linear_backward(dq, c["q"])
+        probs_t = c["probs"].transpose(0, 1, 3, 2)
+        dprobs = c["vh"] @ dctx_h.transpose(0, 1, 3, 2)
+        dv = _matmul_merged(probs_t, dctx_h)
+        dscores = softmax_backward(dprobs, probs_t, axis=-2)
+        dq = _matmul_merged(dscores.transpose(0, 1, 3, 2), c["kh"])
+        dq *= cache["scale"]
+        dk = _matmul_merged(dscores, c["qh"])
+        dh, grads[pre + "wq"], grads[pre + "bq"] = linear_backward(dq, c["q"])
         dh_k, grads[pre + "wk"], grads[pre + "bk"] = linear_backward(dk, c["k"])
+        dh += dh_k
         dh_v, grads[pre + "wv"], grads[pre + "bv"] = linear_backward(dv, c["v"])
-        dres, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = layer_norm_backward(
-            dh_q + dh_k + dh_v, c["ln1"]
-        )
-        dx = dx + dres
+        dh += dh_v
+        dres, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = layer_norm_backward(dh, c["ln1"])
+        dx += dres
 
     dx = dropout_backward(dx, cache["emb_drop"])
-    dtok = np.zeros((cfg.vocab_size, cfg.d_model), dtype=cache["dtype"])
-    np.add.at(dtok, ids, dx)
-    grads["tok_emb"] = dtok
+    # Embedding gradient as one scatter-add over flat (id, column) offsets:
+    # several times faster than a row-wise np.add.at, in the same order.
+    d = cfg.d_model
+    dtok = np.zeros(cfg.vocab_size * d, dtype=cache["dtype"])
+    np.add.at(dtok, (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1), dx.reshape(-1))
+    grads["tok_emb"] = dtok.reshape(cfg.vocab_size, d)
     dpos = np.zeros((cfg.max_len, cfg.d_model), dtype=cache["dtype"])
     dpos[: cache["l"]] = dx.sum(axis=0)
     grads["pos_emb"] = dpos

@@ -19,10 +19,26 @@ def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02, dtype=np.fl
 # -- linear ------------------------------------------------------------------
 
 # Leading axes are flattened so each matmul is one [rows, d] @ [d, k] GEMM;
-# numpy runs a 3-D @ 2-D product as a loop of small per-batch GEMMs.
+# numpy runs a 3-D @ 2-D product as a loop of small per-batch GEMMs. At these
+# shapes a fresh temporary costs more than the GEMM itself, so every op below
+# allocates its output once and then works on it in place. Reductions over
+# the rows or along the short last axis run as GEMVs, several times faster
+# than numpy's `sum`/`mean` there; their summation order, and so the last
+# bits, differ from `sum`.
+
+def _col_sum(x2):
+    """Sum over the rows of x2 [N, k]."""
+    return np.ones(x2.shape[0], dtype=x2.dtype) @ x2
+
+
+def _row_mean(x2, weights):
+    """Mean of x2 [N, d] * weights along the last axis, as an [N, 1] column."""
+    return x2 @ (weights / np.asarray(x2.shape[1], dtype=x2.dtype))[:, None]
+
 
 def linear(x, w, b):
-    y = x.reshape(-1, x.shape[-1]) @ w + b
+    y = x.reshape(-1, x.shape[-1]) @ w
+    y += b
     return y.reshape(*x.shape[:-1], w.shape[1]), (x, w)
 
 
@@ -31,7 +47,7 @@ def linear_backward(dy, cache):
     dy2 = dy.reshape(-1, dy.shape[-1])
     dx = (dy2 @ w.T).reshape(x.shape)
     dw = x.reshape(-1, x.shape[-1]).T @ dy2
-    db = dy2.sum(axis=0)
+    db = _col_sum(dy2)
     return dx, dw, db
 
 
@@ -41,23 +57,34 @@ _LN_EPS = 1e-5
 
 
 def layer_norm(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=x.dtype))
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    d = x.shape[-1]
+    x2 = x.reshape(-1, d)
+    ones = np.ones(d, dtype=x.dtype)
+    xhat = x2 - _row_mean(x2, ones)
+    var = _row_mean(np.square(xhat), ones)
+    var += np.asarray(_LN_EPS, dtype=x.dtype)
+    inv = np.reciprocal(np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y.reshape(x.shape), (xhat.reshape(x.shape), inv, gain)
 
 
 def layer_norm_backward(dy, cache):
+    # dxhat = dy * gain, so its row means are GEMVs of dy and dy * xhat
+    # against gain; one product serves both dgain and the second mean.
     xhat, inv, gain = cache
-    dgain = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dbias = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dgain, dbias
+    d = xhat.shape[-1]
+    dy2, xh2 = dy.reshape(-1, d), xhat.reshape(-1, d)
+    dbias = _col_sum(dy2)
+    prod = dy2 * xh2
+    dgain = _col_sum(prod)
+    m2 = _row_mean(prod, gain)
+    dx = dy2 * gain
+    dx -= _row_mean(dy2, gain)
+    dx -= np.multiply(xh2, m2, out=prod)
+    dx *= inv
+    return dx.reshape(dy.shape), dgain, dbias
 
 
 # -- GELU (tanh approximation) ----------------------------------------------
@@ -83,9 +110,22 @@ def gelu(x):
 
 
 def gelu_backward(dy, cache):
+    # dy * (0.5 * (1 + t) + 0.5 * x * (1 - t*t) * du), du = c * (1 + 3a x*x),
+    # in two buffers.
     x, t = cache
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    du = x * x
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    g *= x
+    g *= du
+    g += t
+    g += 1.0
+    g *= 0.5
+    g *= dy
+    return g
 
 
 # -- softmax -----------------------------------------------------------------
@@ -100,8 +140,12 @@ def softmax(x, axis=-1):
 
 
 def softmax_backward(dy, probs, axis=-1):
-    dot = (dy * probs).sum(axis=axis, keepdims=True)
-    return probs * (dy - dot)
+    # probs * (dy - sum(dy * probs)) in one buffer.
+    g = dy * probs
+    dot = g.sum(axis=axis, keepdims=True)
+    np.subtract(dy, dot, out=g)
+    g *= probs
+    return g
 
 
 # -- dropout -----------------------------------------------------------------
@@ -110,7 +154,8 @@ def dropout(x, p: float, rng: np.random.Generator):
     """Inverted dropout; returns (output, mask). p=0 is the identity."""
     if p <= 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype)
+    keep = (rng.random(x.shape) >= p).astype(x.dtype)
+    keep /= np.asarray(1.0 - p, dtype=x.dtype)
     return x * keep, keep
 
 

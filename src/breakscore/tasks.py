@@ -91,7 +91,7 @@ def rated_from_json(line: str) -> RatedSample:
     return RatedSample(
         id=obj["id"],
         ids=tuple(obj["ids"]),
-        break_mask=tuple(bool(b) for b in obj["break_mask"]),
+        break_mask=jsonl.array(obj, "break_mask", bool),
         overall=Rank(obj["overall"]) if "overall" in obj else None,
         fine=tuple(Rank(r) for r in obj["fine"]) if "fine" in obj else None,
     )

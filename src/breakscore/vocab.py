@@ -60,8 +60,12 @@ class Vocabulary:
 
     @classmethod
     def from_lines(cls, lines) -> "Vocabulary":
+        """Parse `to_lines` output. Each word appears once, and the word ids
+        are exactly 8..size-1, so each one indexes a row of an embedding
+        table of `size` rows."""
         word_to_id: dict[str, int] = {}
         counts: dict[str, int] = {}
+        id_line: dict[int, int] = {}
         for line_no, raw in enumerate(lines, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -74,12 +78,26 @@ class Vocabulary:
             except ValueError:
                 raise ParseError(f"non-integer id/count in {line!r}", line=line_no) from None
             tok = fields[1]
+            if idx < 0:
+                raise ParseError(f"negative id {idx}", line=line_no)
             if idx < FIRST_WORD_ID:
-                if idx >= len(RESERVED_TOKENS) or RESERVED_TOKENS[idx] != tok:
+                if RESERVED_TOKENS[idx] != tok:
                     raise ParseError(f"reserved id {idx} must be {RESERVED_TOKENS[idx]!r}", line=line_no)
                 continue
+            if tok in word_to_id:
+                first = id_line[word_to_id[tok]]
+                raise ParseError(f"token {tok!r} repeated (first on line {first})", line=line_no)
+            if idx in id_line:
+                raise ParseError(f"word id {idx} repeated (first on line {id_line[idx]})",
+                                 line=line_no)
+            id_line[idx] = line_no
             word_to_id[tok] = idx
             counts[tok] = count
+        size = FIRST_WORD_ID + len(word_to_id)
+        for idx, line_no in id_line.items():
+            if idx >= size:
+                raise ParseError(f"word id {idx} outside {FIRST_WORD_ID}..{size - 1}: "
+                                 f"{len(word_to_id)} words need ids without gaps", line=line_no)
         return cls(word_to_id=word_to_id, counts=counts)
 
 

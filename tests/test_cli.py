@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from breakscore import tasks
 from breakscore.cli import main
 from breakscore.checkpoint import load_checkpoint
 
@@ -333,19 +334,38 @@ _BAD_LINE_2 = {
     "rated": (lambda p, bad: ("eval", "--task", "overall", "--in", bad, "--vocab", p["vocab"],
                               "--model", "bilstm"),
               "esl", '{"id":"b","ids":[2,8,4],"break_mask":[false,false]}\n'),
+    "rated-mask-type": (lambda p, bad: ("eval", "--task", "overall", "--in", bad,
+                                        "--vocab", p["vocab"], "--model", "bilstm"),
+                        "esl", '{"id":"b","ids":[2,8,4],"break_mask":[0,1,0],"overall":1}\n'),
     "labeled": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
                                 "--out", str(p["root"] / "x.pbrk")),
                 "pretrain",
                 '{"id":"b","ids":[2,8],"break_mask":[false,false],"label":1,"edits":[]}\n'),
+    "labeled-mask-type": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
+                                          "--out", str(p["root"] / "x.pbrk")),
+                          "pretrain",
+                          '{"id":"b","ids":[2,8,4],"break_mask":[0,"no",0],"label":0,"edits":[]}\n'),
     "sequence": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
                                  "--out", str(p["root"] / "x.jsonl")),
                  "native", '{"id":"b","words":["a","b"],"breaks":[]}\n'),
+    "sequence-id-type": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
+                                         "--out", str(p["root"] / "x.jsonl")),
+                         "native", '{"id":7,"words":["a","b"],"breaks":[0]}\n'),
+    "sequence-word-type": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
+                                           "--out", str(p["root"] / "x.jsonl")),
+                           "native", '{"id":"b","words":["a",null],"breaks":[0]}\n'),
     "truth": (lambda p, bad: ("eval", "--task", "overall", "--in", p["esl"], "--vocab", p["vocab"],
                               "--model", "against-ref", "--refs", p["native"], "--truth", bad),
               "truth", '{"id":"b","words":["a"],"breaks":[1],"overall":0}\n'),
     "vocab": (lambda p, bad: ("corrupt", "--in", p["native"], "--vocab", bad,
                               "--out", str(p["root"] / "x.jsonl")),
               "vocab", "1\t[CLS]\t0\n"),
+    "vocab-repeated-token": (lambda p, bad: ("corrupt", "--in", p["native"], "--vocab", bad,
+                                             "--out", str(p["root"] / "x.jsonl")),
+                             None, "8\tfox\t2\n9\tfox\t1\n"),
+    "vocab-id-gap": (lambda p, bad: ("corrupt", "--in", p["native"], "--vocab", bad,
+                                     "--out", str(p["root"] / "x.jsonl")),
+                     None, "8\tfox\t2\n10\tthe\t1\n"),
     "ctm": (lambda p, bad: ("ingest", bad, "--out", str(p["root"] / "x.jsonl")),
             None, "u1 1 0.00 0.40 hello\nu1 1 0.50 -0.40 world\n"),
 }
@@ -377,6 +397,35 @@ class TestBadInputFiles:
         assert run("finetune", "--config", pipeline["cfg"], "--task", "overall",
                    "--in", str(empty), "--vocab", pipeline["vocab"], "--model", model,
                    "--out", str(tmp_path / "x.pbrk")) == 2
+
+    def test_token_id_beyond_the_vocabulary_names_file_and_sample(self, pipeline, tmp_path,
+                                                                  caplog):
+        # The vocabulary without its last word: some learner items still hold its id.
+        short_vocab = tmp_path / "vocab.tsv"
+        with open(pipeline["vocab"]) as f:
+            short_vocab.write_text("".join(f.readlines()[:-1]))
+        assert run("finetune", "--task", "overall", "--in", pipeline["esl"],
+                   "--vocab", str(short_vocab), "--out", str(tmp_path / "x.pbrk")) == 2
+        assert f"{pipeline['esl']}: sample " in caplog.text
+        assert "is outside the vocabulary of size" in caplog.text
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval"])
+    def test_missing_out_dir_exits_2_before_training(self, pipeline, tmp_path, monkeypatch,
+                                                     caplog, command):
+        def must_not_train(*args, **kwargs):
+            raise AssertionError(f"{command} trained although --out cannot be written")
+
+        monkeypatch.setattr(tasks, "pretrain_rbtd", must_not_train)
+        monkeypatch.setattr(tasks, "finetune", must_not_train)
+        out = str(tmp_path / "missing" / "x.pbrk")
+        argv = {
+            "pretrain": ("--in", pipeline["pretrain"]),
+            "finetune": ("--task", "overall", "--in", pipeline["esl"]),
+            "eval": ("--task", "overall", "--in", pipeline["esl"], "--model", "bilstm"),
+        }[command]
+        assert run(command, "--config", pipeline["cfg"], *argv, "--vocab", pipeline["vocab"],
+                   "--out", out) == 2
+        assert f"{out}: output directory {tmp_path / 'missing'} does not exist" in caplog.text
 
     @pytest.mark.parametrize("argv, config", [
         (("--lr", "nan"), ""), (("--lr", "0"), ""), (("--lr", "inf"), ""),

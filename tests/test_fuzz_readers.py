@@ -3,7 +3,9 @@ JSONL records, the vocabulary, config YAML and PBRK1 checkpoints.
 
 The property is the exit-code contract: any input either parses or raises a
 `BreakscoreError`, never another exception; a JSONL reader raises a
-`ParseError` that names the line. Inputs mix raw text with records close to
+`ParseError` that names the line, and each line it accepts holds the JSON
+types its record declares: no `bool(x)` coercion of a break mask, and no
+string id or word that is not a JSON string. Inputs mix raw text with records close to
 valid ones, so both the tokenizer and the field checks are reached.
 """
 import dataclasses
@@ -68,6 +70,12 @@ def parses_or_rejects_a_line(read, text):
         read(io.StringIO(text))
     except ParseError as e:
         assert e.line is not None, e
+        return []
+    return [json.loads(line) for line in text.split("\n") if line.strip()]
+
+
+def is_array_of(value, kind) -> bool:
+    return isinstance(value, list) and all(type(v) is kind for v in value)
 
 
 class TestTextReaders:
@@ -95,8 +103,12 @@ class TestTextReaders:
         "words": st.lists(st.sampled_from(["the", "fox", ""]) | st.text(max_size=4), max_size=5),
         "breaks": classes,
     }))
+    @example('{"id":7,"words":["a","b"],"breaks":[0]}')
+    @example('{"id":"a","words":[1,null],"breaks":[0]}')
+    @example('{"id":"a","words":"ab","breaks":[0]}')
     def test_sequence_jsonl(self, text):
-        parses_or_rejects_a_line(alignment.read_sequences, text)
+        for obj in parses_or_rejects_a_line(alignment.read_sequences, text):
+            assert isinstance(obj["id"], str) and is_array_of(obj["words"], str), obj
 
     @fuzz
     @given(records({
@@ -109,8 +121,10 @@ class TestTextReaders:
     }))
     @example('{"id":"a","ids":[1,2],"break_mask":[false,true],"label":1,"edits":[[5,1,2]]}')
     @example('{"id":"a","ids":[1,2],"break_mask":[false,true],"label":1,"edits":[[-2,1,2]]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[0,"no",1,0],"label":0,"edits":[]}')
     def test_labeled_jsonl(self, text):
-        parses_or_rejects_a_line(corruption.read_labeled, text)
+        for obj in parses_or_rejects_a_line(corruption.read_labeled, text):
+            assert is_array_of(obj["break_mask"], bool), obj
 
     @fuzz
     @given(records({
@@ -120,8 +134,10 @@ class TestTextReaders:
         "overall": st.integers(-1, 4),
         "fine": classes,
     }))
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[0,"no",1,0]}')
     def test_rated_jsonl(self, text):
-        parses_or_rejects_a_line(tasks.read_rated, text)
+        for obj in parses_or_rejects_a_line(tasks.read_rated, text):
+            assert is_array_of(obj["break_mask"], bool), obj
 
     @fuzz
     @given(lines(st.tuples(
@@ -129,6 +145,7 @@ class TestTextReaders:
         st.sampled_from(RESERVED_TOKENS + ("fox", "the")) | tokens,
         numbers,
     ).map("\t".join)))
+    @example("-9\tx\t0")
     def test_vocab(self, text):
         parses_or_raises(Vocabulary.from_lines, io.StringIO(text))
 

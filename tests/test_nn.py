@@ -14,16 +14,21 @@ from breakscore.nn import (
     batched_cross_entropy,
     bilstm_backward,
     bilstm_forward,
+    dropout,
+    dropout_backward,
     encoder_backward,
     encoder_forward,
     gelu,
+    gelu_backward,
     grad_check,
     init_bilstm_params,
     init_encoder_params,
     layer_norm,
+    layer_norm_backward,
     linear,
     linear_backward,
     softmax,
+    softmax_backward,
     trunc_normal,
 )
 from breakscore.rngs import make_rng
@@ -146,6 +151,132 @@ class TestPrimitives:
         x = trunc_normal((10000,), make_rng(3, "t"), std=0.02)
         assert x.dtype == np.float32
         assert np.abs(x).max() <= 0.04 + 1e-9
+
+
+class TestInPlaceOps:
+    """The ops that work in place on their own buffers: float64 finite
+    differences, no clobbered inputs, and the dropout random stream."""
+
+    @staticmethod
+    def _probe(shape, seed):
+        return make_rng(seed, "probe").normal(size=shape)
+
+    def test_layer_norm_gradients(self):
+        rng = make_rng(6, "t")
+        params = {"x": rng.normal(size=(2, 3, 8)) * 3 + 1,
+                  "gain": rng.normal(size=8), "bias": rng.normal(size=8)}
+        w = self._probe((2, 3, 8), 1)
+
+        def loss_fn(p):
+            y, cache = layer_norm(p["x"], p["gain"], p["bias"])
+            dx, dgain, dbias = layer_norm_backward(w, cache)
+            return float((y * w).sum()), {"x": dx, "gain": dgain, "bias": dbias}
+
+        assert grad_check(loss_fn, params) < 1e-5
+
+    def test_layer_norm_matches_two_pass_reference(self):
+        x = make_rng(7, "t").normal(size=(4, 5, 16)) * 4 + 2
+        gain, bias = np.linspace(0.5, 2, 16), np.linspace(-1, 1, 16)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        want = (x - mu) / np.sqrt(var + 1e-5) * gain + bias
+        y, _ = layer_norm(x, gain, bias)
+        np.testing.assert_allclose(y, want, rtol=0, atol=1e-12)
+
+    def test_gelu_gradient(self):
+        params = {"x": make_rng(8, "t").normal(size=(3, 4, 6))}
+        w = self._probe((3, 4, 6), 2)
+
+        def loss_fn(p):
+            y, cache = gelu(p["x"])
+            return float((y * w).sum()), {"x": gelu_backward(w, cache)}
+
+        assert grad_check(loss_fn, params) < 1e-5
+
+    def test_softmax_gradient_over_axis_minus_2(self):
+        # Keys-major attention scores [B, H, keys, queries] normalize over keys.
+        params = {"x": make_rng(9, "t").normal(size=(2, 2, 5, 4))}
+        w = self._probe((2, 2, 5, 4), 3)
+
+        def loss_fn(p):
+            probs = softmax(p["x"], axis=-2)
+            return float((probs * w).sum()), {"x": softmax_backward(w, probs, axis=-2)}
+
+        np.testing.assert_allclose(softmax(params["x"], axis=-2).sum(axis=-2), 1.0, atol=1e-12)
+        assert grad_check(loss_fn, params) < 1e-5
+
+    def test_embedding_gradient_with_repeated_ids_and_padding(self):
+        # Ids repeat within and across rows, and the probe also weights padded
+        # positions, so the [PAD] row collects gradient from many places; the
+        # last row is all padding after [CLS].
+        cfg, params = tiny_encoder()
+        ids = np.array([[2, 5, 5, 7, 5, 0], [2, 7, 7, 7, 0, 0], [2, 0, 0, 0, 0, 0]])
+        mask = ids != 0
+        w = self._probe((3, 6, 8), 4)
+
+        def loss_fn(p):
+            h, cache = encoder_forward(ids, mask, p, cfg)
+            return float((h * w).sum()), encoder_backward(w.astype(h.dtype), cache)
+
+        # Every coordinate of the token embedding is probed.
+        assert grad_check(loss_fn, params, n_coords=params["tok_emb"].size) < 1e-4
+
+    def test_ops_leave_their_inputs_unchanged(self):
+        rng = make_rng(10, "t")
+        x = rng.normal(size=(2, 3, 8)).astype(np.float32)
+        dy = rng.normal(size=(2, 3, 8)).astype(np.float32)
+        w = rng.normal(size=(8, 8)).astype(np.float32)
+        b = rng.normal(size=8).astype(np.float32)
+        scores = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
+        dscores = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
+        probs = softmax(scores, axis=-2)
+        _, lin_cache = linear(x, w, b)
+        _, ln_cache = layer_norm(x, b, b)
+        _, gelu_cache = gelu(x)
+        _, mask = dropout(x, 0.3, make_rng(0, "d"))
+        calls = [
+            (linear, (x, w, b)), (linear_backward, (dy, lin_cache)),
+            (layer_norm, (x, b, b)), (layer_norm_backward, (dy, ln_cache)),
+            (gelu, (x,)), (gelu_backward, (dy, gelu_cache)),
+            (softmax, (scores, -2)), (softmax_backward, (dscores, probs, -2)),
+            (dropout, (x, 0.3, make_rng(1, "d"))), (dropout_backward, (dy, mask)),
+        ]
+        arrays = [x, dy, w, b, scores, dscores, probs, mask, *lin_cache, *ln_cache, *gelu_cache]
+        before = [a.copy() for a in arrays]
+        for fn, args in calls:
+            fn(*args)
+            for a, saved in zip(arrays, before):
+                np.testing.assert_array_equal(a, saved, err_msg=fn.__name__)
+
+    def test_encoder_leaves_inputs_and_cache_unchanged(self):
+        cfg, params = tiny_encoder(dropout=0.2)
+        ids = np.array([[2, 8, 4, 9, 5, 0], [2, 10, 0, 0, 0, 0]])
+        mask = ids != 0
+        dhidden = make_rng(11, "t").normal(size=(2, 6, 8)).astype(np.float32)
+        saved = {k: v.copy() for k, v in params.items()}
+        ids_saved, dh_saved = ids.copy(), dhidden.copy()
+        h, cache = encoder_forward(ids, mask, params, cfg, train=True,
+                                   dropout_rng=make_rng(0, "drop"))
+        h_saved = h.copy()
+        first = encoder_backward(dhidden, cache)
+        second = encoder_backward(dhidden, cache)   # the cache is read, not consumed
+        for k in params:
+            np.testing.assert_array_equal(params[k], saved[k], err_msg=k)
+            np.testing.assert_array_equal(first[k], second[k], err_msg=k)
+        np.testing.assert_array_equal(ids, ids_saved)
+        np.testing.assert_array_equal(dhidden, dh_saved)
+        np.testing.assert_array_equal(h, h_saved)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_mask_bitwise_equal_to_reference(self, dtype):
+        # Same random draws and the same rounding as the out-of-place formula.
+        x = make_rng(12, "t").normal(size=(4, 5, 6)).astype(dtype)
+        p = 0.1
+        want = (make_rng(3, "d").random(x.shape) >= p).astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
+        out, keep = dropout(x, p, make_rng(3, "d"))
+        assert keep.dtype == dtype and out.dtype == dtype
+        np.testing.assert_array_equal(keep, want)
+        np.testing.assert_array_equal(out, x * want)
 
 
 def tiny_encoder(dropout=0.0):

@@ -63,6 +63,17 @@ class TestBuildVocab:
         with pytest.raises(ParseError):
             Vocabulary.from_lines(["0\tnotpad\t0"])
 
+    @pytest.mark.parametrize("lines, line, message", [
+        (["8\tfox\t2", "9\tthe\t1", "10\tfox\t1"], 3, "token 'fox' repeated (first on line 1)"),
+        (["8\tfox\t2", "8\tthe\t1"], 2, "word id 8 repeated (first on line 1)"),
+        (["8\tfox\t2", "10\tthe\t1"], 2, "word id 10 outside 8..9"),
+        (["0\t[PAD]\t0", "-9\tx\t0"], 2, "negative id -9"),
+    ], ids=["repeated-token", "repeated-id", "id-gap", "negative-id"])
+    def test_from_lines_rejection_names_the_line(self, lines, line, message):
+        with pytest.raises(ParseError, match=f"line {line}: ") as e:
+            Vocabulary.from_lines(lines)
+        assert message in str(e.value)
+
     def test_word_ids_below_eight_rejected(self):
         with pytest.raises(DataError):
             Vocabulary(word_to_id={"x": 5})
