@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -169,9 +170,12 @@ def _parse_rows(rows, source: str) -> list[AlignedUtterance]:
 
 def _num(text: str, what: str, line_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"non-numeric {what}: {text!r}", line=line_no) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what}: {text!r}", line=line_no)
+    return value
 
 
 def parse_ctm(stream) -> list[AlignedUtterance]:
@@ -195,6 +199,8 @@ def parse_ctm(stream) -> list[AlignedUtterance]:
         dur = _num(dur_s, "duration", line_no)
         if dur < 0:
             raise ParseError(f"negative duration {dur}", line=line_no)
+        if not math.isfinite(start + dur):
+            raise ParseError(f"end time {start} + {dur} overflows", line=line_no)
         rows.append((line_no, utt_id, word, start, start + dur))
     return _parse_rows(rows, "CTM input")
 

@@ -291,11 +291,15 @@ def cmd_score(args) -> int:
     fine_ckpt = load_checkpoint(args.fine_ckpt, expect_kind="fine") if args.fine_ckpt else None
     if overall_ckpt is None and fine_ckpt is None:
         raise DataError("score needs --overall-ckpt and/or --fine-ckpt")
+    if overall_ckpt and fine_ckpt and overall_ckpt.vocab.word_to_id != fine_ckpt.vocab.word_to_id:
+        raise DataError(f"{args.overall_ckpt} and {args.fine_ckpt} were trained on different "
+                        "vocabularies; score needs both checkpoints to share one")
     vocab = (overall_ckpt or fine_ckpt).vocab
     # Encode as long as the longest-reaching model reads.
     max_lens = {c.kind: c.model_cfg.max_len for c in (overall_ckpt, fine_ckpt) if c is not None}
     max_len = max(max_lens.values())
     parse = alignment.parse_ctm if args.format == "ctm" else alignment.parse_tsv
+    seqs, encoded = [], []
     for utt in _read(args.align, parse):
         seq = alignment.build_sequence(utt)
         ids, mask = encode(seq, vocab, max_len=max_len)
@@ -306,18 +310,25 @@ def cmd_score(args) -> int:
                 log.warning("utterance %s: %d tokens exceed the %s checkpoint's max_len %d; "
                             "its last %d break positions are left unscored",
                             seq.id, n_tokens, kind, ckpt_len, unscored)
-        print(f"utterance {seq.id}:")
+        seqs.append(seq)
+        encoded.append((ids, mask))
+    # Each checkpoint predicts the whole file in length-sorted batches; the
+    # blocks come out in file order.
+    if overall_ckpt is not None:
+        overall, probs = tasks.predict_overall_batch(overall_ckpt, encoded)
+    if fine_ckpt is not None:
+        fine = tasks.predict_finegrained_batch(fine_ckpt, encoded)
+    lines = []
+    for u, seq in enumerate(seqs):
+        lines.append(f"utterance {seq.id}:")
         if overall_ckpt is not None:
-            rank, probs = tasks.predict_overall(overall_ckpt, ids, mask)
-            probs_text = " ".join(
-                f"{r.label}={probs[rank_to_class(r)]:.3f}" for r in Rank
-            )
-            print(f"  overall: {rank.label}  ({probs_text})")
+            probs_text = " ".join(f"{r.label}={probs[u, rank_to_class(r)]:.3f}" for r in Rank)
+            lines.append(f"  overall: {overall[u].label}  ({probs_text})")
         if fine_ckpt is not None:
-            ranks = tasks.predict_finegrained(fine_ckpt, ids, mask)
-            for i, r in enumerate(ranks):
-                left, right = seq.words[i], seq.words[i + 1]
-                print(f"  {left} [{seq.breaks[i].token}] {right}: {r.label}")
+            sites = zip(seq.words, seq.breaks, seq.words[1:], fine[u])
+            lines.extend(f"  {left} [{br.token}] {right}: {r.label}" for left, br, right, r in sites)
+    if lines:
+        print("\n".join(lines))
     return 0
 
 

@@ -133,8 +133,6 @@ def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0, n_classes
         except BreakscoreError as e:
             # Keep the error's type, so its exit code survives the fold wrapper.
             raise type(e)(f"training failed on fold {fi}: {e}") from e
-        except Exception as e:
-            raise DataError(f"training failed on fold {fi}: {e}") from e
         cm = ConfusionMatrix.zeros(n_classes)
         for i in test_idx:
             for true, pred in predictor(items[i]):

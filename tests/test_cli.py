@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, outputs, determinism."""
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -368,6 +369,11 @@ _BAD_LINE_2 = {
                      None, "8\tfox\t2\n10\tthe\t1\n"),
     "ctm": (lambda p, bad: ("ingest", bad, "--out", str(p["root"] / "x.jsonl")),
             None, "u1 1 0.00 0.40 hello\nu1 1 0.50 -0.40 world\n"),
+    "ctm-non-finite": (lambda p, bad: ("ingest", bad, "--out", str(p["root"] / "x.jsonl")),
+                       None, "u1 1 0.00 0.40 hello\nu1 1 nan 0.40 world\n"),
+    "tsv-non-finite": (lambda p, bad: ("ingest", "--format", "tsv", bad,
+                                       "--out", str(p["root"] / "x.jsonl")),
+                       None, "u1\thello\t0.00\t0.40\nu1\tworld\t0.50\tinf\n"),
 }
 
 
@@ -440,3 +446,179 @@ class TestBadInputFiles:
                    "--vocab", pipeline["vocab"], "--out", str(out), *argv) == 2
         assert not out.exists()
         assert ("lr must be" if argv else "max_len must be") in caplog.text
+
+
+class TestScoreChecks:
+    def test_checkpoints_with_different_vocabularies_exit_2(self, pipeline, tmp_path, capsys,
+                                                             caplog):
+        # The fine checkpoint would read the overall vocabulary's ids as other words.
+        other = tmp_path / "other"
+        assert run("synth", "--n-sentences", "10", "--seed", "77", "--out-dir", str(other)) == 0
+        checkpoints = {}
+        for task, data in (("overall", pipeline["out_dir"]), ("fine", str(other))):
+            checkpoints[task] = str(tmp_path / f"{task}.pbrk")
+            assert run("finetune", "--config", pipeline["cfg"], "--task", task,
+                       "--in", os.path.join(data, "esl.jsonl"),
+                       "--vocab", os.path.join(data, "vocab.tsv"), "--out", checkpoints[task]) == 0
+        ctm = tmp_path / "a.ctm"
+        ctm.write_text(CTM)
+        capsys.readouterr()
+        caplog.clear()
+        assert run("score", "--overall-ckpt", checkpoints["overall"],
+                   "--fine-ckpt", checkpoints["fine"], "--align", str(ctm)) == 2
+        assert capsys.readouterr().out == ""
+        assert checkpoints["overall"] in caplog.text and checkpoints["fine"] in caplog.text
+        assert "different vocabularies" in caplog.text
+
+    @pytest.mark.parametrize("text, line", [
+        ("u1 1 nan 0.4 carpet\nu1 1 0.5 0.4 chapel\n", 1),
+        ("u1 1 0.0 0.4 carpet\nu1 1 0.5 inf chapel\n", 2),
+        ("u1 1 0.0 0.4 carpet\nu1 1 1e308 1e308 chapel\n", 2),
+    ], ids=["nan-start", "inf-duration", "end-overflows"])
+    def test_non_finite_ctm_time_exits_2_naming_the_line(self, pipeline, tmp_path, capsys,
+                                                        caplog, text, line):
+        fine = str(tmp_path / "fine.pbrk")
+        assert run("finetune", "--config", pipeline["cfg"], "--task", "fine",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"], "--out", fine) == 0
+        ctm = tmp_path / "times.ctm"
+        ctm.write_text(text)
+        capsys.readouterr()
+        caplog.clear()
+        assert run("score", "--fine-ckpt", fine, "--align", str(ctm)) == 2
+        assert capsys.readouterr().out == ""
+        assert f"{ctm}: line {line}: " in caplog.text
+
+    def test_programming_fault_in_a_fold_propagates(self, pipeline, monkeypatch):
+        # Only a BreakscoreError maps to an exit code; anything else is a bug
+        # and keeps its traceback.
+        def broken_finetune(*args, **kwargs):
+            raise AssertionError("fault inside fold training")
+
+        monkeypatch.setattr(tasks, "finetune", broken_finetune)
+        with pytest.raises(AssertionError, match="fault inside fold training"):
+            run("eval", "--config", pipeline["cfg"], "--task", "overall",
+                "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                "--model", "scratch", "--k", "3")
+
+
+_OVERALL_LINE = re.compile(r"  overall: (\w+)  \(Poor=([0-9.]+) Fair=([0-9.]+) Great=([0-9.]+)\)")
+
+
+@pytest.fixture(scope="module")
+def score_ckpts(pipeline):
+    """Overall and fine checkpoints of each model, and an encoder fine one at max_len 16."""
+    root = pipeline["root"]
+    short_cfg = root / "short16.yaml"
+    short_cfg.write_text(open(pipeline["cfg"]).read()
+                         .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n")
+                         .replace("epochs: 1\n", "epochs: 1\n  max_len: 16\n"))
+    ckpts = {}
+    for name, task, model, cfg in (
+        ("encoder-overall", "overall", "encoder", pipeline["cfg"]),
+        ("encoder-fine", "fine", "encoder", pipeline["cfg"]),
+        ("bilstm-overall", "overall", "bilstm", pipeline["cfg"]),
+        ("bilstm-fine", "fine", "bilstm", pipeline["cfg"]),
+        ("encoder-fine16", "fine", "encoder", str(short_cfg)),
+    ):
+        ckpts[name] = str(root / f"score-{name}.pbrk")
+        assert run("finetune", "--config", cfg, "--task", task, "--model", model,
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                   "--out", ckpts[name]) == 0
+    return ckpts
+
+
+def _write_ctm(path, utts):
+    """A CTM file of (id, words) utterances, its gaps cycling through the break classes."""
+    lines = []
+    for utt_id, words in utts:
+        t = 0.0
+        for i, word in enumerate(words):
+            lines.append(f"{utt_id} 1 {t:.3f} 0.300 {word}\n")
+            t += 0.3 + (0.005, 0.03, 0.1, 0.3)[i % 4]
+    path.write_text("".join(lines))
+
+
+class TestBatchedScore:
+    """Scoring a file predicts its utterances in batches; the output must be what
+    scoring each utterance alone prints."""
+
+    @pytest.fixture()
+    def utts(self, pipeline):
+        words = [w for l in open(pipeline["native"]) for w in json.loads(l)["words"]]
+        # One word (no breaks), then mixed lengths, so the file forms several
+        # batches and the longest rows reach past 16 tokens.
+        lengths = (1, 5, 2, 33, 8, 3, 21, 40, 13, 40, 2, 40, 60, 40, 7)
+        return [(f"utt{i}", [words[(7 * i + j) % len(words)] for j in range(n)])
+                for i, n in enumerate(lengths)]
+
+    def score(self, argv, ctm, capsys):
+        capsys.readouterr()
+        assert run("score", *argv, "--align", str(ctm)) == 0
+        return capsys.readouterr().out
+
+    def assert_equivalent(self, argv, utts, tmp_path, capsys, monkeypatch):
+        forwards = []
+        real_forward = tasks._forward
+
+        def counting_forward(model, params, cfg, ids, pad_mask, **kwargs):
+            forwards.append(ids.shape[0])
+            return real_forward(model, params, cfg, ids, pad_mask, **kwargs)
+
+        monkeypatch.setattr(tasks, "_forward", counting_forward)
+        whole = tmp_path / "all.ctm"
+        _write_ctm(whole, utts)
+        batched = self.score(argv, whole, capsys).splitlines()
+        n_ckpts = len(argv) // 2
+        assert len(forwards) >= 2 * n_ckpts and max(forwards) > 1, forwards
+        single = []
+        for utt in utts:
+            one = tmp_path / f"{utt[0]}.ctm"
+            _write_ctm(one, [utt])
+            single += self.score(argv, one, capsys).splitlines()
+        assert len(batched) == len(single)
+        assert [l for l in batched if l.startswith("utterance ")] == [
+            f"utterance {utt_id}:" for utt_id, _ in utts]
+        for got, want in zip(batched, single):
+            m_got, m_want = _OVERALL_LINE.fullmatch(got), _OVERALL_LINE.fullmatch(want)
+            if m_want is None:
+                assert got == want
+                continue
+            assert m_got is not None and m_got.group(1) == m_want.group(1), (got, want)
+            np.testing.assert_allclose([float(p) for p in m_got.groups()[1:]],
+                                       [float(p) for p in m_want.groups()[1:]], atol=0.001)
+        return batched
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_file_equals_utterances_scored_alone(self, score_ckpts, utts, tmp_path, capsys,
+                                                 monkeypatch, model):
+        argv = ("--overall-ckpt", score_ckpts[f"{model}-overall"],
+                "--fine-ckpt", score_ckpts[f"{model}-fine"])
+        out = self.assert_equivalent(argv, utts, tmp_path, capsys, monkeypatch)
+        n_breaks = sum(len(words) - 1 for _, words in utts)
+        assert len([l for l in out if "[br" in l]) == n_breaks
+        assert out[2] == "utterance utt1:"   # utt0 has one word, so no break lines
+
+    def test_short_checkpoint_warns_once_per_long_utterance(self, score_ckpts, utts, tmp_path,
+                                                            capsys, caplog, monkeypatch):
+        # The fine checkpoint reads 16 tokens: [CLS] and up to 7 breaks.
+        argv = ("--overall-ckpt", score_ckpts["encoder-overall"],
+                "--fine-ckpt", score_ckpts["encoder-fine16"])
+        whole = tmp_path / "file.ctm"
+        _write_ctm(whole, utts)
+        caplog.clear()
+        out = self.score(argv, whole, capsys).splitlines()
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        long_ids = [utt_id for utt_id, words in utts if 2 * len(words) > 16]
+        assert len(warnings) == len(long_ids)
+        for utt_id, warning in zip(long_ids, warnings):
+            assert warning.startswith(f"utterance {utt_id}: ")
+            assert "fine checkpoint's max_len 16" in warning
+        assert len([l for l in out if "[br" in l]) == sum(min(len(w) - 1, 7) for _, w in utts)
+        self.assert_equivalent(argv, utts, tmp_path, capsys, monkeypatch)
+
+    def test_empty_alignment_file_prints_nothing(self, score_ckpts, tmp_path, capsys):
+        empty = tmp_path / "empty.ctm"
+        empty.write_text("")
+        argv = ("--overall-ckpt", score_ckpts["encoder-overall"],
+                "--fine-ckpt", score_ckpts["encoder-fine"])
+        assert self.score(argv, empty, capsys) == ""

@@ -2,7 +2,8 @@
 JSONL records, the vocabulary, config YAML and PBRK1 checkpoints.
 
 The property is the exit-code contract: any input either parses or raises a
-`BreakscoreError`, never another exception; a JSONL reader raises a
+`BreakscoreError`, never another exception; an alignment reader gives only
+finite word times; a JSONL reader raises a
 `ParseError` that names the line, and each line it accepts holds the JSON
 types its record declares: no `bool(x)` coercion of a break mask, and no
 string id or word that is not a JSON string. Inputs mix raw text with records close to
@@ -11,6 +12,7 @@ valid ones, so both the tokenizer and the field checks are reached.
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -59,10 +61,15 @@ def records(fields: dict):
 
 
 def parses_or_raises(read, *args):
+    """What `read` returns, or None when it raised a `BreakscoreError`."""
     try:
-        read(*args)
+        return read(*args)
     except BreakscoreError:
-        pass
+        return None
+
+
+def has_finite_times(utts) -> bool:
+    return all(math.isfinite(w.start) and math.isfinite(w.end) for u in utts for w in u.words)
 
 
 def parses_or_rejects_a_line(read, text):
@@ -85,8 +92,10 @@ class TestTextReaders:
                   numbers, numbers, st.sampled_from(["the", "fox"]) | tokens).map(" ".join),
         st.lists(tokens, max_size=7).map(" ".join),
     )))
+    @example("u1 1 nan 0.4 carpet\nu1 1 0.5 inf chapel")
+    @example("u1 1 0.0 0.4 carpet\nu1 1 1e308 1e308 chapel")
     def test_ctm(self, text):
-        parses_or_raises(alignment.parse_ctm, io.StringIO(text))
+        assert has_finite_times(parses_or_raises(alignment.parse_ctm, io.StringIO(text)) or [])
 
     @fuzz
     @given(lines(st.one_of(
@@ -94,8 +103,9 @@ class TestTextReaders:
                   st.sampled_from(["the", "fox"]) | tokens, numbers, numbers).map("\t".join),
         st.lists(tokens, max_size=6).map("\t".join),
     )))
+    @example("u1\tcarpet\t0.1\tinf")
     def test_tsv(self, text):
-        parses_or_raises(alignment.parse_tsv, io.StringIO(text))
+        assert has_finite_times(parses_or_raises(alignment.parse_tsv, io.StringIO(text)) or [])
 
     @fuzz
     @given(records({

@@ -142,8 +142,7 @@ class TestCrossValidate:
         assert len(set(first)) == 3
 
     @pytest.mark.parametrize(
-        "raised, expected", [(NumericError, NumericError), (DataError, DataError),
-                             (ValueError, DataError)],
+        "raised, expected", [(NumericError, NumericError), (DataError, DataError)],
     )
     def test_fold_failure_keeps_pipeline_error_type(self, raised, expected):
         items = list(range(6))
@@ -154,3 +153,13 @@ class TestCrossValidate:
         with pytest.raises(expected, match="fold 0: boom") as info:
             cross_validate(items, [i % 2 for i in items], train_fn, k=2, n_classes=2)
         assert type(info.value) is expected
+
+    def test_fold_programming_fault_is_not_a_data_error(self):
+        # Any other exception is a bug, not bad input: it leaves unwrapped.
+        items = list(range(6))
+
+        def train_fn(train_items, fold_seed):
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="^boom$"):
+            cross_validate(items, [i % 2 for i in items], train_fn, k=2, n_classes=2)

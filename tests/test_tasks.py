@@ -1,9 +1,11 @@
 """Training pipelines: pretraining, fine-tuning, prediction contracts."""
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from breakscore.checkpoint import Checkpoint
 from breakscore.corruption import CorruptionConfig, LabeledSequence, build_pretrain_dataset
 from breakscore.exceptions import DataError
 from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
@@ -388,3 +390,74 @@ class TestFinetuneFinegrained:
         bad_ids = tuple(list(dataset[0].ids[:-1]) + [99])
         with pytest.raises(DataError, match="vocabulary"):
             predict_finegrained(ckpt, bad_ids, dataset[0].break_mask)
+
+
+class TestBatchedPrediction:
+    """`score` predicts many samples per call, cut to a token budget; the
+    one-sample wrappers run the same path with a batch of one."""
+
+    @staticmethod
+    def mixed_seqs(n=40):
+        rng = make_rng(5, "budget")
+        seqs = []
+        for _ in range(n):
+            n_words = 1 + int(rng.integers(16))   # up to 31 tokens; one word has no break
+            word_ids = [8 + int(rng.integers(4)) for _ in range(n_words)]
+            seqs.append(encoded(word_ids, [int(rng.integers(4)) for _ in range(n_words - 1)]))
+        return seqs
+
+    def test_token_batches_cover_every_sample_within_the_budget(self):
+        seqs = self.mixed_seqs() + [encoded([8] * 40, [1] * 39)]   # 80 tokens, over 64
+        batches = tasks._token_batches(seqs, max_len=100, max_tokens=64)
+        assert sorted(i for b in batches for i in b) == list(range(len(seqs)))
+        lengths = [[len(seqs[i][0]) for i in b] for b in batches]
+        assert [l for b in lengths for l in b] == sorted(len(ids) for ids, _ in seqs)
+        for b in lengths:
+            assert len(b) == 1 or len(b) * max(b) <= 64
+        assert lengths[-1] == [80]   # a sample over the budget is a batch of one
+        assert tasks._token_batches([], max_len=100) == []
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_batch_entry_points_match_one_sample_wrappers(self, model):
+        seqs = self.mixed_seqs()
+        if model == "encoder":
+            cfg = small_cfg(12)
+            core = init_encoder_params(cfg, make_rng(0, "init"))
+        else:
+            cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
+            core = init_bilstm_params(cfg, make_rng(0, "init"))
+        assert len(tasks._token_batches(seqs, cfg.max_len)) >= 2
+        # Scaled-up weights and a centred head make the predicted ranks differ.
+        core = {k: v if k.endswith("_g") else v * 25 for k, v in core.items()}
+        rng = make_rng(1, "head")
+        ckpts = {}
+        for kind in ("overall", "fine"):
+            params = dict(core, head_w=rng.normal(size=(16, 3)).astype(np.float32),
+                          head_b=np.zeros(3, dtype=np.float32))
+            logits = _predict_logits(params, kind, model, cfg, seqs, batch_size=1, max_len=32)
+            params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in logits]).mean(axis=0)
+            ckpts[kind] = Checkpoint(kind=kind, model=model, model_cfg=cfg, vocab=toy_vocab(),
+                                     seed=0, params=params, n_classes=3, init_from=None)
+
+        ranks, probs = tasks.predict_overall_batch(ckpts["overall"], seqs)
+        assert probs.shape == (len(seqs), 3)
+        for (ids, mask), rank, row in zip(seqs, ranks, probs, strict=True):
+            one_rank, one_probs = predict_overall(ckpts["overall"], ids, mask)
+            assert rank == one_rank
+            np.testing.assert_allclose(row, one_probs, rtol=1e-5, atol=1e-6)
+        assert len(set(ranks)) >= 2
+
+        fine = tasks.predict_finegrained_batch(ckpts["fine"], seqs)
+        assert fine == [predict_finegrained(ckpts["fine"], ids, mask) for ids, mask in seqs]
+        assert [len(r) for r in fine] == [sum(mask) for _, mask in seqs]
+        assert len({r for rs in fine for r in rs}) >= 2
+
+    def test_empty_batch(self):
+        cfg = small_cfg(12)
+        params = dict(init_encoder_params(cfg, make_rng(0, "init")),
+                      head_w=np.zeros((16, 3), dtype=np.float32), head_b=np.zeros(3, np.float32))
+        ckpt = Checkpoint(kind="overall", model="encoder", model_cfg=cfg, vocab=toy_vocab(),
+                          seed=0, params=params, n_classes=3, init_from=None)
+        ranks, probs = tasks.predict_overall_batch(ckpt, [])
+        assert ranks == [] and probs.shape == (0, 3)
+        assert tasks.predict_finegrained_batch(dataclasses.replace(ckpt, kind="fine"), []) == []
