@@ -30,13 +30,6 @@ class BreakClass(enum.IntEnum):
     def token(self) -> str:
         return f"br{int(self)}"
 
-    @classmethod
-    def from_token(cls, tok: str) -> "BreakClass":
-        m = re.fullmatch(r"br([0-3])", tok)
-        if m is None:
-            raise DataError(f"not a break token: {tok!r}")
-        return cls(int(m.group(1)))
-
 
 # Upper-inclusive duration bounds, in seconds.
 _QUANT_BOUNDS = (0.010, 0.050, 0.200)

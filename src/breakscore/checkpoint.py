@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "format": 1,
         "kind": ckpt.kind,
         "model": ckpt.model,
-        "model_cfg": ckpt.model_cfg.to_dict(),
+        "model_cfg": asdict(ckpt.model_cfg),
         "vocab": ckpt.vocab.to_lines(),
         "seed": ckpt.seed,
         "n_classes": ckpt.n_classes,

@@ -79,6 +79,7 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
         ("batch_size", "train", "batch_size"),
         ("lr", "train", "lr"),
         ("n_sentences", "synth", "n_sentences"),
+        ("k", "eval", "k"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -240,9 +241,9 @@ def cmd_eval(args) -> int:
         _check_out_dir(args.out)
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    k = cfg.build("eval").k
     vocab = _read(args.vocab, Vocabulary.from_lines)
     dataset = _read_samples(args.infile, tasks.read_rated, vocab)
-    k = args.k if args.k is not None else cfg.eval.get("k", 5)
     if any(getattr(s, args.task) is None for s in dataset):
         raise DataError(f"eval --task {args.task} needs {args.task} labels on every item")
     # Stratify folds on the overall rank when every item has one.
@@ -340,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="breakscore", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", help="YAML run configuration")
-            sp.add_argument("--seed", type=int, help="override the global seed")
+    def common(sp):
+        sp.add_argument("--config", help="YAML run configuration")
+        sp.add_argument("--seed", type=int, help="override the global seed")
 
     sp = sub.add_parser("ingest", help="alignment files -> token-sequence JSONL")
     sp.add_argument("inputs", nargs="+")

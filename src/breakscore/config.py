@@ -14,6 +14,7 @@ import yaml
 
 from .corruption import CorruptionConfig
 from .exceptions import DataError
+from .metrics import EvalConfig
 from .nn import BiLstmConfig, EncoderConfig
 from .synth import SynthConfig
 from .tasks import TrainConfig
@@ -25,9 +26,8 @@ _SECTION_TYPES = {
     "encoder": (EncoderConfig, ("vocab_size",)),
     "bilstm": (BiLstmConfig, ("vocab_size",)),
     "train": (TrainConfig, ()),
+    "eval": (EvalConfig, ()),
 }
-
-_EVAL_KEYS = {"k"}
 
 
 @dataclass
@@ -103,18 +103,10 @@ def _from_mapping(raw) -> RunConfig:
             except (TypeError, ValueError, OverflowError):
                 raise DataError(f"seed must be an integer, got {value!r}") from None
             continue
-        if section != "eval" and section not in _SECTION_TYPES:
+        if section not in _SECTION_TYPES:
             raise DataError(f"unknown config section [{section}]")
         if not isinstance(value, dict):
             raise DataError(f"section [{section}] must be a mapping")
-        if section == "eval":
-            unknown = set(value) - _EVAL_KEYS
-            if unknown:
-                raise DataError(f"unknown key(s) in [eval]: {sorted(unknown)}")
-            if not isinstance(value.get("k", 5), int):
-                raise DataError(f"[eval] k must be an integer, got {value['k']!r}")
-            cfg.eval = dict(value)
-            continue
         cls, excluded = _SECTION_TYPES[section]
         _check_section(section, value, cls, excluded)
         setattr(cfg, section, dict(value))

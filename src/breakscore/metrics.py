@@ -12,6 +12,15 @@ from .exceptions import BreakscoreError, DataError
 from .rngs import make_rng
 
 
+@dataclass(frozen=True)
+class EvalConfig:
+    k: int = 5   # cross-validation folds
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise DataError(f"k must be >= 2, got {self.k}")
+
+
 @dataclass
 class ConfusionMatrix:
     """Square count matrix; rows are true classes, columns predicted."""

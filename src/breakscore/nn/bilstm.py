@@ -34,13 +34,6 @@ class BiLstmConfig:
         if self.hidden_size < 1:
             raise DataError(f"hidden_size must be >= 1, got {self.hidden_size}")
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "hidden_size": self.hidden_size,
-        }
-
     @property
     def max_len(self) -> int:
         """A Bi-LSTM reads sequences of any length."""

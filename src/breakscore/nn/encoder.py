@@ -49,17 +49,6 @@ class EncoderConfig:
         if self.max_len < 2:
             raise DataError(f"max_len must be >= 2, got {self.max_len}")
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "ffn_dim": self.ffn_dim,
-            "max_len": self.max_len,
-            "dropout_prob": self.dropout_prob,
-        }
-
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
     """Truncated-normal(0.02) weights, zero biases, unit layer-norm gains."""

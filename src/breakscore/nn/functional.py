@@ -165,28 +165,21 @@ def dropout_backward(dy, mask):
 
 # -- cross entropy -----------------------------------------------------------
 
-def batched_cross_entropy(logits, targets, weights=None):
-    """Mean weighted cross entropy over rows of logits [N, C].
-
-    `weights` (length N, >= 0) selects and reweights rows; None means uniform.
-    Returns (loss, dlogits).
-    """
+def batched_cross_entropy(logits, targets):
+    """Mean cross entropy over rows of logits [N, C]; returns (loss, dlogits)."""
     logits = np.asarray(logits)
     n, c = logits.shape
     targets = np.asarray(targets)
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= c:
         raise DataError("target class out of range")
-    if weights is None:
-        weights = np.ones(n, dtype=logits.dtype)
-    else:
-        weights = np.asarray(weights, dtype=logits.dtype)
-    wsum = weights.sum()
-    if wsum <= 0:
-        raise DataError("cross entropy needs at least one weighted row")
+    if n == 0:
+        raise DataError("cross entropy needs at least one row")
     p = softmax(logits, axis=-1)
     picked = np.maximum(p[np.arange(n), targets], np.finfo(p.dtype).tiny)
-    loss = float((weights * -np.log(picked)).sum() / wsum)
+    loss = float((-np.log(picked)).sum() / n)
     dlogits = p.copy()
     dlogits[np.arange(n), targets] -= 1.0
-    dlogits *= (weights / wsum)[:, None]
+    # Scale by 1/n rounded to the logits' dtype, not divide by n: the two round
+    # differently.
+    dlogits *= p.dtype.type(1) / n
     return loss, dlogits

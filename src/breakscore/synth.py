@@ -267,7 +267,11 @@ def _corrupt_to_class(seq: TokenSequence, target: Rank, rng, cfg: SynthConfig):
     return breaks, fine, trace
 
 
-def generate_esl(cfg: SynthConfig, native: list[TokenSequence], max_attempts: int = 50) -> list[EslSample]:
+# Fresh-randomness retries before a sequence that misses its target rank fails.
+_ESL_MAX_ATTEMPTS = 50
+
+
+def generate_esl(cfg: SynthConfig, native: list[TokenSequence]) -> list[EslSample]:
     """Error-injected learner corpus hitting the configured class shape.
 
     Each native sequence is assigned a target overall rank so the emitted
@@ -291,13 +295,13 @@ def generate_esl(cfg: SynthConfig, native: list[TokenSequence], max_attempts: in
     for idx, seq in enumerate(native):
         target = targets[idx]
         result = None
-        for _ in range(max_attempts):
+        for _ in range(_ESL_MAX_ATTEMPTS):
             result = _corrupt_to_class(seq, target, rng, cfg)
             if result is not None:
                 break
         if result is None:
             raise DataError(
-                f"could not corrupt {seq.id!r} to {target.label} in {max_attempts} attempts"
+                f"could not corrupt {seq.id!r} to {target.label} in {_ESL_MAX_ATTEMPTS} attempts"
             )
         breaks, fine, trace = result
         out.append(

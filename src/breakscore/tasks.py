@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonl
+from . import jsonl, metrics
 from .checkpoint import Checkpoint
 from .corruption import LABEL_CORRUPTED, LabeledSequence
 from .exceptions import DataError, NumericError
@@ -42,7 +42,6 @@ class TrainConfig:
     lr: float = 1e-4
     seed: int = 0
     max_len: int = 128
-    class_weighted: bool = False  # inverse-frequency loss weights
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
@@ -212,17 +211,10 @@ def _init_model_params(model, cfg, rng):
 def _check_init_compat(init: Checkpoint, model: str, cfg, vocab) -> None:
     if init.model != model:
         raise DataError(f"init checkpoint is a {init.model!r} model, requested {model!r}")
-    if init.model_cfg.to_dict() != cfg.to_dict():
+    if init.model_cfg != cfg:
         raise DataError("init checkpoint model config does not match requested config")
     if init.vocab.word_to_id != vocab.word_to_id:
         raise DataError("init checkpoint vocabulary does not match the dataset vocabulary")
-
-
-def _class_weights(targets: np.ndarray, n_classes: int) -> np.ndarray:
-    counts = np.bincount(targets, minlength=n_classes).astype(np.float64)
-    inv = np.where(counts > 0, counts.sum() / np.maximum(counts, 1), 0.0)
-    inv = inv / inv[counts > 0].mean()
-    return inv.astype(np.float32)
 
 
 # -- training ----------------------------------------------------------------
@@ -263,7 +255,6 @@ def _train(
     ]
     if not any(len(t) for t in targets):
         raise DataError(f"no sample has a {kind} target to train on")
-    weights = _class_weights(np.concatenate(targets), n_classes) if tcfg.class_weighted else None
     state = AdamState()
     order_rng = make_rng(tcfg.seed, kind + "-order")
     drop_rng = make_rng(tcfg.seed, kind + "-dropout")
@@ -290,8 +281,7 @@ def _train(
                     f"{len(batch_targets)} {kind} labels for {len(rows)} head positions"
                 )
             logits = rows @ params["head_w"] + params["head_b"]
-            row_w = weights[batch_targets] if weights is not None else None
-            loss, dlogits = batched_cross_entropy(logits, batch_targets, row_w)
+            loss, dlogits = batched_cross_entropy(logits, batch_targets)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             losses.append(loss)
@@ -305,18 +295,13 @@ def _train(
     return params, epoch_losses
 
 
-def _predict_logits(params, kind, model, cfg, seqs: list[tuple], batch_size: int | None,
-                    max_len: int):
+def _predict_logits(params, kind, model, cfg, seqs: list[tuple], max_len: int,
+                    max_tokens: int = PREDICT_TOKENS):
     """Head logits of each (ids, break_mask), in input order: one [n_classes]
     array per sample, or one [n_breaks, n_classes] array for the "fine" head.
-    Samples run in padded batches of similar length: batch_size rows each, or
-    with batch_size None, as many as fit in PREDICT_TOKENS padded tokens."""
+    Samples run in length-sorted padded batches of at most max_tokens tokens."""
     out = [None] * len(seqs)
-    if batch_size is None:
-        batches = _token_batches(seqs, max_len)
-    else:
-        batches = _length_batches(seqs, np.arange(len(seqs)), batch_size, max_len)
-    for batch in batches:
+    for batch in _token_batches(seqs, max_len, max_tokens):
         ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch], max_len)
         hidden, _ = _forward(model, params, cfg, ids, pad_mask)
         rows = _head_rows(kind, model, hidden, pad_mask, break_mask)
@@ -330,12 +315,15 @@ def _predict_logits(params, kind, model, cfg, seqs: list[tuple], batch_size: int
 
 # -- task entry points -------------------------------------------------------
 
+# Share of the pretraining set held out to score the discriminator.
+RBTD_HOLDOUT_FRAC = 0.05
+
+
 def pretrain_rbtd(
     dataset: list[LabeledSequence],
     tcfg: TrainConfig,
     enc_cfg: EncoderConfig,
     vocab,
-    holdout_frac: float = 0.05,
 ) -> tuple[Checkpoint, dict]:
     """Train the corruption discriminator; report held-out accuracy/F-score.
 
@@ -347,7 +335,7 @@ def pretrain_rbtd(
         raise DataError("discriminator pretraining needs both original and corrupted samples")
     split_rng = make_rng(tcfg.seed, "rbtd-split")
     order = split_rng.permutation(len(dataset))
-    n_hold = max(1, int(round(holdout_frac * len(dataset))))
+    n_hold = max(1, int(round(RBTD_HOLDOUT_FRAC * len(dataset))))
     hold_idx = set(order[:n_hold].tolist())
     train = [dataset[i] for i in range(len(dataset)) if i not in hold_idx]
     held = [dataset[i] for i in sorted(hold_idx)]
@@ -357,22 +345,16 @@ def pretrain_rbtd(
 
     logits = _predict_logits(
         params, "rbtd", "encoder", enc_cfg, [(s.ids, s.break_mask) for s in held],
-        tcfg.batch_size, _seq_max_len(enc_cfg, tcfg),
+        _seq_max_len(enc_cfg, tcfg),
     )
-    tp = fp = fn = correct = 0
-    for s, row in zip(held, logits, strict=True):
-        pred = int(np.argmax(row))
-        correct += pred == s.label
-        tp += pred == LABEL_CORRUPTED and s.label == LABEL_CORRUPTED
-        fp += pred == LABEL_CORRUPTED and s.label != LABEL_CORRUPTED
-        fn += pred != LABEL_CORRUPTED and s.label == LABEL_CORRUPTED
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    fscore = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    cm = metrics.ConfusionMatrix.from_pairs(
+        [s.label for s in held], [int(np.argmax(row)) for row in logits], n_classes=2
+    )
+    held_metrics = metrics.compute_metrics(cm)
     report = {
         "held_out": len(held),
-        "accuracy": correct / len(held),
-        "f_score": fscore,
+        "accuracy": held_metrics["accuracy"],
+        "f_score": held_metrics["per_class"][LABEL_CORRUPTED]["f1"],
         "epoch_losses": epoch_losses,
     }
     ckpt = Checkpoint(
@@ -441,9 +423,8 @@ def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.n
             f"sample ids exceed checkpoint vocabulary (size {vocab_size}); "
             "was it encoded with a different vocabulary?"
         )
-    return _predict_logits(
-        ckpt.params, kind, ckpt.model, ckpt.model_cfg, seqs, None, ckpt.model_cfg.max_len
-    )
+    return _predict_logits(ckpt.params, kind, ckpt.model, ckpt.model_cfg, seqs,
+                           ckpt.model_cfg.max_len)
 
 
 def _ranks(logits: np.ndarray) -> list[Rank]:

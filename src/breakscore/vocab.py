@@ -48,9 +48,6 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         return self.word_to_id.get(word, UNK_ID)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_to_id
-
     def to_lines(self) -> list[str]:
         """Serialize as `<id>\\t<token>\\t<count>` lines, reserved tokens first."""
         lines = [f"{i}\t{tok}\t0" for i, tok in enumerate(RESERVED_TOKENS)]

@@ -55,17 +55,6 @@ class TestQuantize:
         assert quantize(gap) <= quantize(gap + 0.01)
 
 
-class TestBreakClass:
-    def test_token_round_trip(self):
-        for cls in BreakClass:
-            assert BreakClass.from_token(cls.token) is cls
-
-    @pytest.mark.parametrize("bad", ["br4", "br", "BR0", "br-1", "word"])
-    def test_bad_token(self, bad):
-        with pytest.raises(DataError):
-            BreakClass.from_token(bad)
-
-
 def _utt(times, id="u1"):
     words = tuple(
         AlignedWord(surface=f"w{i}", start=s, end=e) for i, (s, e) in enumerate(times)

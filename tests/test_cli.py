@@ -85,7 +85,7 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "text", ["seed: [1\n", "eval: 5\n", "seed: abc\n", "eval:\n  k: abc\n",
-                 "train:\n  class_weighted: 1\n", "encoder:\n  d_model: true\n",
+                 "eval:\n  k: true\n", "encoder:\n  d_model: true\n",
                  "synth:\n  class_shape: 0.5\n"])
     def test_bad_config_exits_2_naming_file(self, tmp_path, caplog, text):
         # Malformed YAML, a non-mapping section, a non-integer seed and k, and
@@ -166,6 +166,17 @@ class TestPipeline:
         report = json.loads(open(out).read())
         assert report["k"] == 3 and "macro_f1" in report
         assert os.path.exists(out + ".txt")
+
+    def test_eval_k_is_echoed_and_reruns_identically(self, pipeline, tmp_path):
+        # --k lands in the echoed config, so a run from that file alone repeats it.
+        first, again = str(tmp_path / "r.json"), str(tmp_path / "again.json")
+        args = ("eval", "--task", "overall", "--in", pipeline["esl"],
+                "--vocab", pipeline["vocab"], "--model", "bilstm")
+        assert run(*args, "--config", pipeline["cfg"], "--k", "3", "--out", first) == 0
+        echoed = first + ".config.yaml"
+        assert yaml.safe_load(open(echoed))["eval"] == {"k": 3}
+        assert run(*args, "--config", echoed, "--out", again) == 0
+        assert open(again, "rb").read() == open(first, "rb").read()
 
     def test_eval_against_ref(self, pipeline, tmp_path):
         out = str(tmp_path / "ref.json")

@@ -168,9 +168,9 @@ yaml_leaf = st.one_of(
     st.lists(st.integers(-1, 5) | st.floats(0, 1) | st.text(max_size=2), max_size=4),
 )
 _KEYS = sorted({f.name for cls, _ in _SECTION_TYPES.values() for f in dataclasses.fields(cls)}
-               | {"k", "bogus"})
+               | {"bogus"})
 config_mapping = st.dictionaries(
-    st.sampled_from(sorted(_SECTION_TYPES) + ["seed", "eval", "bogus"]),
+    st.sampled_from(sorted(_SECTION_TYPES) + ["seed", "bogus"]),
     st.one_of(yaml_leaf, st.dictionaries(st.sampled_from(_KEYS), yaml_leaf, max_size=4)),
     max_size=4,
 )
@@ -204,6 +204,8 @@ class TestConfigYaml:
     ))
     @example(data=b"seed: .inf\n")
     @example(data=b"encoder:\n  n_heads: 0\n")
+    @example(data=b"eval:\n  k: 1\n")
+    @example(data=b"eval:\n  k: true\n")
     def test_config(self, workdir, data):
         parses_or_raises(_load_and_build, _write(workdir / "cfg.yaml", data))
 

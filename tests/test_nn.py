@@ -139,14 +139,6 @@ class TestPrimitives:
         assert loss == pytest.approx(np.mean([s for s, _ in singles]))
         np.testing.assert_allclose(dl, np.stack([g for _, g in singles]) / 6, atol=1e-12)
 
-    def test_batched_cross_entropy_weights_select_rows(self):
-        logits = np.array([[5.0, 0.0], [0.0, 5.0]])
-        w = np.array([1.0, 0.0])
-        loss, dl = batched_cross_entropy(logits, [0, 0], weights=w)
-        only_first, _ = softmax_cross_entropy(logits[0], 0)
-        assert loss == pytest.approx(only_first)
-        np.testing.assert_allclose(dl[1], 0.0, atol=1e-12)
-
     def test_trunc_normal_clipped(self):
         x = trunc_normal((10000,), make_rng(3, "t"), std=0.02)
         assert x.dtype == np.float32

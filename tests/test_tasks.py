@@ -184,7 +184,7 @@ class TestTrainConfig:
 
     def test_bilstm_reads_any_length(self):
         cfg = BiLstmConfig(vocab_size=12)
-        assert cfg.max_len > 10**9 and "max_len" not in cfg.to_dict()
+        assert cfg.max_len > 10**9 and "max_len" not in dataclasses.asdict(cfg)
         assert tasks._seq_max_len(cfg, TrainConfig(max_len=64)) == 64
 
 
@@ -253,10 +253,10 @@ class TestPretrainRbtd:
             params["head_w"] = rng.normal(size=(hdim, n_classes)).astype(np.float32)
             params["head_b"] = np.zeros(n_classes, dtype=np.float32)
             # Centre the logits so that the argmax varies across samples.
-            first = _predict_logits(params, kind, model, cfg, seqs, batch_size=1, max_len=32)
+            first = _predict_logits(params, kind, model, cfg, seqs, max_len=32, max_tokens=1)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in first]).mean(axis=0)
-            single = _predict_logits(params, kind, model, cfg, seqs, batch_size=1, max_len=32)
-            batched = _predict_logits(params, kind, model, cfg, seqs, batch_size=5, max_len=32)
+            single = _predict_logits(params, kind, model, cfg, seqs, max_len=32, max_tokens=1)
+            batched = _predict_logits(params, kind, model, cfg, seqs, max_len=32)
             assert [len(np.atleast_2d(l)) for l in single] == rows_per_seq
             for a, b in zip(single, batched, strict=True):
                 np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-5)
@@ -434,7 +434,7 @@ class TestBatchedPrediction:
         for kind in ("overall", "fine"):
             params = dict(core, head_w=rng.normal(size=(16, 3)).astype(np.float32),
                           head_b=np.zeros(3, dtype=np.float32))
-            logits = _predict_logits(params, kind, model, cfg, seqs, batch_size=1, max_len=32)
+            logits = _predict_logits(params, kind, model, cfg, seqs, max_len=32, max_tokens=1)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in logits]).mean(axis=0)
             ckpts[kind] = Checkpoint(kind=kind, model=model, model_cfg=cfg, vocab=toy_vocab(),
                                      seed=0, params=params, n_classes=3, init_from=None)

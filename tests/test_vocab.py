@@ -48,7 +48,7 @@ class TestBuildVocab:
     def test_min_count_filters(self):
         corpus = [seq(["x", "y", "x"], [0, 0])]
         v = build_vocab(corpus, min_count=2)
-        assert "y" not in v and "x" in v
+        assert "y" not in v.word_to_id and "x" in v.word_to_id
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
