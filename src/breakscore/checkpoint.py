@@ -4,6 +4,11 @@ Layout: magic line `PBRK1`, one JSON metadata line (model kind, configs,
 vocabulary, seed, parameter name/shape table), then all parameters as
 little-endian float32 in the metadata's name order. Save/load round-trips
 byte-identically.
+
+The kind and the model config decide the network. `model` (the config's
+type), `n_classes` (the kind's) and the `params` table (network plus head)
+are written for the format and checked on load against `kind` + `model_cfg`,
+as is the vocabulary's size; a mismatch is a `DataError` naming the file.
 """
 from __future__ import annotations
 
@@ -21,8 +26,8 @@ from .vocab import Vocabulary
 
 MAGIC = b"PBRK1\n"
 
-KINDS = ("rbtd", "overall", "fine")
-MODELS = ("encoder", "bilstm")
+N_CLASSES = {"rbtd": 2, "overall": 3, "fine": 3}
+_MODEL_CONFIGS = {"encoder": EncoderConfig, "bilstm": BiLstmConfig}
 # Metadata field -> accepted JSON types.
 _META_TYPES = {
     "kind": str, "model": str, "model_cfg": dict, "vocab": list, "seed": int,
@@ -30,23 +35,34 @@ _META_TYPES = {
 }
 
 
+def param_shapes(kind: str, model_cfg) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter a `kind` checkpoint of this model
+    holds: the network's own, then its head's."""
+    n = N_CLASSES[kind]
+    return {**model_cfg.param_shapes(), "head_w": (model_cfg.hidden_dim, n), "head_b": (n,)}
+
+
 @dataclass
 class Checkpoint:
     kind: str                      # which task head the params carry
-    model: str                     # "encoder" or "bilstm"
     model_cfg: EncoderConfig | BiLstmConfig
     vocab: Vocabulary
     seed: int
     params: dict[str, np.ndarray]
-    n_classes: int
     init_from: str | None = None   # provenance of the encoder weights
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in N_CLASSES:
             raise DataError(f"unknown checkpoint kind {self.kind!r}")
-        if self.model not in MODELS:
-            raise DataError(f"unknown model {self.model!r}")
+
+    @property
+    def model(self) -> str:
+        return "encoder" if isinstance(self.model_cfg, EncoderConfig) else "bilstm"
+
+    @property
+    def n_classes(self) -> int:
+        return N_CLASSES[self.kind]
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
@@ -95,37 +111,36 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
             raise DataError(
                 f"{path}: checkpoint kind {meta['kind']!r}, expected {expect_kind!r}"
             )
-        params: dict[str, np.ndarray] = {}
+        cfg_type = _MODEL_CONFIGS.get(meta["model"])
+        if cfg_type is None:
+            raise DataError(f"{path}: unknown model {meta['model']!r}")
+        try:
+            ckpt = Checkpoint(
+                kind=meta["kind"],
+                model_cfg=cfg_type(**meta["model_cfg"]),
+                vocab=Vocabulary.from_lines(meta["vocab"]),
+                seed=meta["seed"],
+                params={},
+                init_from=meta["init_from"],
+                extra=meta["extra"],
+            )
+        except (AttributeError, TypeError, ValueError, BreakscoreError) as e:
+            raise DataError(f"{path}: bad metadata: {e}") from e
+        if ckpt.vocab.size != ckpt.model_cfg.vocab_size:
+            raise DataError(f"{path}: vocabulary of {ckpt.vocab.size} ids, but model_cfg "
+                            f"has vocab_size {ckpt.model_cfg.vocab_size}")
+        shapes = param_shapes(ckpt.kind, ckpt.model_cfg)
+        table = [[name, list(shapes[name])] for name in sorted(shapes)]
+        if meta["n_classes"] != ckpt.n_classes or meta["params"] != table:
+            raise DataError(f"{path}: n_classes or parameter table does not match a "
+                            f"{ckpt.kind} {ckpt.model} checkpoint of its model_cfg")
         remaining = os.fstat(f.fileno()).st_size - f.tell()
-        for entry in meta["params"]:
-            if not (
-                isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                and isinstance(entry[1], list)
-                and all(isinstance(d, int) and d >= 0 for d in entry[1])
-            ):
-                raise DataError(f"{path}: bad parameter table entry {entry!r}")
-            name, shape = entry
+        for name, shape in table:
             n_bytes = 4 * math.prod(shape)
             if n_bytes > remaining:   # checked before reading, so a huge shape allocates nothing
                 raise DataError(f"{path}: truncated parameter blob at {name!r}")
             remaining -= n_bytes
-            raw = f.read(n_bytes)
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            ckpt.params[name] = np.frombuffer(f.read(n_bytes), dtype="<f4").reshape(shape).copy()
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after parameter blob")
-
-    try:
-        cfg_cls = EncoderConfig if meta["model"] == "encoder" else BiLstmConfig
-        return Checkpoint(
-            kind=meta["kind"],
-            model=meta["model"],
-            model_cfg=cfg_cls(**meta["model_cfg"]),
-            vocab=Vocabulary.from_lines(meta["vocab"]),
-            seed=meta["seed"],
-            params=params,
-            n_classes=meta["n_classes"],
-            init_from=meta["init_from"],
-            extra=meta["extra"],
-        )
-    except (AttributeError, TypeError, ValueError, BreakscoreError) as e:
-        raise DataError(f"{path}: bad metadata: {e}") from e
+    return ckpt

@@ -179,12 +179,9 @@ def cmd_finetune(args) -> int:
     dataset = _read_samples(args.infile, tasks.read_rated, vocab)
     tcfg = cfg.build("train")
     init = load_checkpoint(args.init) if args.init else None
-    if args.model == "bilstm":
-        model_cfg = cfg.build("bilstm", vocab_size=vocab.size)
-    else:
-        model_cfg = cfg.build("encoder", vocab_size=vocab.size)
-    ckpt = tasks.finetune(dataset, init, tcfg, args.task, model=args.model, model_cfg=model_cfg,
-                          vocab=vocab)
+    # --model names the config section of the network to train.
+    model_cfg = cfg.build(args.model, vocab_size=vocab.size)
+    ckpt = tasks.finetune(dataset, init, tcfg, args.task, model_cfg, vocab)
     save_checkpoint(ckpt, args.out)
     _echo_config(cfg, args.out)
     log.info("fine-tuned %s (%s) -> %s", args.task, args.model, args.out)
@@ -213,13 +210,12 @@ def _against_ref_predictor(task, truth, refs_by_id):
     return predictor
 
 
-def make_trained_predictor(task, model, model_cfg, vocab, tcfg, init_ckpt):
+def make_trained_predictor(task, model_cfg, vocab, tcfg, init_ckpt):
     """train_fn for cross_validate over RatedSamples."""
 
     def train_fn(train_items, fold_seed):
         fold_tcfg = dataclasses.replace(tcfg, seed=int(fold_seed))
-        ckpt = tasks.finetune(train_items, init_ckpt, fold_tcfg, task, model=model,
-                              model_cfg=model_cfg, vocab=vocab)
+        ckpt = tasks.finetune(train_items, init_ckpt, fold_tcfg, task, model_cfg, vocab)
 
         def predictor(item: tasks.RatedSample):
             if task == "overall":
@@ -266,16 +262,13 @@ def cmd_eval(args) -> int:
     else:
         tcfg = cfg.build("train")
         if args.model == "bilstm":
-            model, model_cfg, init = "bilstm", cfg.build("bilstm", vocab_size=vocab.size), None
-            name = "Bi-LSTM"
+            model_cfg, init, name = cfg.build("bilstm", vocab_size=vocab.size), None, "Bi-LSTM"
         elif args.model == "scratch":
-            model, model_cfg, init = "encoder", cfg.build("encoder", vocab_size=vocab.size), None
-            name = "Scratch"
+            model_cfg, init, name = cfg.build("encoder", vocab_size=vocab.size), None, "Scratch"
         else:
             init = load_checkpoint(args.model, expect_kind="rbtd")
-            model, model_cfg = "encoder", init.model_cfg
-            name = "Break-Pretrained"
-        train_fn = make_trained_predictor(args.task, model, model_cfg, vocab, tcfg, init)
+            model_cfg, name = init.model_cfg, "Break-Pretrained"
+        train_fn = make_trained_predictor(args.task, model_cfg, vocab, tcfg, init)
 
     report = metrics.cross_validate(dataset, labels, train_fn, k=k, seed=cfg.seed)
     text = metrics.format_report(report, title=f"{name} / {args.task}")

@@ -16,7 +16,7 @@ from . import jsonl
 from .alignment import BreakClass
 from .exceptions import DataError
 from .rngs import make_rng
-from .vocab import BR_BASE_ID, is_break_id
+from .vocab import BR_BASE_ID, check_encoded, is_break_id
 
 LABEL_ORIGINAL = 0
 LABEL_CORRUPTED = 1
@@ -44,10 +44,7 @@ class LabeledSequence:
     edits: tuple[tuple[int, BreakClass, BreakClass], ...] = ()
 
     def __post_init__(self):
-        if len(self.ids) != len(self.break_mask):
-            raise DataError(f"sample {self.id!r}: ids/break_mask length mismatch")
-        if not all(isinstance(i, int) and i >= 0 for i in self.ids):
-            raise DataError(f"sample {self.id!r}: token ids must be non-negative integers")
+        check_encoded(self.id, self.ids, self.break_mask)
         if (self.label == LABEL_CORRUPTED) != bool(self.edits):
             raise DataError(f"sample {self.id!r}: label inconsistent with edit list")
         for pos, _, _ in self.edits:

@@ -15,20 +15,15 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: AdamState,
-    lr: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-4) -> None:
     """One in-place update; lazily initializes moments on first use."""
     state.t += 1
     t = state.t
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name, p in params.items():
         if name not in grads:
             raise DataError(f"missing gradient for parameter {name!r}")
@@ -39,8 +34,8 @@ def adam_step(
             )
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + _EPS)

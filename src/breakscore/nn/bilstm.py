@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DataError
-from .functional import trunc_normal
+from .functional import init_params
 
 
 @dataclass(frozen=True)
@@ -31,24 +31,32 @@ class BiLstmConfig:
     hidden_size: int = 128
 
     def __post_init__(self):
-        if self.hidden_size < 1:
-            raise DataError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        for name in ("vocab_size", "embed_dim", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def max_len(self) -> int:
         """A Bi-LSTM reads sequences of any length."""
         return sys.maxsize
 
+    @property
+    def hidden_dim(self) -> int:
+        """Width of each position's hidden state: both directions' h."""
+        return 2 * self.hidden_size
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every parameter, in initialization order; gates stack [i|f|g|o]."""
+        e, h = self.embed_dim, self.hidden_size
+        shapes = {"emb": (self.vocab_size, e)}
+        for d in ("fw", "bw"):
+            shapes.update({f"{d}_wx": (e, 4 * h), f"{d}_wh": (h, 4 * h), f"{d}_b": (4 * h,)})
+        return shapes
+
 
 def init_bilstm_params(cfg: BiLstmConfig, rng: np.random.Generator) -> dict:
-    """Gate weights stacked [i|f|g|o] along the last axis."""
-    e, h = cfg.embed_dim, cfg.hidden_size
-    p: dict[str, np.ndarray] = {"emb": trunc_normal((cfg.vocab_size, e), rng)}
-    for d in ("fw", "bw"):
-        p[f"{d}_wx"] = trunc_normal((e, 4 * h), rng)
-        p[f"{d}_wh"] = trunc_normal((h, 4 * h), rng)
-        p[f"{d}_b"] = np.zeros(4 * h, dtype=np.float32)
-    return p
+    """Truncated-normal(0.02) weights, zero biases."""
+    return init_params(cfg.param_shapes(), rng)
 
 
 def _steps(length: int, reverse: bool):

@@ -17,13 +17,13 @@ from .functional import (
     dropout_backward,
     gelu,
     gelu_backward,
+    init_params,
     layer_norm,
     layer_norm_backward,
     linear,
     linear_backward,
     softmax,
     softmax_backward,
-    trunc_normal,
 )
 
 _NEG_INF = -1.0e9
@@ -40,38 +40,41 @@ class EncoderConfig:
     dropout_prob: float = 0.1
 
     def __post_init__(self):
-        if self.n_heads < 1:
-            raise DataError(f"n_heads must be >= 1, got {self.n_heads}")
+        for name in ("vocab_size", "d_model", "n_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise DataError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
         if self.max_len < 2:
             raise DataError(f"max_len must be >= 2, got {self.max_len}")
+        if not 0.0 <= self.dropout_prob < 1.0:
+            raise DataError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
+
+    @property
+    def hidden_dim(self) -> int:
+        """Width of each position's hidden state."""
+        return self.d_model
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every encoder parameter, in initialization order."""
+        d, f = self.d_model, self.ffn_dim
+        shapes = {"tok_emb": (self.vocab_size, d), "pos_emb": (self.max_len, d)}
+        for i in range(self.n_layers):
+            pre = f"layer{i}."
+            for name in ("q", "k", "v", "o"):
+                shapes[pre + "w" + name], shapes[pre + "b" + name] = (d, d), (d,)
+            shapes.update({pre + "ln1_g": (d,), pre + "ln1_b": (d,), pre + "ffn_w1": (d, f),
+                           pre + "ffn_b1": (f,), pre + "ffn_w2": (f, d), pre + "ffn_b2": (d,),
+                           pre + "ln2_g": (d,), pre + "ln2_b": (d,)})
+        shapes.update(lnf_g=(d,), lnf_b=(d,))
+        return shapes
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
     """Truncated-normal(0.02) weights, zero biases, unit layer-norm gains."""
-    d, f = cfg.d_model, cfg.ffn_dim
-    p: dict[str, np.ndarray] = {}
-    p["tok_emb"] = trunc_normal((cfg.vocab_size, d), rng)
-    p["pos_emb"] = trunc_normal((cfg.max_len, d), rng)
-    for i in range(cfg.n_layers):
-        pre = f"layer{i}."
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pre + name] = trunc_normal((d, d), rng)
-            p[pre + name.replace("w", "b")] = np.zeros(d, dtype=np.float32)
-        p[pre + "ln1_g"] = np.ones(d, dtype=np.float32)
-        p[pre + "ln1_b"] = np.zeros(d, dtype=np.float32)
-        p[pre + "ffn_w1"] = trunc_normal((d, f), rng)
-        p[pre + "ffn_b1"] = np.zeros(f, dtype=np.float32)
-        p[pre + "ffn_w2"] = trunc_normal((f, d), rng)
-        p[pre + "ffn_b2"] = np.zeros(d, dtype=np.float32)
-        p[pre + "ln2_g"] = np.ones(d, dtype=np.float32)
-        p[pre + "ln2_b"] = np.zeros(d, dtype=np.float32)
-    p["lnf_g"] = np.ones(d, dtype=np.float32)
-    p["lnf_b"] = np.zeros(d, dtype=np.float32)
-    return p
+    return init_params(cfg.param_shapes(), rng)
 
 
 def _split_heads(x, n_heads):

@@ -10,10 +10,20 @@ import numpy as np
 from ..exceptions import DataError
 
 
-def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02, dtype=np.float32):
-    """Normal(0, std) clipped to +/- 2 std."""
+def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02):
+    """Normal(0, std) clipped to +/- 2 std, as float32."""
     x = rng.normal(0.0, std, size=shape)
-    return np.clip(x, -2.0 * std, 2.0 * std).astype(dtype)
+    return np.clip(x, -2.0 * std, 2.0 * std).astype(np.float32)
+
+
+def init_params(shapes: dict, rng: np.random.Generator) -> dict:
+    """float32 parameters of a name -> shape table, in its order: truncated-normal
+    matrices (the only draws from `rng`), unit gains (`*_g`) and zero biases."""
+    return {
+        name: trunc_normal(shape, rng) if len(shape) == 2
+        else (np.ones if name.endswith("_g") else np.zeros)(shape, dtype=np.float32)
+        for name, shape in shapes.items()
+    }
 
 
 # -- linear ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonl, metrics
-from .checkpoint import Checkpoint
+from .checkpoint import N_CLASSES, Checkpoint, param_shapes
 from .corruption import LABEL_CORRUPTED, LabeledSequence
 from .exceptions import DataError, NumericError
 from .nn import (
@@ -27,10 +27,10 @@ from .nn import (
     encoder_backward,
     encoder_forward,
 )
-from .nn.functional import batched_cross_entropy, softmax, trunc_normal
+from .nn.functional import batched_cross_entropy, init_params, softmax
 from .rngs import make_rng
 from .ranks import Rank, class_to_rank, rank_to_class
-from .vocab import PAD_ID
+from .vocab import PAD_ID, check_encoded
 
 log = logging.getLogger(__name__)
 
@@ -61,10 +61,7 @@ class RatedSample:
     fine: tuple[Rank, ...] | None = None
 
     def __post_init__(self):
-        if len(self.ids) != len(self.break_mask):
-            raise DataError(f"sample {self.id!r}: ids/break_mask length mismatch")
-        if not all(isinstance(i, int) and i >= 0 for i in self.ids):
-            raise DataError(f"sample {self.id!r}: token ids must be non-negative integers")
+        check_encoded(self.id, self.ids, self.break_mask)
         if self.fine is not None and len(self.fine) != sum(self.break_mask):
             raise DataError(
                 f"sample {self.id!r}: {len(self.fine)} fine labels for "
@@ -152,9 +149,7 @@ def _token_batches(seqs: list[tuple], max_len: int, max_tokens: int = PREDICT_TO
 
 
 # -- model plumbing ----------------------------------------------------------
-
-_N_CLASSES = {"rbtd": 2, "overall": 3, "fine": 3}
-
+# The model config's type picks the network: the encoder or the Bi-LSTM.
 
 def _seq_max_len(cfg, tcfg: TrainConfig) -> int:
     """Tokens a model reads per sequence: the training cut, and no more than
@@ -162,39 +157,35 @@ def _seq_max_len(cfg, tcfg: TrainConfig) -> int:
     return min(tcfg.max_len, cfg.max_len)
 
 
-def _hidden_dim(model: str, cfg) -> int:
-    return cfg.d_model if model == "encoder" else 2 * cfg.hidden_size
-
-
-def _forward(model, params, cfg, ids, pad_mask, train=False, dropout_rng=None):
-    if model == "encoder":
+def _forward(params, cfg, ids, pad_mask, train=False, dropout_rng=None):
+    if isinstance(cfg, EncoderConfig):
         return encoder_forward(ids, pad_mask, params, cfg, train=train, dropout_rng=dropout_rng)
     return bilstm_forward(ids, pad_mask, params, cfg)
 
 
-def _backward(model, params, dhidden, cache):
-    if model == "encoder":
+def _backward(params, cfg, dhidden, cache):
+    if isinstance(cfg, EncoderConfig):
         return encoder_backward(dhidden, cache)
     return bilstm_backward(dhidden, params, cache)
 
 
-def _head_rows(kind, model, hidden, pad_mask, break_mask):
+def _head_rows(kind, cfg, hidden, pad_mask, break_mask):
     """The hidden states a head reads: one per break position ("fine"), else one
     per sequence, the CLS state (encoder) or the masked mean (BiLSTM)."""
     if kind == "fine":
         return hidden[np.nonzero(break_mask)]
-    if model == "encoder":
+    if isinstance(cfg, EncoderConfig):
         return hidden[:, 0, :]
     m = pad_mask.astype(hidden.dtype)
     return (hidden * m[:, :, None]).sum(axis=1) / m.sum(axis=1)[:, None]
 
 
-def _head_rows_backward(kind, model, drows, hidden, pad_mask, break_mask):
+def _head_rows_backward(kind, cfg, drows, hidden, pad_mask, break_mask):
     """Scatter the gradient of `_head_rows` back onto the hidden states."""
     dhidden = np.zeros_like(hidden)
     if kind == "fine":
         dhidden[np.nonzero(break_mask)] = drows
-    elif model == "encoder":
+    elif isinstance(cfg, EncoderConfig):
         dhidden[:, 0, :] = drows
     else:
         m = pad_mask.astype(hidden.dtype)
@@ -202,15 +193,7 @@ def _head_rows_backward(kind, model, drows, hidden, pad_mask, break_mask):
     return dhidden
 
 
-def _init_model_params(model, cfg, rng):
-    from .nn import init_bilstm_params, init_encoder_params
-
-    return init_encoder_params(cfg, rng) if model == "encoder" else init_bilstm_params(cfg, rng)
-
-
-def _check_init_compat(init: Checkpoint, model: str, cfg, vocab) -> None:
-    if init.model != model:
-        raise DataError(f"init checkpoint is a {init.model!r} model, requested {model!r}")
+def _check_init_compat(init: Checkpoint, cfg, vocab) -> None:
     if init.model_cfg != cfg:
         raise DataError("init checkpoint model config does not match requested config")
     if init.vocab.word_to_id != vocab.word_to_id:
@@ -222,7 +205,6 @@ def _check_init_compat(init: Checkpoint, model: str, cfg, vocab) -> None:
 def _train(
     samples: list[tuple],          # (ids, break_mask, target classes)
     kind: str,
-    model: str,
     cfg,
     tcfg: TrainConfig,
     init_core: dict | None = None,
@@ -232,15 +214,10 @@ def _train(
     A sample's targets are one class ("rbtd", "overall") or one per break
     ("fine"). Returns (params incl. head, per-epoch mean losses).
     """
-    n_classes = _N_CLASSES[kind]
-    init_rng = make_rng(tcfg.seed, kind + "-init")
-    params = (
-        {k: v.copy() for k, v in init_core.items()}
-        if init_core is not None
-        else _init_model_params(model, cfg, init_rng)
-    )
-    params["head_w"] = trunc_normal((_hidden_dim(model, cfg), n_classes), init_rng)
-    params["head_b"] = np.zeros(n_classes, dtype=np.float32)
+    # What init_core does not give is drawn in table order: network, then head.
+    params = {k: v.copy() for k, v in (init_core or {}).items()}
+    new = {k: s for k, s in param_shapes(kind, cfg).items() if k not in params}
+    params.update(init_params(new, make_rng(tcfg.seed, kind + "-init")))
 
     max_len = _seq_max_len(cfg, tcfg)
     n_cut = sum(len(s[0]) > max_len for s in samples)
@@ -272,10 +249,8 @@ def _train(
             ids, pad_mask, break_mask = _pad_batch(
                 [(samples[i][0], samples[i][1]) for i in batch], max_len
             )
-            hidden, cache = _forward(
-                model, params, cfg, ids, pad_mask, train=True, dropout_rng=drop_rng
-            )
-            rows = _head_rows(kind, model, hidden, pad_mask, break_mask)
+            hidden, cache = _forward(params, cfg, ids, pad_mask, train=True, dropout_rng=drop_rng)
+            rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
             if len(rows) != len(batch_targets):
                 raise DataError(
                     f"{len(batch_targets)} {kind} labels for {len(rows)} head positions"
@@ -287,15 +262,15 @@ def _train(
             losses.append(loss)
             grads = {"head_w": rows.T @ dlogits, "head_b": dlogits.sum(axis=0)}
             dhidden = _head_rows_backward(
-                kind, model, dlogits @ params["head_w"].T, hidden, pad_mask, break_mask
+                kind, cfg, dlogits @ params["head_w"].T, hidden, pad_mask, break_mask
             )
-            grads.update(_backward(model, params, dhidden, cache))
+            grads.update(_backward(params, cfg, dhidden, cache))
             adam_step(params, grads, state, lr=tcfg.lr)
         epoch_losses.append(float(np.mean(losses)))
     return params, epoch_losses
 
 
-def _predict_logits(params, kind, model, cfg, seqs: list[tuple], max_len: int,
+def _predict_logits(params, kind, cfg, seqs: list[tuple], max_len: int,
                     max_tokens: int = PREDICT_TOKENS):
     """Head logits of each (ids, break_mask), in input order: one [n_classes]
     array per sample, or one [n_breaks, n_classes] array for the "fine" head.
@@ -303,8 +278,8 @@ def _predict_logits(params, kind, model, cfg, seqs: list[tuple], max_len: int,
     out = [None] * len(seqs)
     for batch in _token_batches(seqs, max_len, max_tokens):
         ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch], max_len)
-        hidden, _ = _forward(model, params, cfg, ids, pad_mask)
-        rows = _head_rows(kind, model, hidden, pad_mask, break_mask)
+        hidden, _ = _forward(params, cfg, ids, pad_mask)
+        rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
         logits = rows @ params["head_w"] + params["head_b"]
         if kind == "fine":
             logits = np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1])
@@ -341,14 +316,15 @@ def pretrain_rbtd(
     held = [dataset[i] for i in sorted(hold_idx)]
 
     samples = [(s.ids, s.break_mask, [s.label]) for s in train]
-    params, epoch_losses = _train(samples, "rbtd", "encoder", enc_cfg, tcfg)
+    params, epoch_losses = _train(samples, "rbtd", enc_cfg, tcfg)
 
     logits = _predict_logits(
-        params, "rbtd", "encoder", enc_cfg, [(s.ids, s.break_mask) for s in held],
+        params, "rbtd", enc_cfg, [(s.ids, s.break_mask) for s in held],
         _seq_max_len(enc_cfg, tcfg),
     )
     cm = metrics.ConfusionMatrix.from_pairs(
-        [s.label for s in held], [int(np.argmax(row)) for row in logits], n_classes=2
+        [s.label for s in held], [int(np.argmax(row)) for row in logits],
+        n_classes=N_CLASSES["rbtd"],
     )
     held_metrics = metrics.compute_metrics(cm)
     report = {
@@ -359,12 +335,10 @@ def pretrain_rbtd(
     }
     ckpt = Checkpoint(
         kind="rbtd",
-        model="encoder",
         model_cfg=enc_cfg,
         vocab=vocab,
         seed=tcfg.seed,
         params=params,
-        n_classes=2,
         init_from=None,
         extra={"report": report},
     )
@@ -376,19 +350,18 @@ def finetune(
     init: Checkpoint | None,
     tcfg: TrainConfig,
     task: str,
-    model: str = "encoder",
-    model_cfg=None,
-    vocab=None,
+    model_cfg,
+    vocab,
 ) -> Checkpoint:
-    """3-class "overall" sequence classifier or "fine" per-break labeler; full
-    fine-tuning when `init` is given."""
+    """3-class "overall" sequence classifier or "fine" per-break labeler of the
+    network `model_cfg` configures; full fine-tuning when `init` is given."""
     if task not in ("overall", "fine"):
         raise DataError(f"unknown fine-tuning task {task!r}")
     labels = [getattr(s, task) for s in dataset]
     if any(lab is None for lab in labels):
         raise DataError(f"fine-tuning the {task!r} head needs {task} labels on every sample")
     if init is not None:
-        _check_init_compat(init, model, model_cfg, vocab)
+        _check_init_compat(init, model_cfg, vocab)
         init_core = {k: v for k, v in init.params.items() if not k.startswith("head_")}
     else:
         init_core = None
@@ -396,15 +369,13 @@ def finetune(
         (s.ids, s.break_mask, [rank_to_class(r) for r in (lab if task == "fine" else [lab])])
         for s, lab in zip(dataset, labels)
     ]
-    params, epoch_losses = _train(samples, task, model, model_cfg, tcfg, init_core)
+    params, epoch_losses = _train(samples, task, model_cfg, tcfg, init_core)
     return Checkpoint(
         kind=task,
-        model=model,
         model_cfg=model_cfg,
         vocab=vocab,
         seed=tcfg.seed,
         params=params,
-        n_classes=_N_CLASSES[task],
         init_from=init.kind if init is not None else None,
         extra={"epoch_losses": epoch_losses},
     )
@@ -423,8 +394,7 @@ def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.n
             f"sample ids exceed checkpoint vocabulary (size {vocab_size}); "
             "was it encoded with a different vocabulary?"
         )
-    return _predict_logits(ckpt.params, kind, ckpt.model, ckpt.model_cfg, seqs,
-                           ckpt.model_cfg.max_len)
+    return _predict_logits(ckpt.params, kind, ckpt.model_cfg, seqs, ckpt.model_cfg.max_len)
 
 
 def _ranks(logits: np.ndarray) -> list[Rank]:

@@ -98,21 +98,27 @@ class Vocabulary:
         return cls(word_to_id=word_to_id, counts=counts)
 
 
-def build_vocab(corpus: list[TokenSequence], min_count: int = 1) -> Vocabulary:
-    """Count words over the corpus; keep those with frequency >= min_count."""
-    if min_count < 1:
-        raise DataError(f"min_count must be >= 1, got {min_count}")
+def build_vocab(corpus: list[TokenSequence]) -> Vocabulary:
+    """Every word of the corpus, counted."""
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
     freq = Counter()
     for seq in corpus:
         freq.update(seq.words)
-    kept = sorted(
-        (w for w, c in freq.items() if c >= min_count),
-        key=lambda w: (-freq[w], w),
-    )
+    kept = sorted(freq, key=lambda w: (-freq[w], w))
     word_to_id = {w: FIRST_WORD_ID + i for i, w in enumerate(kept)}
     return Vocabulary(word_to_id=word_to_id, counts={w: freq[w] for w in kept})
+
+
+def check_encoded(sample_id, ids, break_mask) -> None:
+    """A dataset record's tokens: at least one, each a non-negative int (not
+    a bool) id with a mask flag."""
+    if not ids:
+        raise DataError(f"sample {sample_id!r}: ids holds no token")
+    if len(ids) != len(break_mask):
+        raise DataError(f"sample {sample_id!r}: ids/break_mask length mismatch")
+    if not all(type(i) is int and i >= 0 for i in ids):
+        raise DataError(f"sample {sample_id!r}: token ids must be non-negative integers")
 
 
 def encode(

@@ -303,12 +303,12 @@ def test_pretraining_transfer(pretrain_bundle):
         batch_size=TRANSFER_BATCH, epochs=TRANSFER_EPOCHS, lr=TRANSFER_LR, seed=SEED
     )
     scores = {}
-    for name, model, mcfg, init in (
-        ("rbtd", "encoder", b["enc_cfg"], b["ckpt"]),
-        ("scratch", "encoder", b["enc_cfg"], None),
-        ("bilstm", "bilstm", BiLstmConfig(vocab_size=b["vocab"].size), None),
+    for name, mcfg, init in (
+        ("rbtd", b["enc_cfg"], b["ckpt"]),
+        ("scratch", b["enc_cfg"], None),
+        ("bilstm", BiLstmConfig(vocab_size=b["vocab"].size), None),
     ):
-        fn = make_trained_predictor("fine", model, mcfg, b["vocab"], tcfg, init)
+        fn = make_trained_predictor("fine", mcfg, b["vocab"], tcfg, init)
         agg = metrics.cross_validate(rated, labels, fn, k=5, seed=SEED)
         scores[name] = agg["macro_f1"]["mean"]
     elapsed = time.time() - t0
@@ -370,7 +370,7 @@ def test_diverse_pattern_failure_mode():
     ckpt, _ = tasks.pretrain_rbtd(pre, TrainConfig(epochs=3, seed=SEED), enc_cfg, vocab)
     ov = tasks.finetune(
         train, ckpt, TrainConfig(batch_size=16, epochs=10, lr=1e-4, seed=SEED), "overall",
-        model="encoder", model_cfg=enc_cfg, vocab=vocab,
+        model_cfg=enc_cfg, vocab=vocab,
     )
     model_pairs = [
         (esl_by_id[item.id].overall, tasks.predict_overall(ov, item.ids, item.break_mask)[0])

@@ -5,35 +5,50 @@ import os
 import numpy as np
 import pytest
 
-from breakscore.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from breakscore.checkpoint import MAGIC, N_CLASSES, Checkpoint, load_checkpoint, save_checkpoint
 from breakscore.exceptions import DataError
-from breakscore.nn import BiLstmConfig, EncoderConfig
+from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
+from breakscore.rngs import make_rng
 from breakscore.vocab import Vocabulary
 
 
 def make_ckpt(kind="rbtd", model="encoder"):
+    """A checkpoint holding the parameters its config and kind imply."""
+    if model == "encoder":
+        cfg = EncoderConfig(vocab_size=10, d_model=8, n_heads=2, ffn_dim=16, max_len=8)
+        params = init_encoder_params(cfg, make_rng(0, "init"))
+    else:
+        cfg = BiLstmConfig(vocab_size=10, embed_dim=4, hidden_size=3)
+        params = init_bilstm_params(cfg, make_rng(0, "init"))
+    n_classes = N_CLASSES.get(kind, 3)
     rng = np.random.default_rng(0)
-    params = {
-        "b": rng.normal(size=(3, 4)).astype(np.float32),
-        "a": rng.normal(size=(5,)).astype(np.float32),
-        "head.w": rng.normal(size=(4, 2)).astype(np.float32),
-    }
-    cfg = (
-        EncoderConfig(vocab_size=10, d_model=8, n_heads=2, ffn_dim=16)
-        if model == "encoder"
-        else BiLstmConfig(vocab_size=10)
-    )
+    params["head_w"] = rng.normal(size=(cfg.hidden_dim, n_classes)).astype(np.float32)
+    params["head_b"] = rng.normal(size=n_classes).astype(np.float32)
     return Checkpoint(
         kind=kind,
-        model=model,
         model_cfg=cfg,
         vocab=Vocabulary(word_to_id={"fox": 8, "runs": 9}, counts={"fox": 2, "runs": 1}),
         seed=42,
         params=params,
-        n_classes=2,
         init_from=None,
         extra={"note": 1},
     )
+
+
+# Edits to an overall encoder checkpoint that leave a well-formed file whose
+# stored model, class count or parameter table disagree with its kind and
+# model_cfg.
+UNDERIVABLE = {
+    "n_classes": lambda m, p: m.update(n_classes=2),
+    "missing-param": lambda m, p: p.pop("lnf_g"),
+    "extra-param": lambda m, p: p.update(spare=np.zeros(3, np.float32)),
+    "head_w-shape": lambda m, p: p.update(head_w=np.zeros((8, 2), np.float32)),
+    "short-tok_emb": lambda m, p: p.update(tok_emb=p["tok_emb"][:-1]),
+    "d_model": lambda m, p: m["model_cfg"].update(d_model=4),
+    "unknown-model": lambda m, p: m.update(model="transformer"),
+    "vocab_size": lambda m, p: (m["model_cfg"].update(vocab_size=9),
+                                p.update(tok_emb=p["tok_emb"][:-1])),
+}
 
 
 class TestRoundTrip:
@@ -127,6 +142,47 @@ class TestCorruptionDetection:
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(DataError):
             make_ckpt(kind="mystery")
+
+
+class TestDerivedMetadata:
+    """`model`, `n_classes` and the parameter table are written for the
+    format; on load they must match what `kind` and `model_cfg` imply."""
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    @pytest.mark.parametrize("kind", sorted(N_CLASSES))
+    def test_model_and_class_count_come_from_config_and_kind(self, tmp_path, kind, model):
+        path = str(tmp_path / "m.pbrk")
+        save_checkpoint(make_ckpt(kind=kind, model=model), path)
+        with open(path, "rb") as f:
+            f.readline()
+            meta = json.loads(f.readline())
+        assert (meta["model"], meta["n_classes"]) == (model, N_CLASSES[kind])
+        got = load_checkpoint(path)
+        assert (got.model, got.n_classes) == (model, N_CLASSES[kind])
+
+    @pytest.mark.parametrize("edit", list(UNDERIVABLE.values()), ids=list(UNDERIVABLE))
+    def test_mismatch_is_a_data_error_naming_path(self, tmp_path, rewrite_checkpoint, edit):
+        path = str(tmp_path / "m.pbrk")
+        save_checkpoint(make_ckpt(kind="overall"), path)
+        load_checkpoint(path)
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(DataError, match="m.pbrk"):
+            load_checkpoint(path)
+
+    def test_huge_derived_shape_allocates_nothing(self, tmp_path):
+        path = str(tmp_path / "m.pbrk")
+        save_checkpoint(make_ckpt(), path)
+        with open(path, "rb") as f:
+            f.readline()
+            meta, blob = json.loads(f.readline()), f.read()
+        # A consistent table for a 2**40-row position embedding: only the
+        # blob's size can refuse it, before anything is read.
+        meta["model_cfg"]["max_len"] = 2**40
+        meta["params"] = [[n, [2**40, 8] if n == "pos_emb" else s] for n, s in meta["params"]]
+        with open(path, "wb") as f:
+            f.write(MAGIC + json.dumps(meta).encode() + b"\n" + blob)
+        with pytest.raises(DataError, match="truncated parameter blob at 'pos_emb'"):
+            load_checkpoint(path)
 
 
 class TestAtomicity:

@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -349,6 +350,9 @@ _BAD_LINE_2 = {
     "rated-mask-type": (lambda p, bad: ("eval", "--task", "overall", "--in", bad,
                                         "--vocab", p["vocab"], "--model", "bilstm"),
                         "esl", '{"id":"b","ids":[2,8,4],"break_mask":[0,1,0],"overall":1}\n'),
+    "rated-ids-type": (lambda p, bad: ("eval", "--task", "overall", "--in", bad,
+                                       "--vocab", p["vocab"], "--model", "bilstm"),
+                       "esl", '{"id":"b","ids":[2,true],"break_mask":[false,false],"overall":1}\n'),
     "labeled": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
                                 "--out", str(p["root"] / "x.pbrk")),
                 "pretrain",
@@ -444,6 +448,29 @@ class TestBadInputFiles:
                    "--out", out) == 2
         assert f"{out}: output directory {tmp_path / 'missing'} does not exist" in caplog.text
 
+    @pytest.mark.parametrize("command, model", [
+        ("finetune", "encoder"), ("finetune", "bilstm"), ("pretrain", None),
+    ], ids=["finetune-encoder", "finetune-bilstm", "pretrain"])
+    def test_record_without_tokens_names_file_and_line(self, pipeline, tmp_path, caplog,
+                                                       command, model):
+        # A record whose ids hold no token, after good ones. At batch size 1
+        # it would be a batch of its own, with nothing to pad.
+        if command == "finetune":
+            good = open(pipeline["esl"]).readlines()[:3]
+            empty = '{"id":"e","ids":[],"break_mask":[],"overall":2,"fine":[]}\n'
+            argv = ("--task", "overall", "--model", model, "--batch-size", "1")
+        else:
+            good = open(pipeline["pretrain"]).readlines()
+            empty = '{"id":"e","ids":[],"break_mask":[],"label":0,"edits":[]}\n'
+            argv = ()
+        bad = tmp_path / "empty_ids.jsonl"
+        bad.write_text("".join(good) + empty)
+        caplog.clear()
+        assert run(command, "--config", pipeline["cfg"], "--in", str(bad),
+                   "--vocab", pipeline["vocab"], "--out", str(tmp_path / "x.pbrk"), *argv) == 2
+        assert f"{bad}: line {len(good) + 1}: " in caplog.text
+        assert "ids holds no token" in caplog.text
+
     @pytest.mark.parametrize("argv, config", [
         (("--lr", "nan"), ""), (("--lr", "0"), ""), (("--lr", "inf"), ""),
         ((), "train:\n  max_len: 0\n"), ((), "train:\n  max_len: 1\n"),
@@ -457,6 +484,25 @@ class TestBadInputFiles:
                    "--vocab", pipeline["vocab"], "--out", str(out), *argv) == 2
         assert not out.exists()
         assert ("lr must be" if argv else "max_len must be") in caplog.text
+
+
+    @pytest.mark.parametrize("model, config, message", [
+        ("encoder", "encoder:\n  d_model: -4\n  n_heads: 2\n", "d_model must be >= 1"),
+        ("encoder", "encoder:\n  ffn_dim: 0\n", "ffn_dim must be >= 1"),
+        ("encoder", "encoder:\n  dropout_prob: 1.0\n", "dropout_prob must be in [0, 1)"),
+        ("encoder", "encoder:\n  dropout_prob: -0.5\n", "dropout_prob must be in [0, 1)"),
+        ("bilstm", "bilstm:\n  embed_dim: -1\n", "embed_dim must be >= 1"),
+    ], ids=["encoder-d_model", "encoder-ffn_dim", "encoder-dropout-1", "encoder-dropout-neg",
+            "bilstm-embed_dim"])
+    def test_bad_model_setting_exits_2_before_training(self, pipeline, tmp_path, caplog,
+                                                       model, config, message):
+        # At the parent each of these raised, exited 3 or trained on nonsense.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(config)
+        assert run("finetune", "--config", str(cfg), "--task", "overall", "--model", model,
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                   "--out", str(tmp_path / "x.pbrk")) == 2
+        assert message in caplog.text
 
 
 class TestScoreChecks:
@@ -498,6 +544,28 @@ class TestScoreChecks:
         assert run("score", "--fine-ckpt", fine, "--align", str(ctm)) == 2
         assert capsys.readouterr().out == ""
         assert f"{ctm}: line {line}: " in caplog.text
+
+    @pytest.mark.parametrize("edit", [
+        lambda m, p: m.update(n_classes=2),
+        lambda m, p: p.pop("lnf_g"),
+        lambda m, p: p.update(tok_emb=p["tok_emb"][:4]),
+        lambda m, p: m["model_cfg"].update(d_model=8),
+        lambda m, p: m.update(model="transformer"),
+    ], ids=["n_classes", "missing-param", "short-tok_emb", "d_model", "unknown-model"])
+    def test_checkpoint_that_disagrees_with_its_config_exits_2(
+            self, score_ckpts, tmp_path, capsys, caplog, rewrite_checkpoint, edit):
+        # Each file is well formed; only its kind and model_cfg show it is wrong.
+        bad = tmp_path / "overall.pbrk"
+        shutil.copy(score_ckpts["encoder-overall"], bad)
+        rewrite_checkpoint(str(bad), edit)
+        ctm = tmp_path / "a.ctm"
+        ctm.write_text(CTM)
+        capsys.readouterr()
+        caplog.clear()
+        assert run("score", "--overall-ckpt", str(bad), "--fine-ckpt",
+                   score_ckpts["encoder-fine"], "--align", str(ctm)) == 2
+        assert capsys.readouterr().out == ""
+        assert str(bad) in caplog.text
 
     def test_programming_fault_in_a_fold_propagates(self, pipeline, monkeypatch):
         # Only a BreakscoreError maps to an exit code; anything else is a bug
@@ -571,9 +639,9 @@ class TestBatchedScore:
         forwards = []
         real_forward = tasks._forward
 
-        def counting_forward(model, params, cfg, ids, pad_mask, **kwargs):
+        def counting_forward(params, cfg, ids, pad_mask, **kwargs):
             forwards.append(ids.shape[0])
-            return real_forward(model, params, cfg, ids, pad_mask, **kwargs)
+            return real_forward(params, cfg, ids, pad_mask, **kwargs)
 
         monkeypatch.setattr(tasks, "_forward", counting_forward)
         whole = tmp_path / "all.ctm"

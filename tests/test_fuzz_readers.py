@@ -5,9 +5,14 @@ The property is the exit-code contract: any input either parses or raises a
 `BreakscoreError`, never another exception; an alignment reader gives only
 finite word times; a JSONL reader raises a
 `ParseError` that names the line, and each line it accepts holds the JSON
-types its record declares: no `bool(x)` coercion of a break mask, and no
-string id or word that is not a JSON string. Inputs mix raw text with records close to
-valid ones, so both the tokenizer and the field checks are reached.
+types its record declares: no `bool(x)` coercion of a break mask, no
+string id or word that is not a JSON string, and no dataset record without a
+token or with a token id that is not a JSON integer. Inputs mix raw text with
+records close to valid ones, so both the tokenizer and the field checks are
+reached.
+
+`TestCliContract` then drives `cli.main` itself on such inputs: `finetune`
+and `eval` on fuzzed rated JSONL, and `score` on fuzzed checkpoint bytes.
 """
 import dataclasses
 import io
@@ -19,11 +24,12 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from breakscore import alignment, corruption, tasks
-from breakscore.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from breakscore import alignment, cli, corruption, tasks
+from breakscore.checkpoint import MAGIC, N_CLASSES, Checkpoint, load_checkpoint, save_checkpoint
 from breakscore.config import _SECTION_TYPES, load_config
 from breakscore.exceptions import BreakscoreError, ParseError
-from breakscore.nn import EncoderConfig
+from breakscore.nn import EncoderConfig, init_encoder_params
+from breakscore.rngs import make_rng
 from breakscore.vocab import RESERVED_TOKENS, Vocabulary
 
 fuzz = settings(max_examples=200, deadline=None)
@@ -132,9 +138,12 @@ class TestTextReaders:
     @example('{"id":"a","ids":[1,2],"break_mask":[false,true],"label":1,"edits":[[5,1,2]]}')
     @example('{"id":"a","ids":[1,2],"break_mask":[false,true],"label":1,"edits":[[-2,1,2]]}')
     @example('{"id":"a","ids":[2,8,4,9],"break_mask":[0,"no",1,0],"label":0,"edits":[]}')
+    @example('{"id":"a","ids":[],"break_mask":[],"label":0,"edits":[]}')
+    @example('{"id":"a","ids":[true,8],"break_mask":[false,false],"label":0,"edits":[]}')
     def test_labeled_jsonl(self, text):
         for obj in parses_or_rejects_a_line(corruption.read_labeled, text):
             assert is_array_of(obj["break_mask"], bool), obj
+            assert obj["ids"] and is_array_of(obj["ids"], int), obj
 
     @fuzz
     @given(records({
@@ -145,9 +154,12 @@ class TestTextReaders:
         "fine": classes,
     }))
     @example('{"id":"a","ids":[2,8,4,9],"break_mask":[0,"no",1,0]}')
+    @example('{"id":"a","ids":[],"break_mask":[],"fine":[]}')
+    @example('{"id":"a","ids":[2,true],"break_mask":[false,false]}')
     def test_rated_jsonl(self, text):
         for obj in parses_or_rejects_a_line(tasks.read_rated, text):
             assert is_array_of(obj["break_mask"], bool), obj
+            assert obj["ids"] and is_array_of(obj["ids"], int), obj
 
     @fuzz
     @given(lines(st.tuples(
@@ -210,13 +222,17 @@ class TestConfigYaml:
         parses_or_raises(_load_and_build, _write(workdir / "cfg.yaml", data))
 
 
-def _valid_checkpoint_bytes(path) -> bytes:
+def _valid_checkpoint_bytes(path, kind="fine") -> bytes:
+    """A tiny encoder checkpoint of `kind` with the parameters its config implies."""
     cfg = EncoderConfig(vocab_size=10, d_model=4, n_heads=2, n_layers=1, ffn_dim=8, max_len=8)
-    params = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(2, np.float32)}
+    params = init_encoder_params(cfg, make_rng(3, "init"))
+    n_classes = N_CLASSES[kind]
+    params["head_w"] = np.arange(4 * n_classes, dtype=np.float32).reshape(4, n_classes)
+    params["head_b"] = np.ones(n_classes, np.float32)
     save_checkpoint(Checkpoint(
-        kind="fine", model="encoder", model_cfg=cfg,
+        kind=kind, model_cfg=cfg,
         vocab=Vocabulary(word_to_id={"fox": 8, "the": 9}, counts={"fox": 1}),
-        seed=3, params=params, n_classes=3,
+        seed=3, params=params,
     ), str(path))
     with open(path, "rb") as f:
         return f.read()
@@ -246,7 +262,7 @@ def checkpoint_bytes(draw, valid: bytes):
                 st.sampled_from(sorted(meta[key]) + ["hidden_size", "bogus"]),
                 st.integers(-1, 4) | json_leaf, max_size=7))
         else:
-            meta[key] = draw(json_any)
+            meta[key] = draw(st.sampled_from(["encoder", "bilstm"]) | st.integers(-1, 4) | json_any)
     return MAGIC + json.dumps(meta).encode("utf-8") + b"\n" + blob
 
 
@@ -257,7 +273,7 @@ class TestCheckpointBytes:
 
     def test_valid_bytes_load(self, workdir, valid):
         ckpt = load_checkpoint(_write(workdir / "copy.pbrk", valid))
-        assert ckpt.kind == "fine" and ckpt.params["a"].shape == (2, 3)
+        assert ckpt.kind == "fine" and ckpt.params["head_w"].shape == (4, 3)
 
     @fuzz
     @given(data=st.data())
@@ -272,3 +288,80 @@ class TestCheckpointBytes:
         path = _write(workdir / "zero_heads.pbrk", MAGIC + json.dumps(meta).encode() + b"\n" + blob)
         with pytest.raises(BreakscoreError, match="n_heads"):
             load_checkpoint(path)
+
+
+# -- the CLI's exit-code contract ---------------------------------------------
+
+_TINY_CONFIG = (
+    "encoder: {d_model: 4, n_heads: 1, n_layers: 1, ffn_dim: 8, max_len: 16}\n"
+    "bilstm: {embed_dim: 4, hidden_size: 3}\n"
+    "train: {batch_size: 3, epochs: 1, lr: 0.001}\n"
+)
+_VOCAB = [f"{i}\t{tok}\t0" for i, tok in enumerate(RESERVED_TOKENS)] + ["8\tfox\t2", "9\tthe\t1"]
+
+
+@st.composite
+def rated_record(draw):
+    """One rated JSONL line whose fields agree with each other; its ids may
+    be empty or reach past the 10-id vocabulary."""
+    n = draw(st.integers(0, 6))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return json.dumps({
+        "id": draw(st.text(max_size=3)),
+        "ids": draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)),
+        "break_mask": mask,
+        "overall": draw(st.integers(1, 3)),
+        "fine": draw(st.lists(st.integers(1, 3), min_size=sum(mask), max_size=sum(mask))),
+    })
+
+
+rated_files = st.one_of(
+    st.lists(rated_record(), max_size=7).map("\n".join),
+    records({"id": st.text(max_size=4), "ids": small_ints, "break_mask": flags,
+             "overall": st.integers(-1, 4), "fine": classes}),
+)
+train_commands = st.sampled_from([
+    ("finetune", "--model", model) for model in ("encoder", "bilstm")
+] + [("eval", "--k", "2", "--model", model) for model in ("scratch", "bilstm")])
+
+
+class TestCliContract:
+    """`cli.main` returns 0 or 2 on any input file and raises nothing. A tiny
+    model trained for one epoch at lr 1e-3 cannot overflow, so exit 3 here
+    would be a data fault reported as a numeric failure."""
+
+    @pytest.fixture(scope="class")
+    def cli_dir(self, workdir):
+        (workdir / "vocab.tsv").write_text("\n".join(_VOCAB) + "\n")
+        (workdir / "tiny.yaml").write_text(_TINY_CONFIG)
+        (workdir / "a.ctm").write_text(
+            "u1 1 0.00 0.30 fox\nu1 1 0.31 0.30 the\nu1 1 0.90 0.30 owl\nu2 1 0.0 0.2 the\n")
+        return workdir
+
+    @pytest.fixture(scope="class")
+    def valid_ckpts(self, cli_dir):
+        return {kind: _valid_checkpoint_bytes(cli_dir / f"valid-{kind}.pbrk", kind)
+                for kind in ("overall", "fine")}
+
+    @fuzz
+    @given(command=train_commands, task=st.sampled_from(["overall", "fine"]), text=rated_files)
+    @example(command=("finetune", "--model", "encoder"), task="overall",
+             text='{"id":"a","ids":[],"break_mask":[],"overall":2,"fine":[]}')
+    @example(command=("finetune", "--model", "bilstm"), task="overall",
+             text='{"id":"a","ids":[2,8],"break_mask":[false,false],"overall":2,"fine":[]}\n'
+                  '{"id":"b","ids":[],"break_mask":[],"overall":2,"fine":[]}')
+    def test_finetune_and_eval_on_rated_files(self, cli_dir, command, task, text):
+        data = _write(cli_dir / "rated.jsonl", text.encode("utf-8"))
+        argv = [command[0], "--config", str(cli_dir / "tiny.yaml"), "--task", task,
+                "--in", data, "--vocab", str(cli_dir / "vocab.tsv"), *command[1:]]
+        if command[0] == "finetune":
+            argv += ["--out", str(cli_dir / "out.pbrk")]
+        assert cli.main(argv) in (0, 2)
+
+    @fuzz
+    @given(data=st.data())
+    def test_score_on_checkpoint_bytes(self, cli_dir, valid_ckpts, data):
+        kind = data.draw(st.sampled_from(sorted(valid_ckpts)))
+        path = _write(cli_dir / "fuzz.pbrk", data.draw(checkpoint_bytes(valid_ckpts[kind])))
+        argv = ["score", f"--{kind}-ckpt", path, "--align", str(cli_dir / "a.ctm")]
+        assert cli.main(argv) in (0, 2)

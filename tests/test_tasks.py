@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from breakscore.checkpoint import Checkpoint
+from breakscore.checkpoint import N_CLASSES, Checkpoint
 from breakscore.corruption import CorruptionConfig, LabeledSequence, build_pretrain_dataset
 from breakscore.exceptions import DataError
 from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
@@ -13,7 +13,6 @@ from breakscore.ranks import Rank
 from breakscore.rngs import make_rng
 from breakscore import tasks
 from breakscore.tasks import (
-    _N_CLASSES,
     RatedSample,
     TrainConfig,
     _pad_batch,
@@ -57,7 +56,7 @@ class TestRatedSample:
         with pytest.raises(DataError):
             RatedSample(id="a", ids=ids, break_mask=mask, fine=(Rank.GREAT, Rank.POOR))
 
-    @pytest.mark.parametrize("bad_ids", [(2, "x"), (2, -1), (2, 1.5), (2, None)])
+    @pytest.mark.parametrize("bad_ids", [(2, "x"), (2, -1), (2, 1.5), (2, None), (2, True)])
     @pytest.mark.parametrize("cls", [RatedSample, LabeledSequence])
     def test_token_ids_are_non_negative_ints(self, cls, bad_ids):
         # Checked when a record is read, not as a traceback from batch padding.
@@ -161,7 +160,7 @@ class TestTrainBatches:
         cfg = small_cfg(12) if model == "encoder" else BiLstmConfig(vocab_size=12, embed_dim=8,
                                                                     hidden_size=8)
         tcfg = TrainConfig(batch_size=3, epochs=3, lr=1e-3, seed=0)
-        ckpt = finetune(dataset, None, tcfg, "fine", model=model, model_cfg=cfg, vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=cfg, vocab=toy_vocab())
         losses = ckpt.extra["epoch_losses"]
         assert len(losses) == 3 and np.isfinite(losses).all()
 
@@ -249,14 +248,14 @@ class TestPretrainRbtd:
             ("rbtd", [1] * len(seqs)), ("overall", [1] * len(seqs)),
             ("fine", [sum(m) for _, m in seqs]),
         ):
-            n_classes = _N_CLASSES[kind]
+            n_classes = N_CLASSES[kind]
             params["head_w"] = rng.normal(size=(hdim, n_classes)).astype(np.float32)
             params["head_b"] = np.zeros(n_classes, dtype=np.float32)
             # Centre the logits so that the argmax varies across samples.
-            first = _predict_logits(params, kind, model, cfg, seqs, max_len=32, max_tokens=1)
+            first = _predict_logits(params, kind, cfg, seqs, max_len=32, max_tokens=1)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in first]).mean(axis=0)
-            single = _predict_logits(params, kind, model, cfg, seqs, max_len=32, max_tokens=1)
-            batched = _predict_logits(params, kind, model, cfg, seqs, max_len=32)
+            single = _predict_logits(params, kind, cfg, seqs, max_len=32, max_tokens=1)
+            batched = _predict_logits(params, kind, cfg, seqs, max_len=32)
             assert [len(np.atleast_2d(l)) for l in single] == rows_per_seq
             for a, b in zip(single, batched, strict=True):
                 np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-5)
@@ -277,8 +276,7 @@ class TestFinetuneOverall:
             for i, ids, mask, c in separable_corpus(64)
         ]
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=0)
-        ckpt = finetune(dataset, None, tcfg, "overall", model="encoder",
-                        model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "overall", model_cfg=small_cfg(12), vocab=toy_vocab())
         preds = [predict_overall(ckpt, s.ids, s.break_mask)[0] for s in dataset]
         acc = np.mean([p == s.overall for p, s in zip(preds, dataset)])
         assert acc == 1.0
@@ -291,8 +289,8 @@ class TestFinetuneOverall:
             for i, ids, mask, c in items
         ]
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=1)
-        ckpt = finetune(dataset[:64], None, tcfg, "overall", model="encoder",
-                        model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset[:64], None, tcfg, "overall", model_cfg=small_cfg(12),
+                        vocab=toy_vocab())
         held = dataset[64:]
         acc = np.mean([predict_overall(ckpt, s.ids, s.break_mask)[0] == s.overall for s in held])
         assert acc == 1.0
@@ -304,8 +302,7 @@ class TestFinetuneOverall:
         ]
         tcfg = TrainConfig(batch_size=8, epochs=60, lr=1e-2, seed=0)
         cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
-        ckpt = finetune(dataset, None, tcfg, "overall", model="bilstm",
-                        model_cfg=cfg, vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "overall", model_cfg=cfg, vocab=toy_vocab())
         acc = np.mean(
             [predict_overall(ckpt, s.ids, s.break_mask)[0] == s.overall for s in dataset]
         )
@@ -354,8 +351,7 @@ class TestFinetuneFinegrained:
     def test_learns_positionwise_rule(self):
         dataset = self._dataset()
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=0)
-        ckpt = finetune(dataset, None, tcfg, "fine", model="encoder",
-                        model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         hits = total = 0
         for s in dataset:
             preds = predict_finegrained(ckpt, s.ids, s.break_mask)
@@ -377,16 +373,14 @@ class TestFinetuneFinegrained:
     def test_prediction_kind_checked(self):
         dataset = self._dataset(8)
         tcfg = TrainConfig(batch_size=8, epochs=1, seed=0)
-        ckpt = finetune(dataset, None, tcfg, "fine", model="encoder",
-                        model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         with pytest.raises(DataError):
             predict_overall(ckpt, dataset[0].ids, dataset[0].break_mask)
 
     def test_out_of_vocab_sample_rejected_at_predict(self):
         dataset = self._dataset(8)
         tcfg = TrainConfig(batch_size=8, epochs=1, seed=0)
-        ckpt = finetune(dataset, None, tcfg, "fine", model="encoder",
-                        model_cfg=small_cfg(12), vocab=toy_vocab())
+        ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         bad_ids = tuple(list(dataset[0].ids[:-1]) + [99])
         with pytest.raises(DataError, match="vocabulary"):
             predict_finegrained(ckpt, bad_ids, dataset[0].break_mask)
@@ -434,10 +428,10 @@ class TestBatchedPrediction:
         for kind in ("overall", "fine"):
             params = dict(core, head_w=rng.normal(size=(16, 3)).astype(np.float32),
                           head_b=np.zeros(3, dtype=np.float32))
-            logits = _predict_logits(params, kind, model, cfg, seqs, max_len=32, max_tokens=1)
+            logits = _predict_logits(params, kind, cfg, seqs, max_len=32, max_tokens=1)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in logits]).mean(axis=0)
-            ckpts[kind] = Checkpoint(kind=kind, model=model, model_cfg=cfg, vocab=toy_vocab(),
-                                     seed=0, params=params, n_classes=3, init_from=None)
+            ckpts[kind] = Checkpoint(kind=kind, model_cfg=cfg, vocab=toy_vocab(), seed=0,
+                                     params=params, init_from=None)
 
         ranks, probs = tasks.predict_overall_batch(ckpts["overall"], seqs)
         assert probs.shape == (len(seqs), 3)
@@ -456,8 +450,8 @@ class TestBatchedPrediction:
         cfg = small_cfg(12)
         params = dict(init_encoder_params(cfg, make_rng(0, "init")),
                       head_w=np.zeros((16, 3), dtype=np.float32), head_b=np.zeros(3, np.float32))
-        ckpt = Checkpoint(kind="overall", model="encoder", model_cfg=cfg, vocab=toy_vocab(),
-                          seed=0, params=params, n_classes=3, init_from=None)
+        ckpt = Checkpoint(kind="overall", model_cfg=cfg, vocab=toy_vocab(), seed=0,
+                          params=params, init_from=None)
         ranks, probs = tasks.predict_overall_batch(ckpt, [])
         assert ranks == [] and probs.shape == (0, 3)
         assert tasks.predict_finegrained_batch(dataclasses.replace(ckpt, kind="fine"), []) == []

@@ -45,11 +45,6 @@ class TestBuildVocab:
         assert v.counts == {"a": 2, "b": 2, "c": 1}
         assert v.size == 11
 
-    def test_min_count_filters(self):
-        corpus = [seq(["x", "y", "x"], [0, 0])]
-        v = build_vocab(corpus, min_count=2)
-        assert "y" not in v.word_to_id and "x" in v.word_to_id
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             build_vocab([])
