@@ -65,7 +65,7 @@ def _read_samples(path: str, parse, vocab: Vocabulary) -> list:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any training when `path` could not be written at the end."""
+    """Fail before any work when `path` could not be written at the end."""
     out_dir = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(out_dir):
         raise DataError(f"{path}: output directory {out_dir} does not exist")
@@ -89,6 +89,7 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
 # -- commands ----------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    _check_out_dir(args.out)
     parse = alignment.parse_ctm if args.format == "ctm" else alignment.parse_tsv
     utts = []
     for path in args.inputs:
@@ -137,6 +138,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    _check_out_dir(args.out)
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     ccfg = cfg.build("corruption")

@@ -15,7 +15,6 @@ from .functional import (
     softmax_backward,
     trunc_normal,
 )
-from .gradcheck import grad_check
 
 __all__ = [
     "AdamState",
@@ -40,5 +39,4 @@ __all__ = [
     "dropout",
     "dropout_backward",
     "trunc_normal",
-    "grad_check",
 ]

@@ -7,6 +7,7 @@ every break position; word/CLS/pad positions never contribute loss.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonl, metrics
+from . import jsonl, metrics, shards
 from .checkpoint import N_CLASSES, Checkpoint, param_shapes
 from .corruption import LABEL_CORRUPTED, LabeledSequence
 from .exceptions import DataError, NumericError
@@ -212,7 +213,10 @@ def _train(
     """Minibatch Adam on a linear head over the rows `_head_rows` selects.
 
     A sample's targets are one class ("rbtd", "overall") or one per break
-    ("fine"). Returns (params incl. head, per-epoch mean losses).
+    ("fine"). A batch of at least `shards.SHARD_TOKENS` padded tokens trains
+    as `shards.SHARDS` row shards, shard 1 in a forked worker when a second
+    core and the BLAS pin allow it, else in turn; the bytes are the same
+    either way. Returns (params incl. head, per-epoch mean losses).
     """
     # What init_core does not give is drawn in table order: network, then head.
     params = {k: v.copy() for k, v in (init_core or {}).items()}
@@ -232,42 +236,89 @@ def _train(
     ]
     if not any(len(t) for t in targets):
         raise DataError(f"no sample has a {kind} target to train on")
-    state = AdamState()
+    # Every epoch's batches in training order, drawn up front: whether any
+    # batch is split decides whether a worker is forked.
     order_rng = make_rng(tcfg.seed, kind + "-order")
-    drop_rng = make_rng(tcfg.seed, kind + "-dropout")
-    epoch_losses = []
-    for epoch in range(tcfg.epochs):
+    schedule = []
+    for _ in range(tcfg.epochs):
         batches = _length_batches(
             samples, order_rng.permutation(len(samples)), tcfg.batch_size, max_len
         )
-        losses = []
-        for b in order_rng.permutation(len(batches)):
-            batch = batches[b]
-            batch_targets = np.concatenate([targets[i] for i in batch])
-            if not len(batch_targets):
-                continue   # say, only one-word items for the fine head: nothing to learn
-            ids, pad_mask, break_mask = _pad_batch(
-                [(samples[i][0], samples[i][1]) for i in batch], max_len
+        schedule.append([batches[b] for b in order_rng.permutation(len(batches))])
+    lengths = [min(len(s[0]), max_len) for s in samples]
+
+    def is_split(batch) -> bool:
+        return len(batch) * max(lengths[i] for i in batch) >= shards.SHARD_TOKENS
+
+    # Parameters and one gradient slot per shard share one mapping, so a
+    # forked worker reads each Adam update and the parent reads its gradient.
+    flat, (shared, *grad_slots) = shards.shared_slots(
+        {k: v.shape for k, v in params.items()}, 1 + shards.SHARDS)
+    for k, v in params.items():
+        shared[k][...] = v
+    params = shared
+    # Shard 0 draws dropout as an unsplit batch always has.
+    drop_rngs = [make_rng(tcfg.seed, f"{kind}-dropout{s or ''}") for s in range(shards.SHARDS)]
+
+    def shard_step(s: int, rows_idx, n_rows: int) -> float:
+        """Shard s's share of the loss of a batch of n_rows head rows; its
+        gradient, scaled by the same share, goes to slot s."""
+        shard_targets = np.concatenate([np.empty(0, np.int64), *(targets[i] for i in rows_idx)])
+        if not len(shard_targets):
+            flat[1 + s].fill(0.0)
+            return 0.0
+        ids, pad_mask, break_mask = _pad_batch(
+            [(samples[i][0], samples[i][1]) for i in rows_idx], max_len
+        )
+        hidden, cache = _forward(params, cfg, ids, pad_mask, train=True,
+                                 dropout_rng=drop_rngs[s])
+        rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
+        if len(rows) != len(shard_targets):
+            raise DataError(
+                f"{len(shard_targets)} {kind} labels for {len(rows)} head positions"
             )
-            hidden, cache = _forward(params, cfg, ids, pad_mask, train=True, dropout_rng=drop_rng)
-            rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
-            if len(rows) != len(batch_targets):
-                raise DataError(
-                    f"{len(batch_targets)} {kind} labels for {len(rows)} head positions"
-                )
-            logits = rows @ params["head_w"] + params["head_b"]
-            loss, dlogits = batched_cross_entropy(logits, batch_targets)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
-            losses.append(loss)
-            grads = {"head_w": rows.T @ dlogits, "head_b": dlogits.sum(axis=0)}
-            dhidden = _head_rows_backward(
-                kind, cfg, dlogits @ params["head_w"].T, hidden, pad_mask, break_mask
-            )
-            grads.update(_backward(params, cfg, dhidden, cache))
-            adam_step(params, grads, state, lr=tcfg.lr)
-        epoch_losses.append(float(np.mean(losses)))
-    return params, epoch_losses
+        logits = rows @ params["head_w"] + params["head_b"]
+        loss, dlogits = batched_cross_entropy(logits, shard_targets)
+        if len(rows) != n_rows:
+            share = len(rows) / n_rows
+            loss *= share
+            dlogits *= dlogits.dtype.type(share)
+        grads = {"head_w": rows.T @ dlogits, "head_b": dlogits.sum(axis=0)}
+        dhidden = _head_rows_backward(
+            kind, cfg, dlogits @ params["head_w"].T, hidden, pad_mask, break_mask
+        )
+        grads.update(_backward(params, cfg, dhidden, cache))
+        for k, g in grads.items():
+            grad_slots[s][k][...] = g
+        return loss
+
+    state = AdamState()
+    epoch_losses = []
+    fork = shards.usable_cpus() >= 2 and any(is_split(b) for epoch in schedule for b in epoch)
+    with shards.one_blas_thread() as pinned, (
+        shards.ShardWorker(shard_step) if fork and pinned else contextlib.nullcontext()
+    ) as worker:
+        for epoch, batches in enumerate(schedule):
+            losses = []
+            for batch in batches:
+                n_rows = sum(len(targets[i]) for i in batch)
+                if not n_rows:
+                    continue   # say, only one-word items for the fine head: nothing to learn
+                if not is_split(batch):
+                    loss = shard_step(0, batch, n_rows)
+                else:
+                    head, tail = np.array_split(batch, shards.SHARDS)
+                    if worker is not None:
+                        worker.submit(1, tail, n_rows)
+                    loss = shard_step(0, head, n_rows) + (
+                        worker.result() if worker is not None else shard_step(1, tail, n_rows))
+                    flat[1] += flat[2]   # slot 0 + slot 1, in shard order
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}")
+                losses.append(loss)
+                adam_step(params, grad_slots[0], state, lr=tcfg.lr)
+            epoch_losses.append(float(np.mean(losses)))
+    return {k: v.copy() for k, v in params.items()}, epoch_losses
 
 
 def _predict_logits(params, kind, cfg, seqs: list[tuple], max_len: int,

@@ -1,5 +1,6 @@
 """Fixtures shared by several test modules."""
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -31,3 +32,15 @@ def _rewrite_checkpoint(path, edit):
 @pytest.fixture()
 def rewrite_checkpoint():
     return _rewrite_checkpoint
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes():
+    """Fail a test that leaves a child process running, say a shard worker
+    that was never stopped, and end the process so later tests start clean."""
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.kill()
+        proc.join()
+    assert not leaked, f"the test left child processes running: {leaked}"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rngs import make_rng
+from breakscore.rngs import make_rng
 
 
 def grad_check(

@@ -24,7 +24,6 @@ from breakscore.nn import (
     bilstm_forward,
     encoder_backward,
     encoder_forward,
-    grad_check,
     init_bilstm_params,
     init_encoder_params,
     trunc_normal,
@@ -34,6 +33,7 @@ from breakscore.ranks import Rank, rank_to_class
 from breakscore.rngs import make_rng
 from breakscore.tasks import TrainConfig
 from breakscore.vocab import build_vocab, encode
+from gradcheck import grad_check
 
 SEED = 11
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, outputs, determinism."""
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from breakscore import tasks
+from breakscore import corruption, shards, tasks
 from breakscore.cli import main
 from breakscore.checkpoint import load_checkpoint
+from breakscore.exceptions import DataError, NumericError
 
 CTM = """\
 u1 1 0.00 0.40 Hello
@@ -448,6 +450,23 @@ class TestBadInputFiles:
                    "--out", out) == 2
         assert f"{out}: output directory {tmp_path / 'missing'} does not exist" in caplog.text
 
+    @pytest.mark.parametrize("command", ["corrupt", "ingest"])
+    def test_missing_out_dir_exits_2_before_any_work(self, pipeline, tmp_path, monkeypatch,
+                                                     caplog, ctm_file, command):
+        def must_not_corrupt(*args, **kwargs):
+            raise AssertionError("corrupt built its dataset although --out cannot be written")
+
+        monkeypatch.setattr(corruption, "build_pretrain_dataset", must_not_corrupt)
+        out = str(tmp_path / "missing" / "z.jsonl")
+        argv = {
+            "corrupt": ("corrupt", "--config", pipeline["cfg"], "--in", pipeline["native"],
+                        "--vocab", pipeline["vocab"]),
+            "ingest": ("ingest", ctm_file),
+        }[command]
+        assert run(*argv, "--out", out) == 2
+        assert f"{out}: output directory {tmp_path / 'missing'} does not exist" in caplog.text
+        assert ".tmp" not in caplog.text
+
     @pytest.mark.parametrize("command, model", [
         ("finetune", "encoder"), ("finetune", "bilstm"), ("pretrain", None),
     ], ids=["finetune-encoder", "finetune-bilstm", "pretrain"])
@@ -578,6 +597,54 @@ class TestScoreChecks:
             run("eval", "--config", pipeline["cfg"], "--task", "overall",
                 "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
                 "--model", "scratch", "--k", "3")
+
+
+@pytest.mark.skipif(shards.usable_cpus() < 2 or shards.blas_threads() is None,
+                    reason="the shard worker needs two CPUs and a BLAS thread pin")
+class TestShardWorkerFaults:
+    """A fault in the forked shard worker ends the command as it would in the
+    parent, and leaves no process behind and BLAS at its old thread count."""
+
+    @pytest.fixture()
+    def fault_in_worker(self, monkeypatch):
+        """Make `_forward` run `fault()` in the worker only, that is on shard 1."""
+        monkeypatch.setattr(shards, "SHARD_TOKENS", 1)
+        parent, forward = os.getpid(), tasks._forward
+
+        def install(fault):
+            def faulty(*args, **kwargs):
+                if os.getpid() != parent:
+                    fault()
+                return forward(*args, **kwargs)
+
+            monkeypatch.setattr(tasks, "_forward", faulty)
+
+        return install
+
+    def _pretrain(self, pipeline, tmp_path):
+        threads = shards.blas_threads()
+        code = run("pretrain", "--config", pipeline["cfg"], "--in", pipeline["pretrain"],
+                   "--vocab", pipeline["vocab"], "--out", str(tmp_path / "x.pbrk"))
+        assert multiprocessing.active_children() == []
+        assert shards.blas_threads() == threads
+        assert not (tmp_path / "x.pbrk").exists()
+        return code
+
+    @pytest.mark.parametrize("error, code", [(NumericError, 3), (DataError, 2)])
+    def test_error_keeps_its_exit_code(self, pipeline, tmp_path, caplog, fault_in_worker,
+                                       error, code):
+        def fault():
+            raise error("fault on shard 1")
+
+        fault_in_worker(fault)
+        assert self._pretrain(pipeline, tmp_path) == code
+        assert "fault on shard 1" in caplog.text
+
+    def test_dead_worker_exits_2_naming_its_exit_code(self, pipeline, tmp_path, caplog,
+                                                      fault_in_worker):
+        fault_in_worker(lambda: os._exit(7))
+        assert self._pretrain(pipeline, tmp_path) == 2
+        assert "shard worker exited with code 7" in caplog.text
 
 
 _OVERALL_LINE = re.compile(r"  overall: (\w+)  \(Poor=([0-9.]+) Fair=([0-9.]+) Great=([0-9.]+)\)")

@@ -20,7 +20,6 @@ from breakscore.nn import (
     encoder_forward,
     gelu,
     gelu_backward,
-    grad_check,
     init_bilstm_params,
     init_encoder_params,
     layer_norm,
@@ -32,6 +31,7 @@ from breakscore.nn import (
     trunc_normal,
 )
 from breakscore.rngs import make_rng
+from gradcheck import grad_check
 
 
 def softmax_cross_entropy(logits, target: int):

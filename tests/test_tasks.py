@@ -1,6 +1,9 @@
 """Training pipelines: pretraining, fine-tuning, prediction contracts."""
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from breakscore.exceptions import DataError
 from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
 from breakscore.ranks import Rank
 from breakscore.rngs import make_rng
-from breakscore import tasks
+from breakscore import shards, tasks
+from breakscore.cli import main
 from breakscore.tasks import (
     RatedSample,
     TrainConfig,
@@ -124,6 +128,8 @@ class TestTrainBatches:
             return out
 
         monkeypatch.setattr(tasks, "_pad_batch", recording)
+        # Whole batches: a split batch pads each of its shards on its own.
+        monkeypatch.setattr(shards, "SHARD_TOKENS", 10**9)
         cfg = EncoderConfig(vocab_size=64, d_model=16, n_heads=2, n_layers=1, ffn_dim=32,
                             max_len=64, dropout_prob=0.0)
         tcfg = TrainConfig(batch_size=8, epochs=2, lr=1e-3, seed=seed, max_len=64)
@@ -455,3 +461,170 @@ class TestBatchedPrediction:
         ranks, probs = tasks.predict_overall_batch(ckpt, [])
         assert ranks == [] and probs.shape == (0, 3)
         assert tasks.predict_finegrained_batch(dataclasses.replace(ckpt, kind="fine"), []) == []
+
+
+class TestShardedTraining:
+    """With `SHARD_TOKENS` small, every batch of these tiny fixtures trains as
+    two row shards. The bytes must not depend on whether shard 1 ran in the
+    forked worker or in turn in the parent."""
+
+    WORKER = shards.usable_cpus() >= 2 and shards.blas_threads() is not None
+
+    @pytest.fixture(autouse=True)
+    def split_every_batch(self, monkeypatch):
+        monkeypatch.setattr(shards, "SHARD_TOKENS", 1)
+
+    def _both_ways(self, monkeypatch, train):
+        """The parameters train() gives with the worker, and with one usable
+        CPU, so that both shards run in the parent; they must be bitwise equal."""
+        forks = []
+
+        class CountedWorker(shards.ShardWorker):
+            def __enter__(self):
+                forks.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(shards, "ShardWorker", CountedWorker)
+        forked = train()
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+        alone = train()
+        assert len(forks) == (1 if self.WORKER else 0)
+        assert forked.keys() == alone.keys()
+        for k in forked:
+            assert forked[k].tobytes() == alone[k].tobytes(), k
+        return forked
+
+    @staticmethod
+    def _rated(n=24, one_word=0):
+        """Items with overall and fine labels, the first `one_word` of them
+        one word long, so with no break to label."""
+        out = [dataclasses.replace(s, overall=list(Rank)[i % 3])
+               for i, s in enumerate(TestFinetuneFinegrained()._dataset(n))]
+        return [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i % 4), break_mask=(False, False),
+                            overall=Rank.FAIR, fine=()) for i in range(one_word)] + out
+
+    @staticmethod
+    def _model(model):
+        if model == "encoder":
+            return dataclasses.replace(small_cfg(12), dropout_prob=0.1)
+        return BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
+
+    def test_pretrain_same_with_and_without_worker(self, monkeypatch):
+        data = TestPretrainRbtd()._dataset()
+        tcfg = TrainConfig(batch_size=16, epochs=2, lr=1e-3, seed=3)
+        cfg = self._model("encoder")
+        self._both_ways(monkeypatch,
+                        lambda: pretrain_rbtd(data, tcfg, cfg, toy_vocab())[0].params)
+
+    @pytest.mark.parametrize("task", ["overall", "fine"])
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_finetune_same_with_and_without_worker(self, monkeypatch, model, task):
+        tcfg = TrainConfig(batch_size=8, epochs=2, lr=1e-3, seed=5)
+        self._both_ways(monkeypatch, lambda: finetune(
+            self._rated(), None, tcfg, task, model_cfg=self._model(model), vocab=toy_vocab(),
+        ).params)
+
+    def test_shards_cover_every_sample_once_per_epoch(self, monkeypatch):
+        # Shards are contiguous rows of the batch, each padded on its own;
+        # with one usable CPU both are padded in this process.
+        padded = []
+
+        def recording(seqs, max_len):
+            padded.append(sorted(ids for ids, _ in seqs))
+            return _pad_batch(seqs, max_len)
+
+        monkeypatch.setattr(tasks, "_pad_batch", recording)
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+        dataset = TestTrainBatches()._mixed(40)
+        finetune(dataset, None, TrainConfig(batch_size=8, epochs=2, lr=1e-3, seed=4), "overall",
+                 model_cfg=EncoderConfig(vocab_size=64, d_model=16, n_heads=2, n_layers=1,
+                                         ffn_dim=32, max_len=64), vocab=toy_vocab(56))
+        assert len(padded) == 2 * 2 * 40 // 8
+        assert sorted(ids for shard in padded for ids in shard) == sorted(2 * [s.ids for s in dataset])
+        assert all(len(shard) == 4 for shard in padded)
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_one_row_batches_leave_shard_1_empty(self, monkeypatch, model):
+        # A one-row batch splits into that row and an empty shard, which adds
+        # a zero gradient: the run is bitwise the unsplit one.
+        tcfg = TrainConfig(batch_size=1, epochs=1, lr=1e-3, seed=2)
+
+        def train():
+            return finetune(self._rated(6), None, tcfg, "overall",
+                            model_cfg=self._model(model), vocab=toy_vocab()).params
+
+        split = self._both_ways(monkeypatch, train)
+        monkeypatch.setattr(shards, "SHARD_TOKENS", 10**9)
+        whole = train()
+        for k in whole:
+            assert split[k].tobytes() == whole[k].tobytes(), k
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_fine_shards_without_breaks_train(self, monkeypatch, model):
+        # Bucketing puts the one-word items together, so some shards have no
+        # break to label and add no gradient.
+        tcfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, seed=1)
+        losses = []
+
+        def train():
+            ckpt = finetune(self._rated(12, one_word=6), None, tcfg, "fine",
+                            model_cfg=self._model(model), vocab=toy_vocab())
+            losses.append(ckpt.extra["epoch_losses"])
+            return ckpt.params
+
+        self._both_ways(monkeypatch, train)
+        assert losses[0] == losses[1] and np.isfinite(losses[0]).all()
+
+    @pytest.mark.parametrize("model", ["encoder", "bilstm"])
+    def test_summed_shard_gradient_is_the_batch_gradient(self, monkeypatch, model):
+        # Without dropout, a split batch's summed gradient equals the whole
+        # batch's up to rounding. The one-word items give the two shards
+        # unequal numbers of fine rows, so each shard's share must weigh it.
+        cfg = dataclasses.replace(small_cfg(12), dropout_prob=0.0) if model == "encoder" \
+            else self._model(model)
+
+        class FirstStep(Exception):
+            pass
+
+        def record(params, grads, state, lr):
+            raise FirstStep({k: g.copy() for k, g in grads.items()})
+
+        monkeypatch.setattr(tasks, "adam_step", record)
+        tcfg = TrainConfig(batch_size=15, epochs=1, seed=4)
+        grads = []
+        for threshold in (1, 10**9):
+            monkeypatch.setattr(shards, "SHARD_TOKENS", threshold)
+            with pytest.raises(FirstStep) as step:
+                finetune(self._rated(12, one_word=3), None, tcfg, "fine", model_cfg=cfg,
+                         vocab=toy_vocab())
+            grads.append(step.value.args[0])
+        split, whole = grads
+        assert all(np.abs(g).max() > 0 for g in whole.values())
+        for k in whole:
+            np.testing.assert_allclose(split[k], whole[k], rtol=1e-4, atol=1e-7, err_msg=k)
+
+    def test_pretrain_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Pretraining pins BLAS to one thread per process, so the thread count
+        # the environment asks for does not move a bit of the checkpoint.
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "seed: 3\nsynth: {n_sentences: 150}\n"
+            "encoder: {d_model: 64, n_heads: 4, n_layers: 2, ffn_dim: 128}\n"
+            "train: {batch_size: 64, epochs: 1}\n"
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data)]) == 0
+        assert main(["corrupt", "--config", str(cfg), "--in", str(data / "native.jsonl"),
+                     "--vocab", str(data / "vocab.tsv"), "--out", str(tmp_path / "pre.jsonl")]) == 0
+        out = {}
+        for threads in ("1", "2"):
+            out[threads] = tmp_path / f"rbtd{threads}.pbrk"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            proc = subprocess.run(
+                [sys.executable, "-m", "breakscore.cli", "pretrain", "--config", str(cfg),
+                 "--in", str(tmp_path / "pre.jsonl"), "--vocab", str(data / "vocab.tsv"),
+                 "--out", str(out[threads])],
+                capture_output=True, text=True, env=env, timeout=300, check=False)
+            assert proc.returncode == 0, proc.stderr
+        assert out["1"].read_bytes() == out["2"].read_bytes()
