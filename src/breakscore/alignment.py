@@ -92,14 +92,6 @@ class TokenSequence:
                 f"{len(self.words) - 1} breaks, got {len(self.breaks)}"
             )
 
-    def items(self) -> list[str]:
-        """The flat alternating token list (break classes as br0..br3 text)."""
-        out = [self.words[0]]
-        for br, w in zip(self.breaks, self.words[1:]):
-            out.append(br.token)
-            out.append(w)
-        return out
-
 
 def inter_word_gaps(words: Sequence[AlignedWord]) -> list[float]:
     """Silence between consecutive words; overlaps clamp to 0."""
@@ -217,15 +209,6 @@ def parse_tsv(stream) -> list[AlignedUtterance]:
             raise ParseError(f"end {end} before start {start}", line=line_no)
         rows.append((line_no, utt_id, word, start, end))
     return _parse_rows(rows, "TSV input")
-
-
-def serialize_ctm(utts: list[AlignedUtterance]) -> str:
-    """Inverse of parse_ctm on valid utterances (channel fixed to 1)."""
-    lines = []
-    for utt in utts:
-        for w in utt.words:
-            lines.append(f"{utt.id} 1 {w.start:.6f} {w.end - w.start:.6f} {w.surface}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def sequence_to_json(seq: TokenSequence, **extra) -> str:

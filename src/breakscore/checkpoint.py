@@ -21,7 +21,8 @@ import numpy as np
 
 from . import jsonl
 from .exceptions import BreakscoreError, DataError
-from .nn import BiLstmConfig, EncoderConfig
+from .nn.bilstm import BiLstmConfig
+from .nn.encoder import EncoderConfig
 from .vocab import Vocabulary
 
 MAGIC = b"PBRK1\n"

@@ -71,7 +71,9 @@ def _check_out_dir(path: str) -> None:
         raise DataError(f"{path}: output directory {out_dir} does not exist")
 
 
-def _apply_overrides(cfg: RunConfig, args) -> None:
+def _load_config(args) -> RunConfig:
+    """The run configuration of --config, with the command's flags over it."""
+    cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     for flag, section, key in (
@@ -84,6 +86,7 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
         value = getattr(args, flag, None)
         if value is not None:
             getattr(cfg, section)[key] = value
+    return cfg
 
 
 # -- commands ----------------------------------------------------------------
@@ -106,8 +109,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     scfg = cfg.build("synth")
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -139,8 +141,7 @@ def cmd_synth(args) -> int:
 
 def cmd_corrupt(args) -> int:
     _check_out_dir(args.out)
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     ccfg = cfg.build("corruption")
     vocab = _read(args.vocab, Vocabulary.from_lines)
     seqs = _read(args.infile, alignment.read_sequences)
@@ -159,8 +160,7 @@ def cmd_corrupt(args) -> int:
 
 def cmd_pretrain(args) -> int:
     _check_out_dir(args.out)
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     vocab = _read(args.vocab, Vocabulary.from_lines)
     dataset = _read_samples(args.infile, corruption.read_labeled, vocab)
     tcfg = cfg.build("train")
@@ -175,8 +175,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     _check_out_dir(args.out)
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     vocab = _read(args.vocab, Vocabulary.from_lines)
     dataset = _read_samples(args.infile, tasks.read_rated, vocab)
     tcfg = cfg.build("train")
@@ -237,8 +236,7 @@ def make_trained_predictor(task, model_cfg, vocab, tcfg, init_ckpt):
 def cmd_eval(args) -> int:
     if args.out:
         _check_out_dir(args.out)
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     k = cfg.build("eval").k
     vocab = _read(args.vocab, Vocabulary.from_lines)
     dataset = _read_samples(args.infile, tasks.read_rated, vocab)
@@ -340,6 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="YAML run configuration")
         sp.add_argument("--seed", type=int, help="override the global seed")
 
+    def dataset(sp):
+        sp.add_argument("--in", dest="infile", required=True)
+        sp.add_argument("--vocab", required=True)
+
+    def training(sp):
+        sp.add_argument("--epochs", type=int)
+        sp.add_argument("--batch-size", type=int, dest="batch_size")
+        sp.add_argument("--lr", type=float)
+
     sp = sub.add_parser("ingest", help="alignment files -> token-sequence JSONL")
     sp.add_argument("inputs", nargs="+")
     sp.add_argument("--format", choices=("ctm", "tsv"), default="ctm")
@@ -352,36 +359,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corrupt", help="token sequences -> pretraining dataset")
     common(sp)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--vocab", required=True)
+    dataset(sp)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("pretrain", help="train the break-corruption discriminator")
     common(sp)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--vocab", required=True)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--lr", type=float)
+    dataset(sp)
+    training(sp)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("finetune", help="train an assessment head")
     common(sp)
     sp.add_argument("--task", choices=("overall", "fine"), required=True)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--vocab", required=True)
+    dataset(sp)
     sp.add_argument("--init", help="checkpoint to initialize the encoder from")
     sp.add_argument("--model", choices=("encoder", "bilstm"), default="encoder")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--lr", type=float)
+    training(sp)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("eval", help="cross-validated evaluation report")
     common(sp)
     sp.add_argument("--task", choices=("overall", "fine"), required=True)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--vocab", required=True)
+    dataset(sp)
     sp.add_argument(
         "--model",
         required=True,
@@ -390,9 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--refs", help="reference token-sequence JSONL (against-ref)")
     sp.add_argument("--truth", help="ground-truth sidecar JSONL (against-ref)")
     sp.add_argument("--k", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--lr", type=float)
+    training(sp)
     sp.add_argument("--out")
 
     sp = sub.add_parser("score", help="score an alignment file with trained models")

@@ -15,7 +15,8 @@ import yaml
 from .corruption import CorruptionConfig
 from .exceptions import DataError
 from .metrics import EvalConfig
-from .nn import BiLstmConfig, EncoderConfig
+from .nn.bilstm import BiLstmConfig
+from .nn.encoder import EncoderConfig
 from .synth import SynthConfig
 from .tasks import TrainConfig
 
@@ -57,9 +58,7 @@ class RunConfig:
 
 # The YAML values each annotated field type takes; an int is a valid float,
 # a bool is no number.
-_ACCEPTED = {
-    "int": (int,), "float": (int, float), "bool": (bool,), "tuple": (list, tuple), "dict": (dict,)
-}
+_ACCEPTED = {"int": (int,), "float": (int, float), "bool": (bool,), "tuple": (list, tuple)}
 
 
 def _check_section(section: str, given: dict, cls, excluded: tuple) -> None:

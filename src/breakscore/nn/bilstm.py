@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DataError
-from .functional import init_params
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,6 @@ class BiLstmConfig:
         for d in ("fw", "bw"):
             shapes.update({f"{d}_wx": (e, 4 * h), f"{d}_wh": (h, 4 * h), f"{d}_b": (4 * h,)})
         return shapes
-
-
-def init_bilstm_params(cfg: BiLstmConfig, rng: np.random.Generator) -> dict:
-    """Truncated-normal(0.02) weights, zero biases."""
-    return init_params(cfg.param_shapes(), rng)
 
 
 def _steps(length: int, reverse: bool):

@@ -17,7 +17,6 @@ from .functional import (
     dropout_backward,
     gelu,
     gelu_backward,
-    init_params,
     layer_norm,
     layer_norm_backward,
     linear,
@@ -70,11 +69,6 @@ class EncoderConfig:
                            pre + "ln2_g": (d,), pre + "ln2_b": (d,)})
         shapes.update(lnf_g=(d,), lnf_b=(d,))
         return shapes
-
-
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
-    """Truncated-normal(0.02) weights, zero biases, unit layer-norm gains."""
-    return init_params(cfg.param_shapes(), rng)
 
 
 def _split_heads(x, n_heads):

@@ -19,7 +19,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-SHARDS = 2
 # Padded tokens (rows x padded length) from which a train batch is split.
 # Median ms per train step at d_model 64 on a 2-vCPU host, one OpenBLAS
 # thread per process, whole batch against two shards. Encoder: 16x22 (352

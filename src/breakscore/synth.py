@@ -17,9 +17,7 @@ when >= 90% are Great with none Poor, Fair otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .alignment import BreakClass, TokenSequence
 from .exceptions import DataError
@@ -86,15 +84,22 @@ class SynthConfig:
     two_sentence_rate: float = 0.5    # chance an utterance holds two sentences
     alt_pattern_rate: float = 0.3     # chance an optional site carries br1
     adj_rate: float = 0.6             # chance a noun phrase carries an adjective
-    error_rates: dict = field(
-        default_factory=lambda: {"spurious": 1.0, "missed": 1.0, "weak": 1.0}
-    )
     fair_intensity: float = 0.35      # fraction of positions weakened in a Fair item
     poor_intensity: float = 0.40      # fraction of positions broken in a Poor item
     seed: int = 0
     class_shape: tuple = (0.1, 0.2, 0.7)  # Poor/Fair/Great overall fractions
 
     def __post_init__(self):
+        lo_hi = self.words_per_sentence
+        if (len(lo_hi) != 2 or not all(type(n) is int for n in lo_hi)
+                or not 1 <= lo_hi[0] <= lo_hi[1]):
+            raise DataError(f"words_per_sentence must be two ints lo, hi with 1 <= lo <= hi, "
+                            f"got {lo_hi}")
+        shape = self.class_shape
+        if (len(shape) != 3 or not all(type(f) in (int, float) and 0.0 <= f <= 1.0 for f in shape)
+                or abs(sum(shape) - 1.0) > 1e-6):
+            raise DataError(f"class_shape must be three Poor/Fair/Great fractions in [0, 1] "
+                            f"that sum to 1, got {shape}")
         if self.poor_intensity < 0.2:
             raise DataError("poor_intensity below the 20% overall-Poor threshold")
         if not 0.101 <= self.fair_intensity <= 1.0:
@@ -109,8 +114,6 @@ class SynthConfig:
                 raise DataError(f"{name} out of [0,1]: {rate}")
         if self.n_sentences < 1:
             raise DataError("n_sentences must be >= 1")
-        if abs(sum(self.class_shape) - 1.0) > 1e-6:
-            raise DataError(f"class_shape must sum to 1: {self.class_shape}")
 
 
 def infer_sites(words: tuple[str, ...]) -> list[str]:
@@ -205,28 +208,16 @@ def aggregate_overall(fine: list[Rank]) -> Rank:
     return Rank.FAIR
 
 
-def _weighted_choice(rng, options: list[str], rates: dict) -> str:
-    weights = np.array([max(0.0, rates.get(o, 1.0)) for o in options])
-    if weights.sum() <= 0:
-        weights = np.ones(len(options))
-    return options[rng.choice(len(options), p=weights / weights.sum())]
-
-
-def _inject_poor(site: str, cur: BreakClass, rng, rates: dict):
+def _inject_poor(site: str, rng):
     """A position-level error rated Poor; returns (new break, trace tag)."""
-    options = []
+    rng.random()   # one draw per Poor position belongs to the seeded corpus stream
     if site in (SITE_CLAUSE, SITE_SENTENCE):
-        options.append("missed")
-    if site in (SITE_PLAIN, SITE_OPTIONAL):
-        options.append("spurious")
-    kind = _weighted_choice(rng, options, rates)
-    if kind == "missed":
         return BreakClass.BR0, "missed"
     new = BreakClass.BR3 if rng.random() < 0.5 else BreakClass.BR2
     return new, "spurious"
 
 
-def _inject_fair(site: str, cur: BreakClass):
+def _inject_fair(site: str):
     """A weakened/hesitant break rated Fair, where the site allows one."""
     if site == SITE_CLAUSE:
         return BreakClass.BR1, "weak"
@@ -250,17 +241,17 @@ def _corrupt_to_class(seq: TokenSequence, target: Rank, rng, cfg: SynthConfig):
         pass
     elif target == Rank.FAIR:
         k = max(1, math.ceil(cfg.fair_intensity * n))
-        candidates = [i for i in range(n) if _inject_fair(sites[i], breaks[i]) is not None]
+        candidates = [i for i in range(n) if _inject_fair(sites[i]) is not None]
         if len(candidates) < k:
             return None
         for i in rng.choice(len(candidates), size=k, replace=False):
             pos = candidates[i]
-            breaks[pos], trace[pos] = _inject_fair(sites[pos], breaks[pos])
+            breaks[pos], trace[pos] = _inject_fair(sites[pos])
             fine[pos] = Rank.FAIR
     else:
         k = max(1, math.ceil(cfg.poor_intensity * n))
         for i in rng.choice(n, size=k, replace=False):
-            breaks[i], trace[i] = _inject_poor(sites[i], breaks[i], rng, cfg.error_rates)
+            breaks[i], trace[i] = _inject_poor(sites[i], rng)
             fine[i] = Rank.POOR
     if aggregate_overall(fine) != target:
         return None

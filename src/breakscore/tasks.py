@@ -19,15 +19,9 @@ from . import jsonl, metrics, shards
 from .checkpoint import N_CLASSES, Checkpoint, param_shapes
 from .corruption import LABEL_CORRUPTED, LabeledSequence
 from .exceptions import DataError, NumericError
-from .nn import (
-    AdamState,
-    EncoderConfig,
-    adam_step,
-    bilstm_backward,
-    bilstm_forward,
-    encoder_backward,
-    encoder_forward,
-)
+from .nn.adam import AdamState, adam_step
+from .nn.bilstm import bilstm_backward, bilstm_forward
+from .nn.encoder import EncoderConfig, encoder_backward, encoder_forward
 from .nn.functional import batched_cross_entropy, init_params, softmax
 from .rngs import make_rng
 from .ranks import Rank, class_to_rank, rank_to_class
@@ -214,9 +208,9 @@ def _train(
 
     A sample's targets are one class ("rbtd", "overall") or one per break
     ("fine"). A batch of at least `shards.SHARD_TOKENS` padded tokens trains
-    as `shards.SHARDS` row shards, shard 1 in a forked worker when a second
-    core and the BLAS pin allow it, else in turn; the bytes are the same
-    either way. Returns (params incl. head, per-epoch mean losses).
+    as two row shards, shard 1 in a forked worker when a second core and the
+    BLAS pin allow it, else in turn; the bytes are the same either way.
+    Returns (params incl. head, per-epoch mean losses).
     """
     # What init_core does not give is drawn in table order: network, then head.
     params = {k: v.copy() for k, v in (init_core or {}).items()}
@@ -250,15 +244,15 @@ def _train(
     def is_split(batch) -> bool:
         return len(batch) * max(lengths[i] for i in batch) >= shards.SHARD_TOKENS
 
-    # Parameters and one gradient slot per shard share one mapping, so a
+    # Parameters and the two shards' gradient slots share one mapping, so a
     # forked worker reads each Adam update and the parent reads its gradient.
     flat, (shared, *grad_slots) = shards.shared_slots(
-        {k: v.shape for k, v in params.items()}, 1 + shards.SHARDS)
+        {k: v.shape for k, v in params.items()}, 3)
     for k, v in params.items():
         shared[k][...] = v
     params = shared
     # Shard 0 draws dropout as an unsplit batch always has.
-    drop_rngs = [make_rng(tcfg.seed, f"{kind}-dropout{s or ''}") for s in range(shards.SHARDS)]
+    drop_rngs = [make_rng(tcfg.seed, f"{kind}-dropout"), make_rng(tcfg.seed, f"{kind}-dropout1")]
 
     def shard_step(s: int, rows_idx, n_rows: int) -> float:
         """Shard s's share of the loss of a batch of n_rows head rows; its
@@ -307,7 +301,7 @@ def _train(
                 if not is_split(batch):
                     loss = shard_step(0, batch, n_rows)
                 else:
-                    head, tail = np.array_split(batch, shards.SHARDS)
+                    head, tail = np.array_split(batch, 2)
                     if worker is not None:
                         worker.submit(1, tail, n_rows)
                     loss = shard_step(0, head, n_rows) + (

@@ -17,18 +17,9 @@ from breakscore import baseline, corruption, metrics, synth, tasks
 from breakscore.alignment import BreakClass, quantize
 from breakscore.cli import make_trained_predictor
 from breakscore.metrics import ConfusionMatrix, compute_metrics
-from breakscore.nn import (
-    BiLstmConfig,
-    EncoderConfig,
-    bilstm_backward,
-    bilstm_forward,
-    encoder_backward,
-    encoder_forward,
-    init_bilstm_params,
-    init_encoder_params,
-    trunc_normal,
-)
-from breakscore.nn.functional import batched_cross_entropy
+from breakscore.nn.bilstm import BiLstmConfig, bilstm_backward, bilstm_forward
+from breakscore.nn.encoder import EncoderConfig, encoder_backward, encoder_forward
+from breakscore.nn.functional import batched_cross_entropy, init_params, trunc_normal
 from breakscore.ranks import Rank, rank_to_class
 from breakscore.rngs import make_rng
 from breakscore.tasks import TrainConfig
@@ -157,7 +148,7 @@ def test_gradient_correctness():
     # Encoder core on randomized small configs.
     for i in range(2):
         cfg, ids, mask = _encoder_case(100 + i)
-        params = init_encoder_params(cfg, make_rng(i, "init"))
+        params = init_params(cfg.param_shapes(), make_rng(i, "init"))
         probe = make_rng(i, "probe").normal(size=(1, ids.shape[1], cfg.d_model))
 
         def loss_fn(p):
@@ -169,7 +160,7 @@ def test_gradient_correctness():
 
     # Bi-LSTM core.
     bcfg = BiLstmConfig(vocab_size=12, embed_dim=6, hidden_size=5)
-    bparams = init_bilstm_params(bcfg, make_rng(0, "binit"))
+    bparams = init_params(bcfg.param_shapes(), make_rng(0, "binit"))
     ids = np.array([[2, 8, 4, 9], [2, 10, 0, 0]])
     mask = ids != 0
     probe = make_rng(3, "probe").normal(size=(2, 4, 10))
@@ -191,7 +182,7 @@ def test_gradient_correctness():
     ).astype(np.int64)
     hmask = np.ones_like(hids, dtype=bool)
     hmask[1, -1] = hmask[3, -2:] = False
-    seq_params = init_encoder_params(cfg, make_rng(5, "init"))
+    seq_params = init_params(cfg.param_shapes(), make_rng(5, "init"))
     head_rng = make_rng(5, "head")
     seq_params["head_w"] = trunc_normal((cfg.d_model, 2), head_rng)
     seq_params["head_b"] = np.zeros(2, dtype=np.float32)
@@ -212,7 +203,7 @@ def test_gradient_correctness():
     worst["sequence-head"] = grad_check(seq_head_loss, seq_params, n_coords=15, seed=5)
 
     # Token head (fine-grained path: per-break-position linear + CE).
-    tok_params = init_encoder_params(cfg, make_rng(6, "init"))
+    tok_params = init_params(cfg.param_shapes(), make_rng(6, "init"))
     tok_params["head_w"] = trunc_normal((cfg.d_model, 3), make_rng(6, "head"))
     tok_params["head_b"] = np.zeros(3, dtype=np.float32)
     rows = np.array([0, 0, 1, 2, 3])

@@ -19,7 +19,6 @@ from breakscore.alignment import (
     read_sequences,
     sequence_from_json,
     sequence_to_json,
-    serialize_ctm,
 )
 from breakscore.exceptions import DataError, ParseError
 
@@ -94,12 +93,6 @@ class TestGapsAndSequences:
             TokenSequence(id="x", words=("a", "b"), breaks=())
         with pytest.raises(DataError):
             TokenSequence(id="x", words=("a",), breaks=(BreakClass.BR0,))
-
-    def test_items_alternates(self):
-        seq = TokenSequence(
-            id="x", words=("a", "b", "c"), breaks=(BreakClass.BR0, BreakClass.BR2)
-        )
-        assert seq.items() == ["a", "br0", "b", "br2", "c"]
 
 
 class TestNormalize:
@@ -179,6 +172,15 @@ def utterances(draw):
         words.append(AlignedWord(surface=f"w{i}", start=round(t, 6), end=round(t + dur, 6)))
         t += dur
     return AlignedUtterance(id=draw(st.sampled_from(["a", "b", "utt_9"])), words=tuple(words))
+
+
+def serialize_ctm(utts: list[AlignedUtterance]) -> str:
+    """Inverse of parse_ctm on valid utterances (channel fixed to 1)."""
+    lines = []
+    for utt in utts:
+        for w in utt.words:
+            lines.append(f"{utt.id} 1 {w.start:.6f} {w.end - w.start:.6f} {w.surface}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class TestRoundTrips:

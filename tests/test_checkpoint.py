@@ -7,7 +7,9 @@ import pytest
 
 from breakscore.checkpoint import MAGIC, N_CLASSES, Checkpoint, load_checkpoint, save_checkpoint
 from breakscore.exceptions import DataError
-from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
+from breakscore.nn.bilstm import BiLstmConfig
+from breakscore.nn.encoder import EncoderConfig
+from breakscore.nn.functional import init_params
 from breakscore.rngs import make_rng
 from breakscore.vocab import Vocabulary
 
@@ -16,10 +18,9 @@ def make_ckpt(kind="rbtd", model="encoder"):
     """A checkpoint holding the parameters its config and kind imply."""
     if model == "encoder":
         cfg = EncoderConfig(vocab_size=10, d_model=8, n_heads=2, ffn_dim=16, max_len=8)
-        params = init_encoder_params(cfg, make_rng(0, "init"))
     else:
         cfg = BiLstmConfig(vocab_size=10, embed_dim=4, hidden_size=3)
-        params = init_bilstm_params(cfg, make_rng(0, "init"))
+    params = init_params(cfg.param_shapes(), make_rng(0, "init"))
     n_classes = N_CLASSES.get(kind, 3)
     rng = np.random.default_rng(0)
     params["head_w"] = rng.normal(size=(cfg.hidden_dim, n_classes)).astype(np.float32)

@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, outputs, determinism."""
+import hashlib
 import json
 import multiprocessing
 import os
@@ -97,6 +98,35 @@ class TestSynth:
         cfg.write_text(text)
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 2
         assert str(cfg) in caplog.text
+
+    @pytest.mark.parametrize("key,value", [
+        ("words_per_sentence", "[1, 2, 3]"), ("words_per_sentence", "[a, b]"),
+        ("words_per_sentence", "[0, 4]"), ("words_per_sentence", "[7, 6]"),
+        ("class_shape", "[a]"), ("class_shape", "[1.0]"), ("class_shape", "[0.5, 0.5]"),
+        ("class_shape", "[0.5, 0.6, -0.1]"), ("class_shape", "[.nan, 0.5, 0.5]"),
+        ("error_rates", "{spurious: 0.5}"),
+    ])
+    def test_bad_synth_value_exits_2_naming_key(self, tmp_path, caplog, key, value):
+        # Wrong tuple shapes and element types, values out of range, and a key
+        # that no longer exists.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"synth:\n  {key}: {value}\n")
+        out_dir = tmp_path / "d"
+        assert run("synth", "--config", str(cfg), "--n-sentences", "5", "--out-dir", str(out_dir)) == 2
+        assert key in caplog.text
+        assert not (out_dir / "native.jsonl").exists()
+
+    def test_seeded_corpus_bytes(self, tmp_path):
+        """`synth --seed 11` writes exactly these corpora. The digests were
+        recorded under numpy 2.4.6, whose Generator streams they rest on."""
+        assert run("synth", "--seed", "11", "--n-sentences", "200", "--out-dir", str(tmp_path)) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("native.jsonl", "esl.jsonl", "esl_truth.jsonl")}
+        assert digests == {
+            "native.jsonl": "1a4a4fa030711424f4b65e2d3a8a84c4ec9ebaf8752aceea67e9864a856fa476",
+            "esl.jsonl": "dab767e68fddafc4f5273aa16c98651e81bccbb458f2f71b35bdf44bf8708a91",
+            "esl_truth.jsonl": "487b7871916aa44290b49e1e135a6ecf016f4b8a9ca50185830a36d6a5c403a4",
+        }
 
     def test_config_echo_round_trips(self, tmp_path):
         cfg = tmp_path / "c.yaml"

@@ -28,7 +28,8 @@ from breakscore import alignment, cli, corruption, tasks
 from breakscore.checkpoint import MAGIC, N_CLASSES, Checkpoint, load_checkpoint, save_checkpoint
 from breakscore.config import _SECTION_TYPES, load_config
 from breakscore.exceptions import BreakscoreError, ParseError
-from breakscore.nn import EncoderConfig, init_encoder_params
+from breakscore.nn.encoder import EncoderConfig
+from breakscore.nn.functional import init_params
 from breakscore.rngs import make_rng
 from breakscore.vocab import RESERVED_TOKENS, Vocabulary
 
@@ -225,7 +226,7 @@ class TestConfigYaml:
 def _valid_checkpoint_bytes(path, kind="fine") -> bytes:
     """A tiny encoder checkpoint of `kind` with the parameters its config implies."""
     cfg = EncoderConfig(vocab_size=10, d_model=4, n_heads=2, n_layers=1, ffn_dim=8, max_len=8)
-    params = init_encoder_params(cfg, make_rng(3, "init"))
+    params = init_params(cfg.param_shapes(), make_rng(3, "init"))
     n_classes = N_CLASSES[kind]
     params["head_w"] = np.arange(4 * n_classes, dtype=np.float32).reshape(4, n_classes)
     params["head_b"] = np.ones(n_classes, np.float32)

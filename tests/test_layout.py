@@ -1,0 +1,52 @@
+"""Source layout: every top-level function and class in `src/breakscore` is
+used in `src` outside its own definition, so code that only the tests use
+cannot live there. An import or an `__all__` entry is not a use."""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "breakscore"
+
+
+def _exempt(module: str, name: str) -> bool:
+    """Definitions reached without their name appearing in `src`."""
+    # `cli.main` looks each subcommand's handler up as globals()[f"cmd_{command}"].
+    if module == "cli" and name.startswith("cmd_"):
+        return True
+    # The tests read the BLAS thread count to check that training's pin restores it.
+    return (module, name) == ("shards", "blas_threads")
+
+
+def _trees():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        yield module, path, ast.parse(path.read_text())
+
+
+def _definitions():
+    """(module, name, path, first line, last line) of each top-level def and class."""
+    for module, path, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield module, node.name, path, node.lineno, node.end_lineno
+
+
+def _uses():
+    """(path, line, name) of every name read as a variable or an attribute."""
+    for _, path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield path, node.lineno, node.id
+            elif isinstance(node, ast.Attribute):
+                yield path, node.lineno, node.attr
+
+
+def test_every_definition_is_used_in_src():
+    uses = list(_uses())
+    unused = [
+        f"{module}.{name}"
+        for module, name, path, first, last in _definitions()
+        if not _exempt(module, name)
+        and not any(n == name and not (p == path and first <= i <= last) for p, i, n in uses)
+    ]
+    assert not unused, f"defined in src but used nowhere else in src: {unused}"
+

@@ -6,22 +6,16 @@ import numpy as np
 import pytest
 
 from breakscore.exceptions import DataError
-from breakscore.nn import (
-    AdamState,
-    BiLstmConfig,
-    EncoderConfig,
-    adam_step,
+from breakscore.nn.adam import AdamState, adam_step
+from breakscore.nn.bilstm import BiLstmConfig, bilstm_backward, bilstm_forward
+from breakscore.nn.encoder import EncoderConfig, encoder_backward, encoder_forward
+from breakscore.nn.functional import (
     batched_cross_entropy,
-    bilstm_backward,
-    bilstm_forward,
     dropout,
     dropout_backward,
-    encoder_backward,
-    encoder_forward,
     gelu,
     gelu_backward,
-    init_bilstm_params,
-    init_encoder_params,
+    init_params,
     layer_norm,
     layer_norm_backward,
     linear,
@@ -276,7 +270,7 @@ def tiny_encoder(dropout=0.0):
         vocab_size=12, d_model=8, n_heads=2, n_layers=2, ffn_dim=16,
         max_len=10, dropout_prob=dropout,
     )
-    params = init_encoder_params(cfg, make_rng(0, "init"))
+    params = init_params(cfg.param_shapes(), make_rng(0, "init"))
     return cfg, params
 
 
@@ -357,7 +351,7 @@ class TestEncoder:
 
 def tiny_bilstm():
     cfg = BiLstmConfig(vocab_size=12, embed_dim=6, hidden_size=5)
-    params = init_bilstm_params(cfg, make_rng(0, "init"))
+    params = init_params(cfg.param_shapes(), make_rng(0, "init"))
     return cfg, params
 
 
@@ -432,7 +426,7 @@ class TestBiLstm:
         # different steps. The probe also weights padded positions, where the
         # forward scan's output is its carried last real state.
         cfg = BiLstmConfig(vocab_size=12, embed_dim=4, hidden_size=3)
-        params = init_bilstm_params(cfg, make_rng(1, "init"))
+        params = init_params(cfg.param_shapes(), make_rng(1, "init"))
         params = {k: v * 20 for k, v in params.items()}   # away from the linear regime
         ids = np.array([[2, 8, 4, 9, 5], [2, 10, 3, 0, 0], [2, 0, 0, 0, 0]])
         mask = ids != 0
@@ -500,7 +494,7 @@ class TestBiLstmAgainstReference:
         cfg = BiLstmConfig(vocab_size=12, embed_dim=5, hidden_size=4)
         rng = make_rng(4, "reference")
         params = {k: rng.normal(0.0, 0.5, size=v.shape)
-                  for k, v in init_bilstm_params(cfg, rng).items()}
+                  for k, v in init_params(cfg.param_shapes(), rng).items()}
         width = max(lengths)
         mask = np.arange(width)[None, :] < np.array(lengths)[:, None]
         ids = np.where(mask, rng.integers(1, cfg.vocab_size, size=mask.shape), 0)

@@ -11,7 +11,9 @@ import pytest
 from breakscore.checkpoint import N_CLASSES, Checkpoint
 from breakscore.corruption import CorruptionConfig, LabeledSequence, build_pretrain_dataset
 from breakscore.exceptions import DataError
-from breakscore.nn import BiLstmConfig, EncoderConfig, init_bilstm_params, init_encoder_params
+from breakscore.nn.bilstm import BiLstmConfig
+from breakscore.nn.encoder import EncoderConfig
+from breakscore.nn.functional import init_params
 from breakscore.ranks import Rank
 from breakscore.rngs import make_rng
 from breakscore import shards, tasks
@@ -242,10 +244,9 @@ class TestPretrainRbtd:
             seqs.append(encoded(word_ids, [int(rng.integers(4)) for _ in range(n_words - 1)]))
         if model == "encoder":
             cfg = small_cfg(12)
-            params = init_encoder_params(cfg, make_rng(0, "init"))
         else:
             cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
-            params = init_bilstm_params(cfg, make_rng(0, "init"))
+        params = init_params(cfg.param_shapes(), make_rng(0, "init"))
         # Scale the 0.02-std init up so samples' representations, and so
         # their classes, differ; layer-norm gains stay at one.
         params = {k: v if k.endswith("_g") else v * 25 for k, v in params.items()}
@@ -422,10 +423,9 @@ class TestBatchedPrediction:
         seqs = self.mixed_seqs()
         if model == "encoder":
             cfg = small_cfg(12)
-            core = init_encoder_params(cfg, make_rng(0, "init"))
         else:
             cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
-            core = init_bilstm_params(cfg, make_rng(0, "init"))
+        core = init_params(cfg.param_shapes(), make_rng(0, "init"))
         assert len(tasks._token_batches(seqs, cfg.max_len)) >= 2
         # Scaled-up weights and a centred head make the predicted ranks differ.
         core = {k: v if k.endswith("_g") else v * 25 for k, v in core.items()}
@@ -454,7 +454,7 @@ class TestBatchedPrediction:
 
     def test_empty_batch(self):
         cfg = small_cfg(12)
-        params = dict(init_encoder_params(cfg, make_rng(0, "init")),
+        params = dict(init_params(cfg.param_shapes(), make_rng(0, "init")),
                       head_w=np.zeros((16, 3), dtype=np.float32), head_b=np.zeros(3, np.float32))
         ckpt = Checkpoint(kind="overall", model_cfg=cfg, vocab=toy_vocab(), seed=0,
                           params=params, init_from=None)
