@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 
-from . import alignment, baseline, corruption, metrics, synth, tasks
+from . import alignment, baseline, corruption, metrics, shards, synth, tasks
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, dump_config, load_config
 from .exceptions import BreakscoreError, DataError, NumericError, ParseError
@@ -407,6 +407,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
+    log.debug("freed heap memory kept for reuse: %s", shards.keep_freed_memory())
     try:
         # Looked up per call, so a patched cmd_x takes effect.
         return globals()[f"cmd_{args.command}"](args)

@@ -4,6 +4,8 @@ inside one batch). Shard 0 runs in the training process, shard 1 in one
 worker forked for the run; both read the parameters from, and write their
 gradients to, one anonymous shared mapping. Training pins BLAS to one thread
 per process, so its bytes do not depend on the CPU or BLAS thread count.
+`keep_freed_memory` has glibc reuse freed blocks instead of returning them to
+the kernel; the CLI sets it once per process, and a forked worker inherits it.
 """
 from __future__ import annotations
 
@@ -83,6 +85,23 @@ def one_blas_thread():
         yield True
     finally:
         put(old)
+
+
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Have glibc malloc keep freed memory for the rest of the process, so each
+    train step's temporaries reuse the blocks the last step freed instead of
+    being given back to the kernel and page-faulted in again. Blocks up to
+    32 MiB, glibc's largest mmap threshold, come from the heap, which is
+    trimmed only once over 1 GiB of it is free. Never undone: glibc cannot turn
+    its dynamic thresholds back on. Returns whether both settings took;
+    without `mallopt` (musl, macOS) nothing changes."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    return bool(mallopt(m_mmap_threshold, 32 << 20) and mallopt(m_trim_threshold, 1 << 30))
 
 
 def usable_cpus() -> int:

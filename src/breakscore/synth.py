@@ -79,7 +79,7 @@ _REQUIRED = {SITE_PLAIN: BreakClass.BR0, SITE_CLAUSE: BreakClass.BR2, SITE_SENTE
 @dataclass(frozen=True)
 class SynthConfig:
     n_sentences: int = 100            # number of generated utterances
-    words_per_sentence: tuple = (6, 14)
+    max_conjuncts: int = 2            # most `and <noun phrase>`s per clause (1 or 2)
     comma_rate: float = 0.5           # chance of a second clause in a sentence
     two_sentence_rate: float = 0.5    # chance an utterance holds two sentences
     alt_pattern_rate: float = 0.3     # chance an optional site carries br1
@@ -90,11 +90,8 @@ class SynthConfig:
     class_shape: tuple = (0.1, 0.2, 0.7)  # Poor/Fair/Great overall fractions
 
     def __post_init__(self):
-        lo_hi = self.words_per_sentence
-        if (len(lo_hi) != 2 or not all(type(n) is int for n in lo_hi)
-                or not 1 <= lo_hi[0] <= lo_hi[1]):
-            raise DataError(f"words_per_sentence must be two ints lo, hi with 1 <= lo <= hi, "
-                            f"got {lo_hi}")
+        if self.max_conjuncts not in (1, 2):
+            raise DataError(f"max_conjuncts must be 1 or 2, got {self.max_conjuncts}")
         shape = self.class_shape
         if (len(shape) != 3 or not all(type(f) in (int, float) and 0.0 <= f <= 1.0 for f in shape)
                 or abs(sum(shape) - 1.0) > 1e-6):
@@ -142,8 +139,7 @@ def _gen_noun_phrase(rng, adj_rate: float) -> list[str]:
 
 def _gen_clause(rng, cfg: SynthConfig, final_in_sentence: bool) -> list[str]:
     words = _gen_noun_phrase(rng, cfg.adj_rate)
-    lo, hi = cfg.words_per_sentence
-    n_conjuncts = int(rng.integers(1, 3)) if hi >= 10 else int(rng.integers(1, 2))
+    n_conjuncts = int(rng.integers(1, cfg.max_conjuncts + 1))
     for _ in range(n_conjuncts):
         words.append(CONJ)
         words.extend(_gen_noun_phrase(rng, cfg.adj_rate))

@@ -318,7 +318,7 @@ def test_pretraining_transfer(pretrain_bundle):
 def test_diverse_pattern_failure_mode():
     t0 = time.time()
     common = dict(
-        n_sentences=300, seed=SEED, words_per_sentence=(6, 9),
+        n_sentences=300, seed=SEED, max_conjuncts=1,
         comma_rate=0.0, two_sentence_rate=0.0, adj_rate=0.0,
     )
     scfg = synth.SynthConfig(alt_pattern_rate=0.7, **common)

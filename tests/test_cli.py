@@ -100,15 +100,19 @@ class TestSynth:
         assert str(cfg) in caplog.text
 
     @pytest.mark.parametrize("key,value", [
+        ("max_conjuncts", "0"), ("max_conjuncts", "3"), ("max_conjuncts", "-1"),
+        ("max_conjuncts", "a"), ("max_conjuncts", "1.5"), ("max_conjuncts", "true"),
+        ("max_conjuncts", "[1, 2]"),
         ("words_per_sentence", "[1, 2, 3]"), ("words_per_sentence", "[a, b]"),
         ("words_per_sentence", "[0, 4]"), ("words_per_sentence", "[7, 6]"),
         ("class_shape", "[a]"), ("class_shape", "[1.0]"), ("class_shape", "[0.5, 0.5]"),
         ("class_shape", "[0.5, 0.6, -0.1]"), ("class_shape", "[.nan, 0.5, 0.5]"),
-        ("error_rates", "{spurious: 0.5}"),
+        ("words_per_sentence", "[6, 14]"), ("error_rates", "{spurious: 0.5}"),
     ])
     def test_bad_synth_value_exits_2_naming_key(self, tmp_path, caplog, key, value):
-        # Wrong tuple shapes and element types, values out of range, and a key
-        # that no longer exists.
+        # Wrong tuple shapes and element types, values out of range, and keys
+        # that no longer exist: `max_conjuncts` replaced `words_per_sentence`,
+        # which is rejected in any form.
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"synth:\n  {key}: {value}\n")
         out_dir = tmp_path / "d"
@@ -520,19 +524,31 @@ class TestBadInputFiles:
         assert f"{bad}: line {len(good) + 1}: " in caplog.text
         assert "ids holds no token" in caplog.text
 
-    @pytest.mark.parametrize("argv, config", [
-        (("--lr", "nan"), ""), (("--lr", "0"), ""), (("--lr", "inf"), ""),
-        ((), "train:\n  max_len: 0\n"), ((), "train:\n  max_len: 1\n"),
-    ], ids=["lr-nan", "lr-0", "lr-inf", "max_len-0", "max_len-1"])
+    @pytest.mark.parametrize("command, argv, config, message", [
+        pytest.param("finetune", ("--lr", "nan"), "", "lr must be", id="lr-nan"),
+        pytest.param("finetune", ("--lr", "0"), "", "lr must be", id="lr-0"),
+        pytest.param("finetune", ("--lr", "inf"), "", "lr must be", id="lr-inf"),
+        pytest.param("finetune", (), "train:\n  max_len: 0\n", "max_len must be", id="max_len-0"),
+        pytest.param("finetune", (), "train:\n  max_len: 1\n", "max_len must be", id="max_len-1"),
+        *(pytest.param(command, (flag, value), "", "batch_size and epochs must be >= 1",
+                       id=f"{command}-{flag[2:]}-{value}")
+          for command in ("finetune", "pretrain")
+          for flag in ("--epochs", "--batch-size") for value in ("0", "-1")),
+        *(pytest.param("eval", ("--k", value), "", "k must be >= 2", id=f"eval-k-{value}")
+          for value in ("0", "1", "-1")),
+    ])
     def test_bad_train_setting_exits_2_before_training(self, pipeline, tmp_path, caplog,
-                                                       argv, config):
+                                                       command, argv, config, message):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(config)
-        out = tmp_path / "x.pbrk"
-        assert run("finetune", "--config", str(cfg), "--task", "overall", "--in", pipeline["esl"],
-                   "--vocab", pipeline["vocab"], "--out", str(out), *argv) == 2
+        out = tmp_path / "x.out"
+        data = {"finetune": ("--task", "overall", "--in", pipeline["esl"]),
+                "pretrain": ("--in", pipeline["pretrain"]),
+                "eval": ("--task", "overall", "--model", "scratch", "--in", pipeline["esl"])}
+        assert run(command, "--config", str(cfg), *data[command], "--vocab", pipeline["vocab"],
+                   "--out", str(out), *argv) == 2
         assert not out.exists()
-        assert ("lr must be" if argv else "max_len must be") in caplog.text
+        assert message in caplog.text
 
 
     @pytest.mark.parametrize("model, config, message", [

@@ -77,6 +77,24 @@ class TestGenerateNative:
         assert br1_rate(0.0) == 0.0
         assert abs(br1_rate(0.5) - 0.5) < 0.05
 
+    def test_max_conjuncts_bounds_the_ands_per_clause(self):
+        def conjuncts_per_clause(max_conjuncts):
+            counts = []
+            for s in generate_native(SynthConfig(n_sentences=100, seed=8,
+                                                 max_conjuncts=max_conjuncts)):
+                n = 0
+                for word in s.words:
+                    n += word == CONJ
+                    if word in CLAUSE_TAILS or word in SENT_TAILS:
+                        counts.append(n)
+                        n = 0
+            return set(counts)
+
+        assert conjuncts_per_clause(1) == {1}
+        assert conjuncts_per_clause(2) == {1, 2}
+        with pytest.raises(DataError, match="max_conjuncts"):
+            SynthConfig(max_conjuncts=3)
+
     def test_words_are_alt_rate_invariant(self):
         # Same seed, different alternate-pattern rate: identical word streams,
         # so a zero-rate regeneration yields canonical reference renditions.
