@@ -103,11 +103,11 @@ class TestSynth:
         ("max_conjuncts", "0"), ("max_conjuncts", "3"), ("max_conjuncts", "-1"),
         ("max_conjuncts", "a"), ("max_conjuncts", "1.5"), ("max_conjuncts", "true"),
         ("max_conjuncts", "[1, 2]"),
-        ("words_per_sentence", "[1, 2, 3]"), ("words_per_sentence", "[a, b]"),
-        ("words_per_sentence", "[0, 4]"), ("words_per_sentence", "[7, 6]"),
         ("class_shape", "[a]"), ("class_shape", "[1.0]"), ("class_shape", "[0.5, 0.5]"),
         ("class_shape", "[0.5, 0.6, -0.1]"), ("class_shape", "[.nan, 0.5, 0.5]"),
-        ("words_per_sentence", "[6, 14]"), ("error_rates", "{spurious: 0.5}"),
+        ("words_per_sentence", "[6, 14]"), ("words_per_sentence", "[1, 2, 3]"),
+        ("words_per_sentence", "[a, b]"), ("words_per_sentence", "[0, 4]"),
+        ("words_per_sentence", "[7, 6]"), ("error_rates", "{spurious: 0.5}"),
     ])
     def test_bad_synth_value_exits_2_naming_key(self, tmp_path, caplog, key, value):
         # Wrong tuple shapes and element types, values out of range, and keys
