@@ -116,8 +116,7 @@ def cmd_synth(args) -> int:
     native = synth.generate_native(scfg)
     esl = synth.generate_esl(scfg, native)
     vocab = build_vocab(native)
-    max_len = cfg.build("train").max_len
-    rated = [synth.encode_rated(s, vocab, max_len=max_len) for s in esl]
+    rated = [synth.encode_rated(s, vocab) for s in esl]
 
     def out(name):
         return os.path.join(args.out_dir, name)
@@ -145,11 +144,7 @@ def cmd_corrupt(args) -> int:
     ccfg = cfg.build("corruption")
     vocab = _read(args.vocab, Vocabulary.from_lines)
     seqs = _read(args.infile, alignment.read_sequences)
-    max_len = cfg.build("train").max_len
-    corpus = []
-    for s in seqs:
-        ids, mask = encode(s, vocab, max_len=max_len)
-        corpus.append((s.id, ids, mask))
+    corpus = [(s.id, *encode(s, vocab)) for s in seqs]
     dataset = corruption.build_pretrain_dataset(corpus, ccfg)
     write_atomic(args.out, "\n".join(corruption.labeled_to_json(s) for s in dataset) + "\n")
     _echo_config(cfg, args.out)
@@ -223,9 +218,11 @@ def make_trained_predictor(task, model_cfg, vocab, tcfg, init_ckpt):
                 pred, _ = tasks.predict_overall(ckpt, item.ids, item.break_mask)
                 return [(rank_to_class(item.overall), rank_to_class(pred))]
             preds = tasks.predict_finegrained(ckpt, item.ids, item.break_mask)
+            # The model scores the breaks within its max_len tokens.
+            read = item.fine[: sum(item.break_mask[: model_cfg.max_len])]
             return [
                 (rank_to_class(t), rank_to_class(p))
-                for t, p in zip(item.fine, preds, strict=True)
+                for t, p in zip(read, preds, strict=True)
             ]
 
         return predictor
@@ -268,6 +265,10 @@ def cmd_eval(args) -> int:
         else:
             init = load_checkpoint(args.model, expect_kind="rbtd")
             model_cfg, name = init.model_cfg, "Break-Pretrained"
+        n_cut = sum(len(s.ids) > model_cfg.max_len for s in dataset)
+        if n_cut:
+            log.warning("%d of %d items are longer than the model's max_len %d; the report "
+                        "leaves out their breaks past it", n_cut, len(dataset), model_cfg.max_len)
         train_fn = make_trained_predictor(args.task, model_cfg, vocab, tcfg, init)
 
     report = metrics.cross_validate(dataset, labels, train_fn, k=k, seed=cfg.seed)
@@ -289,14 +290,12 @@ def cmd_score(args) -> int:
         raise DataError(f"{args.overall_ckpt} and {args.fine_ckpt} were trained on different "
                         "vocabularies; score needs both checkpoints to share one")
     vocab = (overall_ckpt or fine_ckpt).vocab
-    # Encode as long as the longest-reaching model reads.
     max_lens = {c.kind: c.model_cfg.max_len for c in (overall_ckpt, fine_ckpt) if c is not None}
-    max_len = max(max_lens.values())
     parse = alignment.parse_ctm if args.format == "ctm" else alignment.parse_tsv
     seqs, encoded = [], []
     for utt in _read(args.align, parse):
         seq = alignment.build_sequence(utt)
-        ids, mask = encode(seq, vocab, max_len=max_len)
+        ids, mask = encode(seq, vocab)
         n_tokens = 2 * len(seq.words)   # [CLS], the words and the breaks between them
         for kind, ckpt_len in max_lens.items():
             if n_tokens > ckpt_len:

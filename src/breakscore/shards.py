@@ -64,12 +64,6 @@ def _blas_thread_fns():
     return None
 
 
-def blas_threads() -> int | None:
-    """The BLAS thread count in effect, or None when it cannot be read."""
-    fns = _blas_thread_fns()
-    return None if fns is None else fns[0]()
-
-
 @contextmanager
 def one_blas_thread():
     """Pin BLAS to one thread for the block, then restore the old count. Yields

@@ -75,6 +75,9 @@ SITE_SENTENCE = "sentence"    # br3 required
 
 _REQUIRED = {SITE_PLAIN: BreakClass.BR0, SITE_CLAUSE: BreakClass.BR2, SITE_SENTENCE: BreakClass.BR3}
 
+FAIR_INTENSITY = 0.35   # share of break positions weakened in a Fair item
+POOR_INTENSITY = 0.40   # share of break positions broken in a Poor item
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -84,8 +87,6 @@ class SynthConfig:
     two_sentence_rate: float = 0.5    # chance an utterance holds two sentences
     alt_pattern_rate: float = 0.3     # chance an optional site carries br1
     adj_rate: float = 0.6             # chance a noun phrase carries an adjective
-    fair_intensity: float = 0.35      # fraction of positions weakened in a Fair item
-    poor_intensity: float = 0.40      # fraction of positions broken in a Poor item
     seed: int = 0
     class_shape: tuple = (0.1, 0.2, 0.7)  # Poor/Fair/Great overall fractions
 
@@ -97,10 +98,6 @@ class SynthConfig:
                 or abs(sum(shape) - 1.0) > 1e-6):
             raise DataError(f"class_shape must be three Poor/Fair/Great fractions in [0, 1] "
                             f"that sum to 1, got {shape}")
-        if self.poor_intensity < 0.2:
-            raise DataError("poor_intensity below the 20% overall-Poor threshold")
-        if not 0.101 <= self.fair_intensity <= 1.0:
-            raise DataError("fair_intensity must leave under 90% of positions Great")
         for name, rate in (
             ("comma_rate", self.comma_rate),
             ("two_sentence_rate", self.two_sentence_rate),
@@ -224,7 +221,7 @@ def _inject_fair(site: str):
     return None
 
 
-def _corrupt_to_class(seq: TokenSequence, target: Rank, rng, cfg: SynthConfig):
+def _corrupt_to_class(seq: TokenSequence, target: Rank, rng):
     sites = infer_sites(seq.words)
     n = len(sites)
     breaks = list(seq.breaks)
@@ -236,7 +233,7 @@ def _corrupt_to_class(seq: TokenSequence, target: Rank, rng, cfg: SynthConfig):
     if target == Rank.GREAT:
         pass
     elif target == Rank.FAIR:
-        k = max(1, math.ceil(cfg.fair_intensity * n))
+        k = max(1, math.ceil(FAIR_INTENSITY * n))
         candidates = [i for i in range(n) if _inject_fair(sites[i]) is not None]
         if len(candidates) < k:
             return None
@@ -245,7 +242,7 @@ def _corrupt_to_class(seq: TokenSequence, target: Rank, rng, cfg: SynthConfig):
             breaks[pos], trace[pos] = _inject_fair(sites[pos])
             fine[pos] = Rank.FAIR
     else:
-        k = max(1, math.ceil(cfg.poor_intensity * n))
+        k = max(1, math.ceil(POOR_INTENSITY * n))
         for i in rng.choice(n, size=k, replace=False):
             breaks[i], trace[i] = _inject_poor(sites[i], rng)
             fine[i] = Rank.POOR
@@ -283,7 +280,7 @@ def generate_esl(cfg: SynthConfig, native: list[TokenSequence]) -> list[EslSampl
         target = targets[idx]
         result = None
         for _ in range(_ESL_MAX_ATTEMPTS):
-            result = _corrupt_to_class(seq, target, rng, cfg)
+            result = _corrupt_to_class(seq, target, rng)
             if result is not None:
                 break
         if result is None:
@@ -304,16 +301,15 @@ def generate_esl(cfg: SynthConfig, native: list[TokenSequence]) -> list[EslSampl
     return out
 
 
-def encode_rated(sample: EslSample, vocab: Vocabulary, max_len: int = 128) -> RatedSample:
+def encode_rated(sample: EslSample, vocab: Vocabulary) -> RatedSample:
     """Encode an ESL sample into the model's id space with aligned fine labels."""
-    ids, break_mask = encode(sample.seq, vocab, max_len=max_len)
-    n_breaks = sum(break_mask)
+    ids, break_mask = encode(sample.seq, vocab)
     return RatedSample(
         id=sample.seq.id,
         ids=tuple(ids),
         break_mask=tuple(break_mask),
         overall=sample.overall,
-        fine=tuple(sample.fine[:n_breaks]),
+        fine=sample.fine,
     )
 
 

@@ -36,13 +36,10 @@ class TrainConfig:
     epochs: int = 3
     lr: float = 1e-4
     seed: int = 0
-    max_len: int = 128
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise DataError("batch_size and epochs must be >= 1")
-        if self.max_len < 2:
-            raise DataError(f"max_len must be >= 2, got {self.max_len}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise DataError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -109,14 +106,14 @@ def _pad_batch(seqs: list[tuple], max_len: int):
     return ids, pad_mask, break_mask
 
 
-def _length_batches(seqs: list[tuple], order: np.ndarray, batch_size: int, max_len: int):
-    """Indices into `seqs`, cut into batches of similar length.
+def _length_batches(lengths: np.ndarray, order: np.ndarray, batch_size: int):
+    """Indices into `lengths`, each a sequence's length capped at max_len, cut
+    into batches of similar length.
 
-    `order` is stable-sorted by sequence length capped at max_len, so samples
-    of equal length keep their order in it, then cut every batch_size. Padding
-    a batch to its longest row then wastes little (sequence bucketing).
+    `order` is stable-sorted by length, so samples of equal length keep their
+    order in it, then cut every batch_size. Padding a batch to its longest row
+    then wastes little (sequence bucketing).
     """
-    lengths = np.array([min(len(s[0]), max_len) for s in seqs], dtype=np.int64)
     order = order[np.argsort(lengths[order], kind="stable")]
     return [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
 
@@ -144,12 +141,8 @@ def _token_batches(seqs: list[tuple], max_len: int, max_tokens: int = PREDICT_TO
 
 
 # -- model plumbing ----------------------------------------------------------
-# The model config's type picks the network: the encoder or the Bi-LSTM.
-
-def _seq_max_len(cfg, tcfg: TrainConfig) -> int:
-    """Tokens a model reads per sequence: the training cut, and no more than
-    the model itself reads."""
-    return min(tcfg.max_len, cfg.max_len)
+# The model config's type picks the network: the encoder or the Bi-LSTM, and
+# its max_len the most tokens of a sequence it reads, in training and prediction.
 
 
 def _forward(params, cfg, ids, pad_mask, train=False, dropout_rng=None):
@@ -217,7 +210,8 @@ def _train(
     new = {k: s for k, s in param_shapes(kind, cfg).items() if k not in params}
     params.update(init_params(new, make_rng(tcfg.seed, kind + "-init")))
 
-    max_len = _seq_max_len(cfg, tcfg)
+    max_len = cfg.max_len
+    lengths = np.array([min(len(s[0]), max_len) for s in samples], dtype=np.int64)
     n_cut = sum(len(s[0]) > max_len for s in samples)
     if n_cut:
         log.warning("%d of %d %s samples are longer than max_len %d and are cut to it",
@@ -235,14 +229,11 @@ def _train(
     order_rng = make_rng(tcfg.seed, kind + "-order")
     schedule = []
     for _ in range(tcfg.epochs):
-        batches = _length_batches(
-            samples, order_rng.permutation(len(samples)), tcfg.batch_size, max_len
-        )
+        batches = _length_batches(lengths, order_rng.permutation(len(samples)), tcfg.batch_size)
         schedule.append([batches[b] for b in order_rng.permutation(len(batches))])
-    lengths = [min(len(s[0]), max_len) for s in samples]
 
     def is_split(batch) -> bool:
-        return len(batch) * max(lengths[i] for i in batch) >= shards.SHARD_TOKENS
+        return len(batch) * lengths[batch].max() >= shards.SHARD_TOKENS
 
     # Parameters and the two shards' gradient slots share one mapping, so a
     # forked worker reads each Adam update and the parent reads its gradient.
@@ -315,14 +306,13 @@ def _train(
     return {k: v.copy() for k, v in params.items()}, epoch_losses
 
 
-def _predict_logits(params, kind, cfg, seqs: list[tuple], max_len: int,
-                    max_tokens: int = PREDICT_TOKENS):
+def _predict_logits(params, kind, cfg, seqs: list[tuple], max_tokens: int = PREDICT_TOKENS):
     """Head logits of each (ids, break_mask), in input order: one [n_classes]
     array per sample, or one [n_breaks, n_classes] array for the "fine" head.
     Samples run in length-sorted padded batches of at most max_tokens tokens."""
     out = [None] * len(seqs)
-    for batch in _token_batches(seqs, max_len, max_tokens):
-        ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch], max_len)
+    for batch in _token_batches(seqs, cfg.max_len, max_tokens):
+        ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch], cfg.max_len)
         hidden, _ = _forward(params, cfg, ids, pad_mask)
         rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
         logits = rows @ params["head_w"] + params["head_b"]
@@ -363,10 +353,7 @@ def pretrain_rbtd(
     samples = [(s.ids, s.break_mask, [s.label]) for s in train]
     params, epoch_losses = _train(samples, "rbtd", enc_cfg, tcfg)
 
-    logits = _predict_logits(
-        params, "rbtd", enc_cfg, [(s.ids, s.break_mask) for s in held],
-        _seq_max_len(enc_cfg, tcfg),
-    )
+    logits = _predict_logits(params, "rbtd", enc_cfg, [(s.ids, s.break_mask) for s in held])
     cm = metrics.ConfusionMatrix.from_pairs(
         [s.label for s in held], [int(np.argmax(row)) for row in logits],
         n_classes=N_CLASSES["rbtd"],
@@ -439,7 +426,7 @@ def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.n
             f"sample ids exceed checkpoint vocabulary (size {vocab_size}); "
             "was it encoded with a different vocabulary?"
         )
-    return _predict_logits(ckpt.params, kind, ckpt.model_cfg, seqs, ckpt.model_cfg.max_len)
+    return _predict_logits(ckpt.params, kind, ckpt.model_cfg, seqs)
 
 
 def _ranks(logits: np.ndarray) -> list[Rank]:

@@ -121,15 +121,11 @@ def check_encoded(sample_id, ids, break_mask) -> None:
         raise DataError(f"sample {sample_id!r}: token ids must be non-negative integers")
 
 
-def encode(
-    seq: TokenSequence, vocab: Vocabulary, max_len: int = 128
-) -> tuple[list[int], list[bool]]:
-    """Encode to `[CLS] w0 b0 w1 ...` ids, truncated to max_len.
+def encode(seq: TokenSequence, vocab: Vocabulary) -> tuple[list[int], list[bool]]:
+    """Encode the whole sequence to `[CLS] w0 b0 w1 ...` ids.
 
     Returns (ids, break_mask); the mask is True exactly at break positions.
     """
-    if max_len < 2:
-        raise DataError(f"max_len must be >= 2, got {max_len}")
     ids = [CLS_ID, vocab.id_of(seq.words[0])]
     mask = [False, False]
     for br, word in zip(seq.breaks, seq.words[1:]):
@@ -137,4 +133,4 @@ def encode(
         mask.append(True)
         ids.append(vocab.id_of(word))
         mask.append(False)
-    return ids[:max_len], mask[:max_len]
+    return ids, mask

@@ -5,7 +5,14 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from breakscore import shards
 from breakscore.checkpoint import MAGIC
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count in effect, or None when it cannot be read."""
+    fns = shards._blas_thread_fns()
+    return None if fns is None else fns[0]()
 
 
 def _rewrite_checkpoint(path, edit):

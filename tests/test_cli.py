@@ -9,6 +9,7 @@ import shutil
 import numpy as np
 import pytest
 import yaml
+from conftest import blas_threads
 
 from breakscore import corruption, shards, tasks
 from breakscore.cli import main
@@ -108,11 +109,13 @@ class TestSynth:
         ("words_per_sentence", "[6, 14]"), ("words_per_sentence", "[1, 2, 3]"),
         ("words_per_sentence", "[a, b]"), ("words_per_sentence", "[0, 4]"),
         ("words_per_sentence", "[7, 6]"), ("error_rates", "{spurious: 0.5}"),
+        ("fair_intensity", "0.35"), ("poor_intensity", "0.40"),
     ])
     def test_bad_synth_value_exits_2_naming_key(self, tmp_path, caplog, key, value):
         # Wrong tuple shapes and element types, values out of range, and keys
         # that no longer exist: `max_conjuncts` replaced `words_per_sentence`,
-        # which is rejected in any form.
+        # which is rejected in any form, and the corruption intensities are
+        # constants.
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"synth:\n  {key}: {value}\n")
         out_dir = tmp_path / "d"
@@ -306,8 +309,7 @@ class TestPipeline:
         # which is logged; standard output still lists only the scored ones.
         cfg = tmp_path / "short.yaml"
         cfg.write_text(open(pipeline["cfg"]).read()
-                       .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n")
-                       .replace("epochs: 1\n", "epochs: 1\n  max_len: 16\n"))
+                       .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n"))
         fine = str(tmp_path / "fine16.pbrk")
         assert run("finetune", "--config", str(cfg), "--task", "fine",
                    "--in", pipeline["esl"], "--vocab", pipeline["vocab"], "--out", fine) == 0
@@ -326,9 +328,9 @@ class TestPipeline:
         assert "last 12 break positions" in warnings[0]
 
     def test_finetune_cuts_to_encoder_max_len(self, tmp_path, caplog):
-        # The training max_len (default 128) exceeds the encoder's 16: samples
-        # are cut to what the encoder reads, with one warning, instead of
-        # failing on the first long batch.
+        # Synth writes whole records, many longer than the encoder's 16 tokens:
+        # training cuts them to what the encoder reads, with one warning,
+        # instead of failing on the first long batch.
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(
             "seed: 3\n"
@@ -349,6 +351,33 @@ class TestPipeline:
         assert len(warnings) == 1
         assert f"{n_long} of {len(esl)} fine samples" in warnings[0]
         assert "max_len 16" in warnings[0]
+
+    def test_eval_fine_scores_the_breaks_within_encoder_max_len(self, pipeline, tmp_path,
+                                                                 caplog):
+        # Each fold's encoder reads 16 tokens, so the report holds the breaks
+        # among them, and one warning says how many items reach past them.
+        cfg = tmp_path / "short.yaml"
+        cfg.write_text(open(pipeline["cfg"]).read()
+                       .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n"))
+        out = tmp_path / "eval.json"
+        caplog.clear()
+        assert run("eval", "--config", str(cfg), "--task", "fine", "--in", pipeline["esl"],
+                   "--vocab", pipeline["vocab"], "--model", "scratch", "--k", "2",
+                   "--out", str(out)) == 0
+        esl = [json.loads(l) for l in open(pipeline["esl"])]
+        n_long = sum(len(s["ids"]) > 16 for s in esl)
+        assert n_long > 0
+        folds = json.loads(out.read_text())["folds"]
+        assert sum(f["total"] for f in folds) == sum(sum(s["break_mask"][:16]) for s in esl)
+        assert f"{n_long} of {len(esl)} items are longer than the model's max_len 16" in caplog.text
+
+    def test_train_max_len_is_an_unknown_key(self, pipeline, tmp_path, caplog):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("train:\n  max_len: 64\n")
+        assert run("finetune", "--config", str(cfg), "--task", "overall",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                   "--out", str(tmp_path / "x.pbrk")) == 2
+        assert "unknown key(s) in [train]: ['max_len']" in caplog.text
 
 
 class TestConfigValueTypes:
@@ -528,8 +557,6 @@ class TestBadInputFiles:
         pytest.param("finetune", ("--lr", "nan"), "", "lr must be", id="lr-nan"),
         pytest.param("finetune", ("--lr", "0"), "", "lr must be", id="lr-0"),
         pytest.param("finetune", ("--lr", "inf"), "", "lr must be", id="lr-inf"),
-        pytest.param("finetune", (), "train:\n  max_len: 0\n", "max_len must be", id="max_len-0"),
-        pytest.param("finetune", (), "train:\n  max_len: 1\n", "max_len must be", id="max_len-1"),
         *(pytest.param(command, (flag, value), "", "batch_size and epochs must be >= 1",
                        id=f"{command}-{flag[2:]}-{value}")
           for command in ("finetune", "pretrain")
@@ -556,12 +583,14 @@ class TestBadInputFiles:
         ("encoder", "encoder:\n  ffn_dim: 0\n", "ffn_dim must be >= 1"),
         ("encoder", "encoder:\n  dropout_prob: 1.0\n", "dropout_prob must be in [0, 1)"),
         ("encoder", "encoder:\n  dropout_prob: -0.5\n", "dropout_prob must be in [0, 1)"),
+        ("encoder", "encoder:\n  max_len: 0\n", "max_len must be >= 2"),
+        ("encoder", "encoder:\n  max_len: 1\n", "max_len must be >= 2"),
         ("bilstm", "bilstm:\n  embed_dim: -1\n", "embed_dim must be >= 1"),
     ], ids=["encoder-d_model", "encoder-ffn_dim", "encoder-dropout-1", "encoder-dropout-neg",
-            "bilstm-embed_dim"])
+            "encoder-max_len-0", "encoder-max_len-1", "bilstm-embed_dim"])
     def test_bad_model_setting_exits_2_before_training(self, pipeline, tmp_path, caplog,
                                                        model, config, message):
-        # At the parent each of these raised, exited 3 or trained on nonsense.
+        # Each is a data error found before any training starts.
         cfg = tmp_path / "c.yaml"
         cfg.write_text(config)
         assert run("finetune", "--config", str(cfg), "--task", "overall", "--model", model,
@@ -645,7 +674,7 @@ class TestScoreChecks:
                 "--model", "scratch", "--k", "3")
 
 
-@pytest.mark.skipif(shards.usable_cpus() < 2 or shards.blas_threads() is None,
+@pytest.mark.skipif(shards.usable_cpus() < 2 or blas_threads() is None,
                     reason="the shard worker needs two CPUs and a BLAS thread pin")
 class TestShardWorkerFaults:
     """A fault in the forked shard worker ends the command as it would in the
@@ -668,11 +697,11 @@ class TestShardWorkerFaults:
         return install
 
     def _pretrain(self, pipeline, tmp_path):
-        threads = shards.blas_threads()
+        threads = blas_threads()
         code = run("pretrain", "--config", pipeline["cfg"], "--in", pipeline["pretrain"],
                    "--vocab", pipeline["vocab"], "--out", str(tmp_path / "x.pbrk"))
         assert multiprocessing.active_children() == []
-        assert shards.blas_threads() == threads
+        assert blas_threads() == threads
         assert not (tmp_path / "x.pbrk").exists()
         return code
 
@@ -702,8 +731,7 @@ def score_ckpts(pipeline):
     root = pipeline["root"]
     short_cfg = root / "short16.yaml"
     short_cfg.write_text(open(pipeline["cfg"]).read()
-                         .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n")
-                         .replace("epochs: 1\n", "epochs: 1\n  max_len: 16\n"))
+                         .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n"))
     ckpts = {}
     for name, task, model, cfg in (
         ("encoder-overall", "overall", "encoder", pipeline["cfg"]),

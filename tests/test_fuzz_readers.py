@@ -12,7 +12,8 @@ records close to valid ones, so both the tokenizer and the field checks are
 reached.
 
 `TestCliContract` then drives `cli.main` itself on such inputs: `finetune`
-and `eval` on fuzzed rated JSONL, and `score` on fuzzed checkpoint bytes.
+and `eval` on fuzzed rated JSONL, `ingest` and `score` on fuzzed CTM and TSV
+files, and `score` on fuzzed checkpoint bytes.
 """
 import dataclasses
 import io
@@ -92,24 +93,28 @@ def is_array_of(value, kind) -> bool:
     return isinstance(value, list) and all(type(v) is kind for v in value)
 
 
+ctm_text = lines(st.one_of(
+    st.tuples(st.sampled_from(["u1", "u2", "u3"]) | tokens, st.just("1") | tokens,
+              numbers, numbers, st.sampled_from(["the", "fox"]) | tokens).map(" ".join),
+    st.lists(tokens, max_size=7).map(" ".join),
+))
+tsv_text = lines(st.one_of(
+    st.tuples(st.sampled_from(["u1", "u2", "u3"]) | tokens,
+              st.sampled_from(["the", "fox"]) | tokens, numbers, numbers).map("\t".join),
+    st.lists(tokens, max_size=6).map("\t".join),
+))
+
+
 class TestTextReaders:
     @fuzz
-    @given(lines(st.one_of(
-        st.tuples(st.sampled_from(["u1", "u2", "u3"]) | tokens, st.just("1") | tokens,
-                  numbers, numbers, st.sampled_from(["the", "fox"]) | tokens).map(" ".join),
-        st.lists(tokens, max_size=7).map(" ".join),
-    )))
+    @given(ctm_text)
     @example("u1 1 nan 0.4 carpet\nu1 1 0.5 inf chapel")
     @example("u1 1 0.0 0.4 carpet\nu1 1 1e308 1e308 chapel")
     def test_ctm(self, text):
         assert has_finite_times(parses_or_raises(alignment.parse_ctm, io.StringIO(text)) or [])
 
     @fuzz
-    @given(lines(st.one_of(
-        st.tuples(st.sampled_from(["u1", "u2", "u3"]) | tokens,
-                  st.sampled_from(["the", "fox"]) | tokens, numbers, numbers).map("\t".join),
-        st.lists(tokens, max_size=6).map("\t".join),
-    )))
+    @given(tsv_text)
     @example("u1\tcarpet\t0.1\tinf")
     def test_tsv(self, text):
         assert has_finite_times(parses_or_raises(alignment.parse_tsv, io.StringIO(text)) or [])
@@ -303,13 +308,15 @@ _VOCAB = [f"{i}\t{tok}\t0" for i, tok in enumerate(RESERVED_TOKENS)] + ["8\tfox\
 
 @st.composite
 def rated_record(draw):
-    """One rated JSONL line whose fields agree with each other; its ids may
-    be empty or reach past the 10-id vocabulary."""
-    n = draw(st.integers(0, 6))
+    """One rated JSONL line whose fields agree with each other. Its ids may
+    be empty or run past the encoder's 16 tokens; they stay inside the 10-id
+    vocabulary in most records and reach past it in about one in ten."""
+    n = draw(st.integers(0, 24))
     mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    top_id = 10 if draw(st.integers(0, 9)) == 9 else 9
     return json.dumps({
         "id": draw(st.text(max_size=3)),
-        "ids": draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)),
+        "ids": draw(st.lists(st.integers(0, top_id), min_size=n, max_size=n)),
         "break_mask": mask,
         "overall": draw(st.integers(1, 3)),
         "fine": draw(st.lists(st.integers(1, 3), min_size=sum(mask), max_size=sum(mask))),
@@ -357,6 +364,23 @@ class TestCliContract:
                 "--in", data, "--vocab", str(cli_dir / "vocab.tsv"), *command[1:]]
         if command[0] == "finetune":
             argv += ["--out", str(cli_dir / "out.pbrk")]
+        assert cli.main(argv) in (0, 2)
+
+    @fuzz
+    @given(fmt=st.sampled_from(["ctm", "tsv"]), data=st.data())
+    def test_ingest_on_alignment_files(self, cli_dir, fmt, data):
+        text = data.draw(ctm_text if fmt == "ctm" else tsv_text)
+        path = _write(cli_dir / f"fuzz.{fmt}", text.encode("utf-8"))
+        argv = ["ingest", path, "--format", fmt, "--out", str(cli_dir / "seqs.jsonl")]
+        assert cli.main(argv) in (0, 2)
+
+    @fuzz
+    @given(fmt=st.sampled_from(["ctm", "tsv"]), data=st.data())
+    def test_score_on_alignment_files(self, cli_dir, valid_ckpts, fmt, data):
+        text = data.draw(ctm_text if fmt == "ctm" else tsv_text)
+        path = _write(cli_dir / f"fuzz.{fmt}", text.encode("utf-8"))
+        argv = ["score", "--overall-ckpt", str(cli_dir / "valid-overall.pbrk"),
+                "--fine-ckpt", str(cli_dir / "valid-fine.pbrk"), "--align", path, "--format", fmt]
         assert cli.main(argv) in (0, 2)
 
     @fuzz

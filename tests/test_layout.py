@@ -10,10 +10,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "breakscore"
 def _exempt(module: str, name: str) -> bool:
     """Definitions reached without their name appearing in `src`."""
     # `cli.main` looks each subcommand's handler up as globals()[f"cmd_{command}"].
-    if module == "cli" and name.startswith("cmd_"):
-        return True
-    # The tests read the BLAS thread count to check that training's pin restores it.
-    return (module, name) == ("shards", "blas_threads")
+    return module == "cli" and name.startswith("cmd_")
 
 
 def _trees():

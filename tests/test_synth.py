@@ -174,20 +174,12 @@ class TestStatsAndEncoding:
         esl = generate_esl(cfg, native)
         vocab = build_vocab(native)
         for s in esl:
-            rated = encode_rated(s, vocab, max_len=32)
+            rated = encode_rated(s, vocab)
             assert len(rated.fine) == sum(rated.break_mask)
             assert rated.overall is s.overall
 
 
 class TestConfigValidation:
-    def test_poor_intensity_floor(self):
-        with pytest.raises(DataError):
-            SynthConfig(poor_intensity=0.1)
-
-    def test_fair_intensity_band(self):
-        with pytest.raises(DataError):
-            SynthConfig(fair_intensity=0.05)
-
     def test_class_shape_must_sum_to_one(self):
         with pytest.raises(DataError):
             SynthConfig(class_shape=(0.5, 0.5, 0.5))

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import blas_threads
 
 from breakscore.checkpoint import N_CLASSES, Checkpoint
 from breakscore.corruption import CorruptionConfig, LabeledSequence, build_pretrain_dataset
@@ -135,7 +136,7 @@ class TestTrainBatches:
         monkeypatch.setattr(shards, "SHARD_TOKENS", 10**9)
         cfg = EncoderConfig(vocab_size=64, d_model=16, n_heads=2, n_layers=1, ffn_dim=32,
                             max_len=64, dropout_prob=0.0)
-        tcfg = TrainConfig(batch_size=8, epochs=2, lr=1e-3, seed=seed, max_len=64)
+        tcfg = TrainConfig(batch_size=8, epochs=2, lr=1e-3, seed=seed)
         finetune(dataset, None, tcfg, "overall", model_cfg=cfg, vocab=toy_vocab(56))
         return batches, pad
 
@@ -158,6 +159,26 @@ class TestTrainBatches:
         real = sum(int(m.sum()) for m in pad)
         padded = sum(m.size for m in pad)
         assert real / padded >= 0.9
+
+    def test_bilstm_trains_and_predicts_on_every_token_past_128(self, monkeypatch):
+        # A Bi-LSTM reads any length: no token of a 150-token record is cut.
+        padded = []
+
+        def recording(seqs, max_len):
+            out = _pad_batch(seqs, max_len)
+            padded.append(out[1].sum(axis=1).tolist())
+            return out
+
+        monkeypatch.setattr(tasks, "_pad_batch", recording)
+        monkeypatch.setattr(shards, "SHARD_TOKENS", 10**9)
+        ids, mask = encoded([8 + i % 4 for i in range(75)], [i % 4 for i in range(74)])
+        sample = RatedSample(id="long", ids=ids, break_mask=mask,
+                             fine=tuple(list(Rank)[i % 3] for i in range(74)))
+        ckpt = finetune([sample], None, TrainConfig(batch_size=1, epochs=1, lr=1e-3), "fine",
+                        model_cfg=BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8),
+                        vocab=toy_vocab())
+        assert len(predict_finegrained(ckpt, ids, mask)) == 74
+        assert padded == [[150], [150]]   # one train step, one prediction
 
     @pytest.mark.parametrize("model", ["encoder", "bilstm"])
     def test_fine_batches_without_breaks_are_skipped(self, model):
@@ -183,7 +204,7 @@ class TestTrainBatches:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"max_len": 1}, {"max_len": 0}, {"lr": 0.0}, {"lr": -1e-4},
+        {"batch_size": 0}, {"epochs": 0}, {"lr": 0.0}, {"lr": -1e-4},
         {"lr": float("nan")}, {"lr": float("inf")},
     ])
     def test_rejected_up_front(self, kwargs):
@@ -193,7 +214,6 @@ class TestTrainConfig:
     def test_bilstm_reads_any_length(self):
         cfg = BiLstmConfig(vocab_size=12)
         assert cfg.max_len > 10**9 and "max_len" not in dataclasses.asdict(cfg)
-        assert tasks._seq_max_len(cfg, TrainConfig(max_len=64)) == 64
 
 
 def separable_corpus(n=64):
@@ -260,10 +280,10 @@ class TestPretrainRbtd:
             params["head_w"] = rng.normal(size=(hdim, n_classes)).astype(np.float32)
             params["head_b"] = np.zeros(n_classes, dtype=np.float32)
             # Centre the logits so that the argmax varies across samples.
-            first = _predict_logits(params, kind, cfg, seqs, max_len=32, max_tokens=1)
+            first = _predict_logits(params, kind, cfg, seqs, max_tokens=1)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in first]).mean(axis=0)
-            single = _predict_logits(params, kind, cfg, seqs, max_len=32, max_tokens=1)
-            batched = _predict_logits(params, kind, cfg, seqs, max_len=32)
+            single = _predict_logits(params, kind, cfg, seqs, max_tokens=1)
+            batched = _predict_logits(params, kind, cfg, seqs)
             assert [len(np.atleast_2d(l)) for l in single] == rows_per_seq
             for a, b in zip(single, batched, strict=True):
                 np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-5)
@@ -435,7 +455,7 @@ class TestBatchedPrediction:
         for kind in ("overall", "fine"):
             params = dict(core, head_w=rng.normal(size=(16, 3)).astype(np.float32),
                           head_b=np.zeros(3, dtype=np.float32))
-            logits = _predict_logits(params, kind, cfg, seqs, max_len=32, max_tokens=1)
+            logits = _predict_logits(params, kind, cfg, seqs, max_tokens=1)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in logits]).mean(axis=0)
             ckpts[kind] = Checkpoint(kind=kind, model_cfg=cfg, vocab=toy_vocab(), seed=0,
                                      params=params, init_from=None)
@@ -469,7 +489,7 @@ class TestShardedTraining:
     two row shards. The bytes must not depend on whether shard 1 ran in the
     forked worker or in turn in the parent."""
 
-    WORKER = shards.usable_cpus() >= 2 and shards.blas_threads() is not None
+    WORKER = shards.usable_cpus() >= 2 and blas_threads() is not None
 
     @pytest.fixture(autouse=True)
     def split_every_batch(self, monkeypatch):

@@ -94,21 +94,13 @@ class TestEncode:
         assert mask == [False, False, True, False]
 
     def test_truncation(self):
+        # Encoding keeps the whole sequence; a model cuts it at its own max_len.
         v = Vocabulary(word_to_id={"w": 8})
-        s = seq(["w"] * 100, [0] * 99)
-        ids, mask = encode(s, v, max_len=16)
-        assert len(ids) == len(mask) == 16
-        full_ids, full_mask = encode(s, v, max_len=1000)
-        assert ids == full_ids[:16] and mask == full_mask[:16]
-        assert len(full_ids) == 1 + 100 + 99
+        ids, mask = encode(seq(["w"] * 100, [0] * 99), v)
+        assert len(ids) == len(mask) == 1 + 100 + 99
 
     def test_mask_marks_exactly_breaks(self):
         v = Vocabulary(word_to_id={"a": 8, "b": 9, "c": 10})
         ids, mask = encode(seq(["a", "b", "c"], [1, 3]), v)
         assert [i for i, m in zip(ids, mask) if m] == [BR_BASE_ID + 1, BR_BASE_ID + 3]
         assert all(not is_break_id(i) for i, m in zip(ids, mask) if not m)
-
-    def test_max_len_too_small(self):
-        v = Vocabulary(word_to_id={"a": 8})
-        with pytest.raises(DataError):
-            encode(seq(["a"], []), v, max_len=1)
