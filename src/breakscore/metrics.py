@@ -48,9 +48,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
-    def add(self, true: int, pred: int) -> None:
-        self.counts[true][pred] += 1
-
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
@@ -142,10 +139,8 @@ def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0, n_classes
         except BreakscoreError as e:
             # Keep the error's type, so its exit code survives the fold wrapper.
             raise type(e)(f"training failed on fold {fi}: {e}") from e
-        cm = ConfusionMatrix.zeros(n_classes)
-        for i in test_idx:
-            for true, pred in predictor(items[i]):
-                cm.add(true, pred)
+        pairs = [pair for i in test_idx for pair in predictor(items[i])]
+        cm = ConfusionMatrix.from_pairs([t for t, _ in pairs], [p for _, p in pairs], n_classes)
         fold_metrics.append(compute_metrics(cm))
     return aggregate_folds(fold_metrics)
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import jsonl, metrics, shards
 from .checkpoint import N_CLASSES, Checkpoint, param_shapes
-from .corruption import LABEL_CORRUPTED, LabeledSequence
+from .corruption import LABEL_CORRUPTED, LABEL_ORIGINAL, LabeledSequence
 from .exceptions import DataError, NumericError
-from .nn.adam import AdamState, adam_step
+from .nn.adam import adam_step
 from .nn.bilstm import bilstm_backward, bilstm_forward
 from .nn.encoder import EncoderConfig, encoder_backward, encoder_forward
 from .nn.functional import batched_cross_entropy, init_params, softmax
@@ -196,6 +196,7 @@ def _train(
     cfg,
     tcfg: TrainConfig,
     init_core: dict | None = None,
+    relabeled: int | None = None,
 ) -> tuple[dict, list[float]]:
     """Minibatch Adam on a linear head over the rows `_head_rows` selects.
 
@@ -203,19 +204,28 @@ def _train(
     ("fine"). A batch of at least `shards.SHARD_TOKENS` padded tokens trains
     as two row shards, shard 1 in a forked worker when a second core and the
     BLAS pin allow it, else in turn; the bytes are the same either way.
-    Returns (params incl. head, per-epoch mean losses).
+    `relabeled`, the "rbtd" samples that the cut leaves without an edit, goes
+    into the cut warning. Returns (params incl. head, per-epoch mean losses).
     """
+    # Parameters and the two shards' gradient slots share one mapping, so a
+    # forked worker reads each Adam update and the parent reads its gradient.
+    shapes = param_shapes(kind, cfg)
+    flat, (params, *grad_slots) = shards.shared_slots(shapes, 3)
     # What init_core does not give is drawn in table order: network, then head.
-    params = {k: v.copy() for k, v in (init_core or {}).items()}
-    new = {k: s for k, s in param_shapes(kind, cfg).items() if k not in params}
-    params.update(init_params(new, make_rng(tcfg.seed, kind + "-init")))
+    init_core = init_core or {}
+    drawn = init_params({k: s for k, s in shapes.items() if k not in init_core},
+                        make_rng(tcfg.seed, kind + "-init"))
+    for k, a in {**init_core, **drawn}.items():
+        params[k][...] = a
 
     max_len = cfg.max_len
     lengths = np.array([min(len(s[0]), max_len) for s in samples], dtype=np.int64)
     n_cut = sum(len(s[0]) > max_len for s in samples)
     if n_cut:
-        log.warning("%d of %d %s samples are longer than max_len %d and are cut to it",
-                    n_cut, len(samples), kind, max_len)
+        log.warning("%d of %d %s samples are longer than max_len %d and are cut to it%s",
+                    n_cut, len(samples), kind, max_len,
+                    "" if relabeled is None else
+                    f"; {relabeled} of them lose every edit and are labeled original")
     # One class per head row; a fine sample keeps the labels of the breaks
     # that survive max_len.
     targets = [
@@ -235,13 +245,6 @@ def _train(
     def is_split(batch) -> bool:
         return len(batch) * lengths[batch].max() >= shards.SHARD_TOKENS
 
-    # Parameters and the two shards' gradient slots share one mapping, so a
-    # forked worker reads each Adam update and the parent reads its gradient.
-    flat, (shared, *grad_slots) = shards.shared_slots(
-        {k: v.shape for k, v in params.items()}, 3)
-    for k, v in params.items():
-        shared[k][...] = v
-    params = shared
     # Shard 0 draws dropout as an unsplit batch always has.
     drop_rngs = [make_rng(tcfg.seed, f"{kind}-dropout"), make_rng(tcfg.seed, f"{kind}-dropout1")]
 
@@ -277,7 +280,8 @@ def _train(
             grad_slots[s][k][...] = g
         return loss
 
-    state = AdamState()
+    # Adam's moment rows; step counts the updates made.
+    m, v, step = np.zeros_like(flat[0]), np.zeros_like(flat[0]), 0
     epoch_losses = []
     fork = shards.usable_cpus() >= 2 and any(is_split(b) for epoch in schedule for b in epoch)
     with shards.one_blas_thread() as pinned, (
@@ -301,7 +305,8 @@ def _train(
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 losses.append(loss)
-                adam_step(params, grad_slots[0], state, lr=tcfg.lr)
+                step += 1
+                adam_step(flat[0], flat[1], m, v, step, tcfg.lr)
             epoch_losses.append(float(np.mean(losses)))
     return {k: v.copy() for k, v in params.items()}, epoch_losses
 
@@ -340,22 +345,30 @@ def pretrain_rbtd(
     The F-score is the F1 of the corrupted class on the seeded 95/5 held-out
     split.
     """
-    labels = {s.label for s in dataset}
-    if len(labels) < 2:
-        raise DataError("discriminator pretraining needs both original and corrupted samples")
+    # The model reads a sample's first max_len tokens, so the sample counts as
+    # corrupted only if an edit lies among them (Clark et al. 2020, ELECTRA).
+    targets = [
+        LABEL_CORRUPTED if any(pos < enc_cfg.max_len for pos, _, _ in s.edits) else LABEL_ORIGINAL
+        for s in dataset
+    ]
+    if len(set(targets)) < 2:
+        raise DataError("discriminator pretraining needs both original samples and samples "
+                        f"corrupted within encoder max_len {enc_cfg.max_len}")
     split_rng = make_rng(tcfg.seed, "rbtd-split")
     order = split_rng.permutation(len(dataset))
     n_hold = max(1, int(round(RBTD_HOLDOUT_FRAC * len(dataset))))
     hold_idx = set(order[:n_hold].tolist())
-    train = [dataset[i] for i in range(len(dataset)) if i not in hold_idx]
-    held = [dataset[i] for i in sorted(hold_idx)]
+    train = [i for i in range(len(dataset)) if i not in hold_idx]
+    held = sorted(hold_idx)
 
-    samples = [(s.ids, s.break_mask, [s.label]) for s in train]
-    params, epoch_losses = _train(samples, "rbtd", enc_cfg, tcfg)
+    samples = [(dataset[i].ids, dataset[i].break_mask, [targets[i]]) for i in train]
+    relabeled = sum(targets[i] != dataset[i].label for i in train)
+    params, epoch_losses = _train(samples, "rbtd", enc_cfg, tcfg, relabeled=relabeled)
 
-    logits = _predict_logits(params, "rbtd", enc_cfg, [(s.ids, s.break_mask) for s in held])
+    logits = _predict_logits(params, "rbtd", enc_cfg,
+                             [(dataset[i].ids, dataset[i].break_mask) for i in held])
     cm = metrics.ConfusionMatrix.from_pairs(
-        [s.label for s in held], [int(np.argmax(row)) for row in logits],
+        [targets[i] for i in held], [int(np.argmax(row)) for row in logits],
         n_classes=N_CLASSES["rbtd"],
     )
     held_metrics = metrics.compute_metrics(cm)
@@ -420,12 +433,6 @@ def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.n
     given kind, in token-budgeted batches."""
     if ckpt.kind != kind:
         raise DataError(f"expected a {kind!r} checkpoint, got {ckpt.kind!r}")
-    vocab_size = ckpt.model_cfg.vocab_size
-    if any(max(ids) >= vocab_size or min(ids) < 0 for ids, _ in seqs):
-        raise DataError(
-            f"sample ids exceed checkpoint vocabulary (size {vocab_size}); "
-            "was it encoded with a different vocabulary?"
-        )
     return _predict_logits(ckpt.params, kind, ckpt.model_cfg, seqs)
 
 

@@ -11,7 +11,7 @@ import pytest
 import yaml
 from conftest import blas_threads
 
-from breakscore import corruption, shards, tasks
+from breakscore import corruption, shards, synth, tasks
 from breakscore.cli import main
 from breakscore.checkpoint import load_checkpoint
 from breakscore.exceptions import DataError, NumericError
@@ -398,6 +398,75 @@ class TestConfigValueTypes:
         cfg.write_text(
             "train:\n  lr: 1\nsynth:\n  n_sentences: 5\n  class_shape: [0.2, 0.3, 0.5]\n")
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 0
+
+
+# Tiny synth -> corrupt -> pretrain runs at edge values: (config sections over
+# _TINY, --n-sentences, native lines kept or None for all, --seed or None, and
+# the command that ends the run with its exit code).
+_TINY = {"encoder": "{d_model: 4, n_heads: 1, n_layers: 1, ffn_dim: 8, max_len: 16}",
+         "train": "{batch_size: 8, epochs: 1, lr: 0.001}"}
+_EDGE_RUNS = {
+    "class-shape-all-poor": ({"synth": "{class_shape: [1, 0, 0]}"}, 6, None, None,
+                             ("pretrain", 0)),
+    # Every sample is an original, so there is nothing to discriminate.
+    "replace-prob-0": ({"corruption": "{replace_prob: 0}"}, 6, None, None, ("pretrain", 2)),
+    "replace-prob-1": ({"corruption": "{replace_prob: 1}"}, 6, None, None, ("pretrain", 0)),
+    "copies-per-original-0": ({"corruption": "{copies_per_original: 0}"}, 6, None, None,
+                              ("pretrain", 2)),
+    "one-sentence": ({}, 1, None, None, ("pretrain", 0)),
+    "empty-corpus": ({}, 6, 0, None, ("corrupt", 2)),
+    "n-layers-0": ({"encoder": "{d_model: 4, n_heads: 1, n_layers: 0, ffn_dim: 8}"}, 6, None,
+                   None, ("pretrain", 0)),
+    "max-len-4": ({"encoder": "{d_model: 4, n_heads: 1, n_layers: 1, ffn_dim: 8, max_len: 4}"},
+                  6, None, None, ("pretrain", 0)),
+    # No break lies within two tokens, so every sample reads as an original.
+    "max-len-2": ({"encoder": "{d_model: 4, n_heads: 1, n_layers: 1, ffn_dim: 8, max_len: 2}"},
+                  6, None, None, ("pretrain", 2)),
+    "seed-minus-1": ({}, 6, None, -1, ("pretrain", 0)),
+    "seed-minus-5": ({}, 6, None, -5, ("pretrain", 0)),
+    "seed-10e23": ({}, 6, None, 10**23, ("pretrain", 0)),
+    "lr-1e30": ({"train": "{batch_size: 8, epochs: 1, lr: 1.0e+30}"}, 6, None, None,
+                ("pretrain", 3)),
+}
+
+
+class TestPipelineEdgeValues:
+    """`synth`, `corrupt` and `pretrain` through `main` at edge config values and
+    corpus sizes: each run ends in its documented exit code and raises nothing."""
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_RUNS))
+    def test_run_ends_in_its_exit_code(self, tmp_path, name):
+        sections, n_sentences, keep, seed, want = _EDGE_RUNS[name]
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("".join(f"{k}: {v}\n" for k, v in {**_TINY, **sections}.items()))
+        common = ["--config", str(cfg)] + ([] if seed is None else ["--seed", str(seed)])
+        native, vocab = tmp_path / "native.jsonl", str(tmp_path / "vocab.tsv")
+        got = ("synth", run("synth", *common, "--n-sentences", str(n_sentences),
+                            "--out-dir", str(tmp_path)))
+        if keep is not None:
+            native.write_text("".join(native.read_text().splitlines(keepends=True)[:keep]))
+        data = ["--in", str(native), "--vocab", vocab, "--out", str(tmp_path / "pre.jsonl")]
+        if got[1] == 0:
+            got = ("corrupt", run("corrupt", *common, *data))
+        if got[1] == 0:
+            got = ("pretrain", run("pretrain", *common, "--in", str(tmp_path / "pre.jsonl"),
+                                   "--vocab", vocab, "--out", str(tmp_path / "r.pbrk")))
+        assert got == want
+        assert (tmp_path / "r.pbrk").exists() == (want == ("pretrain", 0))
+
+    @pytest.mark.parametrize("n", [10**23, 2**63, -(10**23), 0])
+    def test_huge_n_sentences_validated_without_generating(self, tmp_path, monkeypatch, n):
+        # The count is checked when the config is built; a valid one is handed
+        # to generation as given, which is stopped here before it runs.
+        built = []
+
+        def stop(scfg):
+            built.append(scfg.n_sentences)
+            raise DataError("stopped before generating")
+
+        monkeypatch.setattr(synth, "generate_native", stop)
+        assert run("synth", "--n-sentences", str(n), "--out-dir", str(tmp_path)) == 2
+        assert built == ([n] if n >= 1 else [])
 
 
 def _first_line(path):

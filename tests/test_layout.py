@@ -1,6 +1,8 @@
 """Source layout: every top-level function and class in `src/breakscore` is
 used in `src` outside its own definition, so code that only the tests use
-cannot live there. An import or an `__all__` entry is not a use."""
+cannot live there. An import or an `__all__` entry is not a use. Every name a
+module imports at top level is read in that module, so a deletion leaves no
+stale import behind."""
 import ast
 from pathlib import Path
 
@@ -47,3 +49,19 @@ def test_every_definition_is_used_in_src():
     ]
     assert not unused, f"defined in src but used nowhere else in src: {unused}"
 
+
+def test_every_top_level_import_is_read():
+    stale = []
+    for module, _, tree in _trees():
+        if module == "nn.__init__":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            stale += [f"{module}: {name}" for name in bound if name not in read]
+    assert not stale, f"imported but never read: {stale}"

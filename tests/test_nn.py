@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from breakscore.exceptions import DataError
-from breakscore.nn.adam import AdamState, adam_step
+from breakscore.nn.adam import adam_step
 from breakscore.nn.bilstm import BiLstmConfig, bilstm_backward, bilstm_forward
 from breakscore.nn.encoder import EncoderConfig, encoder_backward, encoder_forward
 from breakscore.nn.functional import (
@@ -535,23 +535,29 @@ class TestAdam:
         grads_seq = [2.0 * (theta + t) for t in range(5)]  # arbitrary fixed grads
         want = reference(theta, grads_seq, lr=0.01)
 
-        params = {"w": theta.copy()}
-        state = AdamState()
-        for g in grads_seq:
-            adam_step(params, {"w": g.copy()}, state, lr=0.01)
-        np.testing.assert_allclose(params["w"], want, atol=1e-6)
+        p, m, v = theta.copy(), np.zeros(3), np.zeros(3)
+        for t, g in enumerate(grads_seq, start=1):
+            adam_step(p, g, m, v, t, lr=0.01)
+        np.testing.assert_allclose(p, want, atol=1e-6)
 
     def test_descends_a_quadratic(self):
-        params = {"w": np.array([5.0, -3.0])}
-        state = AdamState()
-        for _ in range(2000):
-            adam_step(params, {"w": 2.0 * params["w"]}, state, lr=0.01)
-        assert np.abs(params["w"]).max() < 1e-2
+        p, m, v = np.array([5.0, -3.0]), np.zeros(2), np.zeros(2)
+        for t in range(1, 2001):
+            adam_step(p, 2.0 * p, m, v, t, lr=0.01)
+        assert np.abs(p).max() < 1e-2
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, AdamState())
-
-    def test_missing_gradient_rejected(self):
-        with pytest.raises(DataError):
-            adam_step({"w": np.zeros(3)}, {}, AdamState())
+    def test_flat_row_updates_each_slice_as_alone(self):
+        # Training steps every parameter at once, as one row of the shared
+        # mapping; that is bitwise a step of each named array on its own.
+        rng = make_rng(0, "adam")
+        p = rng.normal(size=7).astype(np.float32)
+        parts = [p[:3].copy(), p[3:].copy()]
+        moments = [(np.zeros(3, np.float32), np.zeros(3, np.float32)),
+                   (np.zeros(4, np.float32), np.zeros(4, np.float32))]
+        m, v = np.zeros(7, np.float32), np.zeros(7, np.float32)
+        for t in range(1, 4):
+            g = rng.normal(size=7).astype(np.float32)
+            adam_step(p, g, m, v, t, lr=1e-3)
+            for part, (pm, pv), gs in zip(parts, moments, (g[:3], g[3:])):
+                adam_step(part, gs, pm, pv, t, lr=1e-3)
+        assert p.tobytes() == np.concatenate(parts).tobytes()

@@ -1,6 +1,7 @@
 """Training pipelines: pretraining, fine-tuning, prediction contracts."""
 import dataclasses
 import io
+import math
 import os
 import resource
 import subprocess
@@ -10,15 +11,20 @@ import numpy as np
 import pytest
 from conftest import blas_threads
 
-from breakscore.checkpoint import N_CLASSES, Checkpoint
-from breakscore.corruption import CorruptionConfig, LabeledSequence, build_pretrain_dataset
+from breakscore.checkpoint import N_CLASSES, Checkpoint, param_shapes
+from breakscore.corruption import (
+    LABEL_CORRUPTED,
+    CorruptionConfig,
+    LabeledSequence,
+    build_pretrain_dataset,
+)
 from breakscore.exceptions import DataError
 from breakscore.nn.bilstm import BiLstmConfig
 from breakscore.nn.encoder import EncoderConfig
 from breakscore.nn.functional import init_params
 from breakscore.ranks import Rank
 from breakscore.rngs import make_rng
-from breakscore import shards, tasks
+from breakscore import metrics, shards, tasks
 from breakscore.cli import main
 from breakscore.tasks import (
     RatedSample,
@@ -295,6 +301,53 @@ class TestPretrainRbtd:
         data = [s for s in self._dataset() if s.label == 0]
         with pytest.raises(DataError):
             pretrain_rbtd(data, TrainConfig(), small_cfg(12), toy_vocab())
+
+    def test_labels_count_only_edits_within_max_len(self, monkeypatch, caplog):
+        # At max_len 16 the model reads a 23-token sample's first 16 tokens, so
+        # a sample whose every edit lies past them trains, and is scored on
+        # the held-out split, as an original.
+        rng = make_rng(1, "long")
+        corpus = []
+        for i in range(40):
+            word_ids = [8 + int(rng.integers(4)) for _ in range(12)]
+            ids, mask = encoded(word_ids, [int(rng.integers(4)) for _ in range(11)])
+            corpus.append((f"u{i}", list(ids), list(mask)))
+        data = build_pretrain_dataset(corpus, CorruptionConfig(seed=0))
+        read = {s.ids: int(any(pos < 16 for pos, _, _ in s.edits)) for s in data}
+        assert sum(s.label == LABEL_CORRUPTED and not read[s.ids] for s in data) >= 10
+
+        trained, held = [], []
+        real_train, real_predict = tasks._train, tasks._predict_logits
+        real_from_pairs = metrics.ConfusionMatrix.from_pairs
+
+        def train(samples, *args, **kwargs):
+            trained.extend((ids, target) for ids, _, (target,) in samples)
+            return real_train(samples, *args, **kwargs)
+
+        def predict(params, kind, cfg, seqs):
+            held.append([read[ids] for ids, _ in seqs])
+            return real_predict(params, kind, cfg, seqs)
+
+        def from_pairs(true, pred, n_classes):
+            held.append(list(true))
+            return real_from_pairs(true, pred, n_classes)
+
+        monkeypatch.setattr(tasks, "_train", train)
+        monkeypatch.setattr(tasks, "_predict_logits", predict)
+        monkeypatch.setattr(metrics.ConfusionMatrix, "from_pairs", staticmethod(from_pairs))
+        tcfg = TrainConfig(batch_size=16, epochs=1, lr=1e-3, seed=0)
+        cfg = dataclasses.replace(small_cfg(12), max_len=16)
+        pretrain_rbtd(data, tcfg, cfg, toy_vocab())
+        assert [target for _, target in trained] == [read[ids] for ids, _ in trained]
+        assert held[0] == held[1] and len(held[0]) == 8
+        label = {s.ids: s.label for s in data}
+        relabeled = sum(label[ids] != target for ids, target in trained)
+        assert relabeled > 0
+        assert f"; {relabeled} of them lose every edit and are labeled original" in caplog.text
+
+        # Within two tokens no break is read: nothing is left to discriminate.
+        with pytest.raises(DataError, match="max_len 2"):
+            pretrain_rbtd(data, tcfg, dataclasses.replace(cfg, max_len=2), toy_vocab())
 
 
 class TestFinetuneOverall:
@@ -607,8 +660,12 @@ class TestShardedTraining:
         class FirstStep(Exception):
             pass
 
-        def record(params, grads, state, lr):
-            raise FirstStep({k: g.copy() for k, g in grads.items()})
+        def record(p, g, m, v, t, lr):
+            # The gradient row, cut back into named arrays in table order.
+            shapes = param_shapes("fine", cfg)
+            sizes = [math.prod(shape) for shape in shapes.values()]
+            parts = np.split(g.copy(), np.cumsum(sizes)[:-1])
+            raise FirstStep({k: a.reshape(shape) for (k, shape), a in zip(shapes.items(), parts)})
 
         monkeypatch.setattr(tasks, "adam_step", record)
         tcfg = TrainConfig(batch_size=15, epochs=1, seed=4)
