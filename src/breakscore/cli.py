@@ -218,11 +218,9 @@ def make_trained_predictor(task, model_cfg, vocab, tcfg, init_ckpt):
                 pred, _ = tasks.predict_overall(ckpt, item.ids, item.break_mask)
                 return [(rank_to_class(item.overall), rank_to_class(pred))]
             preds = tasks.predict_finegrained(ckpt, item.ids, item.break_mask)
-            # The model scores the breaks within its max_len tokens.
-            read = item.fine[: sum(item.break_mask[: model_cfg.max_len])]
             return [
                 (rank_to_class(t), rank_to_class(p))
-                for t, p in zip(read, preds, strict=True)
+                for t, p in zip(item.fine, preds, strict=True)
             ]
 
         return predictor
@@ -265,10 +263,8 @@ def cmd_eval(args) -> int:
         else:
             init = load_checkpoint(args.model, expect_kind="rbtd")
             model_cfg, name = init.model_cfg, "Break-Pretrained"
-        n_cut = sum(len(s.ids) > model_cfg.max_len for s in dataset)
-        if n_cut:
-            log.warning("%d of %d items are longer than the model's max_len %d; the report "
-                        "leaves out their breaks past it", n_cut, len(dataset), model_cfg.max_len)
+        # Cut once here, so the folds train and score on what the model reads.
+        dataset = tasks.cut_to_max_len(dataset, args.task, model_cfg)
         train_fn = make_trained_predictor(args.task, model_cfg, vocab, tcfg, init)
 
     report = metrics.cross_validate(dataset, labels, train_fn, k=k, seed=cfg.seed)
@@ -290,21 +286,11 @@ def cmd_score(args) -> int:
         raise DataError(f"{args.overall_ckpt} and {args.fine_ckpt} were trained on different "
                         "vocabularies; score needs both checkpoints to share one")
     vocab = (overall_ckpt or fine_ckpt).vocab
-    max_lens = {c.kind: c.model_cfg.max_len for c in (overall_ckpt, fine_ckpt) if c is not None}
     parse = alignment.parse_ctm if args.format == "ctm" else alignment.parse_tsv
     seqs, encoded = [], []
     for utt in _read(args.align, parse):
-        seq = alignment.build_sequence(utt)
-        ids, mask = encode(seq, vocab)
-        n_tokens = 2 * len(seq.words)   # [CLS], the words and the breaks between them
-        for kind, ckpt_len in max_lens.items():
-            if n_tokens > ckpt_len:
-                unscored = len(seq.breaks) - sum(mask[:ckpt_len])
-                log.warning("utterance %s: %d tokens exceed the %s checkpoint's max_len %d; "
-                            "its last %d break positions are left unscored",
-                            seq.id, n_tokens, kind, ckpt_len, unscored)
-        seqs.append(seq)
-        encoded.append((ids, mask))
+        seqs.append(alignment.build_sequence(utt))
+        encoded.append(encode(seqs[-1], vocab))
     # Each checkpoint predicts the whole file in length-sorted batches; the
     # blocks come out in file order.
     if overall_ckpt is not None:
@@ -313,6 +299,15 @@ def cmd_score(args) -> int:
         fine = tasks.predict_finegrained_batch(fine_ckpt, encoded)
     lines = []
     for u, seq in enumerate(seqs):
+        n_tokens = len(encoded[u][0])
+        if overall_ckpt is not None and n_tokens > overall_ckpt.model_cfg.max_len:
+            log.warning("utterance %s: %d tokens exceed the overall checkpoint's max_len %d; "
+                        "its overall rank reads only the first %d of them", seq.id, n_tokens,
+                        overall_ckpt.model_cfg.max_len, overall_ckpt.model_cfg.max_len)
+        if fine_ckpt is not None and n_tokens > fine_ckpt.model_cfg.max_len:
+            log.warning("utterance %s: %d tokens exceed the fine checkpoint's max_len %d; "
+                        "its last %d break positions are left unscored", seq.id, n_tokens,
+                        fine_ckpt.model_cfg.max_len, len(seq.breaks) - len(fine[u]))
         lines.append(f"utterance {seq.id}:")
         if overall_ckpt is not None:
             probs_text = " ".join(f"{r.label}={probs[u, rank_to_class(r)]:.3f}" for r in Rank)

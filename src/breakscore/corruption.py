@@ -1,12 +1,13 @@
 """Replaced-break-token corruption for discriminator pretraining.
 
 Each break token in an encoded sequence is independently replaced, with
-probability `replace_prob`, by one of the three other break classes. A sample
-whose realized edit list is empty is labeled original, even if it came from a
-corruption attempt.
+probability `replace_prob`, by one of the three other break classes. A sample's
+label follows from its edit list: one whose list is empty is original, even if
+it came from a corruption attempt.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -40,16 +41,23 @@ class LabeledSequence:
     id: str
     ids: tuple[int, ...]
     break_mask: tuple[bool, ...]
-    label: int
     edits: tuple[tuple[int, BreakClass, BreakClass], ...] = ()
 
     def __post_init__(self):
         check_encoded(self.id, self.ids, self.break_mask)
-        if (self.label == LABEL_CORRUPTED) != bool(self.edits):
-            raise DataError(f"sample {self.id!r}: label inconsistent with edit list")
         for pos, _, _ in self.edits:
             if not 0 <= pos < len(self.break_mask) or not self.break_mask[pos]:
                 raise DataError(f"sample {self.id!r}: edit at non-break position {pos}")
+
+    @property
+    def label(self) -> int:
+        return LABEL_CORRUPTED if self.edits else LABEL_ORIGINAL
+
+    def cut(self, n: int) -> LabeledSequence:
+        """The first n tokens and the edits among them: a sample counts as
+        corrupted only if the model can see an edit (Clark et al. 2020, ELECTRA)."""
+        return dataclasses.replace(self, ids=self.ids[:n], break_mask=self.break_mask[:n],
+                                   edits=tuple(e for e in self.edits if e[0] < n))
 
 
 def corrupt_once(
@@ -75,12 +83,10 @@ def corrupt_once(
             new = alternatives[rng.integers(len(alternatives))]
             out[pos] = BR_BASE_ID + int(new)
             edits.append((pos, old, new))
-    label = LABEL_CORRUPTED if edits else LABEL_ORIGINAL
     return LabeledSequence(
         id=sample_id,
         ids=tuple(out),
         break_mask=tuple(break_mask),
-        label=label,
         edits=tuple(edits),
     )
 
@@ -98,14 +104,7 @@ def build_pretrain_dataset(
     rng = make_rng(cfg.seed, "corruption")
     out: list[LabeledSequence] = []
     for sample_id, ids, break_mask in corpus:
-        out.append(
-            LabeledSequence(
-                id=sample_id,
-                ids=tuple(ids),
-                break_mask=tuple(break_mask),
-                label=LABEL_ORIGINAL,
-            )
-        )
+        out.append(LabeledSequence(id=sample_id, ids=tuple(ids), break_mask=tuple(break_mask)))
         for k in range(cfg.copies_per_original):
             out.append(corrupt_once(f"{sample_id}#c{k}", ids, break_mask, cfg, rng))
     shuffle_rng = make_rng(cfg.seed, "corruption-shuffle")
@@ -127,13 +126,15 @@ def labeled_to_json(s: LabeledSequence) -> str:
 
 def labeled_from_json(line: str) -> LabeledSequence:
     obj = json.loads(line)
-    return LabeledSequence(
+    s = LabeledSequence(
         id=obj["id"],
         ids=tuple(obj["ids"]),
         break_mask=jsonl.array(obj, "break_mask", bool),
-        label=int(obj["label"]),
         edits=tuple((pos, BreakClass(old), BreakClass(new)) for pos, old, new in obj["edits"]),
     )
+    if int(obj["label"]) != s.label:
+        raise DataError(f"sample {s.id!r}: label inconsistent with edit list")
+    return s
 
 
 def read_labeled(stream) -> list[LabeledSequence]:

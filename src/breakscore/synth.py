@@ -185,6 +185,9 @@ class EslSample:
     def __post_init__(self):
         if len(self.fine) != len(self.seq.breaks) or len(self.trace) != len(self.fine):
             raise DataError(f"sample {self.seq.id!r}: ground truth misaligned")
+        if aggregate_overall(self.fine) != self.overall:
+            raise DataError(f"sample {self.seq.id!r}: overall {self.overall.label} is not "
+                            "the aggregate of its fine ranks")
 
 
 def aggregate_overall(fine: list[Rank]) -> Rank:
@@ -222,45 +225,40 @@ def _inject_fair(site: str):
 
 
 def _corrupt_to_class(seq: TokenSequence, target: Rank, rng):
+    """(breaks, fine ranks, trace tags) of `seq` with errors injected so that
+    its ranks aggregate to `target`. The intensities fix how many positions
+    are injected, so the outcome does not depend on the draws: a Fair target
+    needs enough sites that take a Fair break, and a Poor one some break."""
     sites = infer_sites(seq.words)
     n = len(sites)
     breaks = list(seq.breaks)
     fine = [Rank.GREAT] * n
     trace = ["ok"] * n
-    if n == 0:
-        return (breaks, fine, trace) if target == Rank.GREAT else None
-
     if target == Rank.GREAT:
-        pass
-    elif target == Rank.FAIR:
-        k = max(1, math.ceil(FAIR_INTENSITY * n))
-        candidates = [i for i in range(n) if _inject_fair(sites[i]) is not None]
-        if len(candidates) < k:
-            return None
+        return breaks, fine, trace
+    k = max(1, math.ceil((FAIR_INTENSITY if target == Rank.FAIR else POOR_INTENSITY) * n))
+    candidates = [i for i in range(n) if target == Rank.POOR or _inject_fair(sites[i]) is not None]
+    if len(candidates) < k:
+        raise DataError(f"cannot corrupt {seq.id!r} to {target.label}: {k} of its "
+                        f"{n} break positions must change, and {len(candidates)} can")
+    if target == Rank.FAIR:
         for i in rng.choice(len(candidates), size=k, replace=False):
             pos = candidates[i]
             breaks[pos], trace[pos] = _inject_fair(sites[pos])
             fine[pos] = Rank.FAIR
     else:
-        k = max(1, math.ceil(POOR_INTENSITY * n))
         for i in rng.choice(n, size=k, replace=False):
             breaks[i], trace[i] = _inject_poor(sites[i], rng)
             fine[i] = Rank.POOR
-    if aggregate_overall(fine) != target:
-        return None
     return breaks, fine, trace
-
-
-# Fresh-randomness retries before a sequence that misses its target rank fails.
-_ESL_MAX_ATTEMPTS = 50
 
 
 def generate_esl(cfg: SynthConfig, native: list[TokenSequence]) -> list[EslSample]:
     """Error-injected learner corpus hitting the configured class shape.
 
     Each native sequence is assigned a target overall rank so the emitted
-    class counts match `class_shape` to rounding; injection retries with fresh
-    randomness when a sequence cannot reach its target.
+    class counts match `class_shape` to rounding; a sequence that cannot reach
+    its target is a `DataError`.
     """
     if not native:
         raise DataError("generate_esl needs a native corpus")
@@ -278,16 +276,7 @@ def generate_esl(cfg: SynthConfig, native: list[TokenSequence]) -> list[EslSampl
     out = []
     for idx, seq in enumerate(native):
         target = targets[idx]
-        result = None
-        for _ in range(_ESL_MAX_ATTEMPTS):
-            result = _corrupt_to_class(seq, target, rng)
-            if result is not None:
-                break
-        if result is None:
-            raise DataError(
-                f"could not corrupt {seq.id!r} to {target.label} in {_ESL_MAX_ATTEMPTS} attempts"
-            )
-        breaks, fine, trace = result
+        breaks, fine, trace = _corrupt_to_class(seq, target, rng)
         out.append(
             EslSample(
                 seq=TokenSequence(

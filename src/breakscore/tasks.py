@@ -11,13 +11,13 @@ import contextlib
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import jsonl, metrics, shards
 from .checkpoint import N_CLASSES, Checkpoint, param_shapes
-from .corruption import LABEL_CORRUPTED, LABEL_ORIGINAL, LabeledSequence
+from .corruption import LABEL_CORRUPTED, LabeledSequence
 from .exceptions import DataError, NumericError
 from .nn.adam import adam_step
 from .nn.bilstm import bilstm_backward, bilstm_forward
@@ -60,6 +60,11 @@ class RatedSample:
                 f"{sum(self.break_mask)} break positions"
             )
 
+    def cut(self, n: int) -> RatedSample:
+        """The first n tokens, with the fine labels of the breaks among them."""
+        fine = None if self.fine is None else self.fine[: sum(self.break_mask[:n])]
+        return replace(self, ids=self.ids[:n], break_mask=self.break_mask[:n], fine=fine)
+
 
 def rated_to_json(s: RatedSample) -> str:
     obj = {
@@ -91,24 +96,44 @@ def read_rated(stream) -> list[RatedSample]:
 
 # -- batching ----------------------------------------------------------------
 
-def _pad_batch(seqs: list[tuple], max_len: int):
+def cut_to_max_len(dataset: list, kind: str, cfg) -> list:
+    """Each record cut to the first `cfg.max_len` tokens, the most the model
+    reads, its labels with it. One warning counts the records that were longer
+    and, for "rbtd" samples, those left with no edit."""
+    n = cfg.max_len
+    long = [i for i, s in enumerate(dataset) if len(s.ids) > n]
+    if not long:
+        return dataset
+    cut = list(dataset)
+    for i in long:
+        cut[i] = dataset[i].cut(n)
+    relabeled = ""
+    if kind == "rbtd":
+        relabeled = (f"; {sum(cut[i].label != dataset[i].label for i in long)} of them "
+                     "lose every edit and are labeled original")
+    log.warning("%d of %d %s samples are longer than max_len %d and are cut to it%s",
+                len(long), len(dataset), kind, n, relabeled)
+    return cut
+
+
+def _pad_batch(seqs: list[tuple]):
     """(ids, break_mask) tuples -> padded id matrix, pad mask, break mask."""
-    length = min(max(len(ids) for ids, _ in seqs), max_len)
+    length = max(len(ids) for ids, _ in seqs)
     n = len(seqs)
     ids = np.full((n, length), PAD_ID, dtype=np.int64)
     pad_mask = np.zeros((n, length), dtype=bool)
     break_mask = np.zeros((n, length), dtype=bool)
     for row, (sample_ids, sample_break) in enumerate(seqs):
-        l = min(len(sample_ids), length)
-        ids[row, :l] = sample_ids[:l]
+        l = len(sample_ids)
+        ids[row, :l] = sample_ids
         pad_mask[row, :l] = True
-        break_mask[row, :l] = list(sample_break)[:l]
+        break_mask[row, :l] = sample_break
     return ids, pad_mask, break_mask
 
 
 def _length_batches(lengths: np.ndarray, order: np.ndarray, batch_size: int):
-    """Indices into `lengths`, each a sequence's length capped at max_len, cut
-    into batches of similar length.
+    """Indices into `lengths`, one per sequence, cut into batches of similar
+    length.
 
     `order` is stable-sorted by length, so samples of equal length keep their
     order in it, then cut every batch_size. Padding a batch to its longest row
@@ -126,11 +151,11 @@ def _length_batches(lengths: np.ndarray, order: np.ndarray, batch_size: int):
 PREDICT_TOKENS = 512
 
 
-def _token_batches(seqs: list[tuple], max_len: int, max_tokens: int = PREDICT_TOKENS):
-    """Indices into `seqs`, stable-sorted by length capped at max_len and cut
-    so that rows x padded length stays within max_tokens; a sequence longer
-    than that is a batch of its own."""
-    lengths = [min(len(s[0]), max_len) for s in seqs]
+def _token_batches(seqs: list[tuple], max_tokens: int = PREDICT_TOKENS):
+    """Indices into `seqs`, stable-sorted by length and cut so that rows x
+    padded length stays within max_tokens; a sequence longer than that is a
+    batch of its own."""
+    lengths = [len(s[0]) for s in seqs]
     batches, batch = [], []
     for i in np.argsort(lengths, kind="stable").tolist():
         if batch and (len(batch) + 1) * lengths[i] > max_tokens:
@@ -143,6 +168,7 @@ def _token_batches(seqs: list[tuple], max_len: int, max_tokens: int = PREDICT_TO
 # -- model plumbing ----------------------------------------------------------
 # The model config's type picks the network: the encoder or the Bi-LSTM, and
 # its max_len the most tokens of a sequence it reads, in training and prediction.
+# Training data arrives cut to it (`cut_to_max_len`).
 
 
 def _forward(params, cfg, ids, pad_mask, train=False, dropout_rng=None):
@@ -196,7 +222,6 @@ def _train(
     cfg,
     tcfg: TrainConfig,
     init_core: dict | None = None,
-    relabeled: int | None = None,
 ) -> tuple[dict, list[float]]:
     """Minibatch Adam on a linear head over the rows `_head_rows` selects.
 
@@ -204,8 +229,7 @@ def _train(
     ("fine"). A batch of at least `shards.SHARD_TOKENS` padded tokens trains
     as two row shards, shard 1 in a forked worker when a second core and the
     BLAS pin allow it, else in turn; the bytes are the same either way.
-    `relabeled`, the "rbtd" samples that the cut leaves without an edit, goes
-    into the cut warning. Returns (params incl. head, per-epoch mean losses).
+    Returns (params incl. head, per-epoch mean losses).
     """
     # Parameters and the two shards' gradient slots share one mapping, so a
     # forked worker reads each Adam update and the parent reads its gradient.
@@ -218,20 +242,8 @@ def _train(
     for k, a in {**init_core, **drawn}.items():
         params[k][...] = a
 
-    max_len = cfg.max_len
-    lengths = np.array([min(len(s[0]), max_len) for s in samples], dtype=np.int64)
-    n_cut = sum(len(s[0]) > max_len for s in samples)
-    if n_cut:
-        log.warning("%d of %d %s samples are longer than max_len %d and are cut to it%s",
-                    n_cut, len(samples), kind, max_len,
-                    "" if relabeled is None else
-                    f"; {relabeled} of them lose every edit and are labeled original")
-    # One class per head row; a fine sample keeps the labels of the breaks
-    # that survive max_len.
-    targets = [
-        np.asarray(s[2][: sum(s[1][:max_len])] if kind == "fine" else s[2], dtype=np.int64)
-        for s in samples
-    ]
+    lengths = np.array([len(s[0]) for s in samples], dtype=np.int64)
+    targets = [np.asarray(s[2], dtype=np.int64) for s in samples]   # one class per head row
     if not any(len(t) for t in targets):
         raise DataError(f"no sample has a {kind} target to train on")
     # Every epoch's batches in training order, drawn up front: whether any
@@ -255,9 +267,7 @@ def _train(
         if not len(shard_targets):
             flat[1 + s].fill(0.0)
             return 0.0
-        ids, pad_mask, break_mask = _pad_batch(
-            [(samples[i][0], samples[i][1]) for i in rows_idx], max_len
-        )
+        ids, pad_mask, break_mask = _pad_batch([(samples[i][0], samples[i][1]) for i in rows_idx])
         hidden, cache = _forward(params, cfg, ids, pad_mask, train=True,
                                  dropout_rng=drop_rngs[s])
         rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
@@ -284,7 +294,9 @@ def _train(
     m, v, step = np.zeros_like(flat[0]), np.zeros_like(flat[0]), 0
     epoch_losses = []
     fork = shards.usable_cpus() >= 2 and any(is_split(b) for epoch in schedule for b in epoch)
-    with shards.one_blas_thread() as pinned, (
+    # A diverging run ends at the non-finite loss check, so numpy's overflow
+    # warnings would only repeat it; the worker forks inside errstate and keeps it.
+    with np.errstate(over="ignore", invalid="ignore"), shards.one_blas_thread() as pinned, (
         shards.ShardWorker(shard_step) if fork and pinned else contextlib.nullcontext()
     ) as worker:
         for epoch, batches in enumerate(schedule):
@@ -314,10 +326,12 @@ def _train(
 def _predict_logits(params, kind, cfg, seqs: list[tuple], max_tokens: int = PREDICT_TOKENS):
     """Head logits of each (ids, break_mask), in input order: one [n_classes]
     array per sample, or one [n_breaks, n_classes] array for the "fine" head.
-    Samples run in length-sorted padded batches of at most max_tokens tokens."""
+    Each sample is cut to the model's max_len, then samples run in
+    length-sorted padded batches of at most max_tokens tokens."""
+    seqs = [(ids[: cfg.max_len], mask[: cfg.max_len]) for ids, mask in seqs]
     out = [None] * len(seqs)
-    for batch in _token_batches(seqs, cfg.max_len, max_tokens):
-        ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch], cfg.max_len)
+    for batch in _token_batches(seqs, max_tokens):
+        ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch])
         hidden, _ = _forward(params, cfg, ids, pad_mask)
         rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
         logits = rows @ params["head_w"] + params["head_b"]
@@ -345,12 +359,8 @@ def pretrain_rbtd(
     The F-score is the F1 of the corrupted class on the seeded 95/5 held-out
     split.
     """
-    # The model reads a sample's first max_len tokens, so the sample counts as
-    # corrupted only if an edit lies among them (Clark et al. 2020, ELECTRA).
-    targets = [
-        LABEL_CORRUPTED if any(pos < enc_cfg.max_len for pos, _, _ in s.edits) else LABEL_ORIGINAL
-        for s in dataset
-    ]
+    dataset = cut_to_max_len(dataset, "rbtd", enc_cfg)
+    targets = [s.label for s in dataset]
     if len(set(targets)) < 2:
         raise DataError("discriminator pretraining needs both original samples and samples "
                         f"corrupted within encoder max_len {enc_cfg.max_len}")
@@ -362,8 +372,7 @@ def pretrain_rbtd(
     held = sorted(hold_idx)
 
     samples = [(dataset[i].ids, dataset[i].break_mask, [targets[i]]) for i in train]
-    relabeled = sum(targets[i] != dataset[i].label for i in train)
-    params, epoch_losses = _train(samples, "rbtd", enc_cfg, tcfg, relabeled=relabeled)
+    params, epoch_losses = _train(samples, "rbtd", enc_cfg, tcfg)
 
     logits = _predict_logits(params, "rbtd", enc_cfg,
                              [(dataset[i].ids, dataset[i].break_mask) for i in held])
@@ -402,8 +411,7 @@ def finetune(
     network `model_cfg` configures; full fine-tuning when `init` is given."""
     if task not in ("overall", "fine"):
         raise DataError(f"unknown fine-tuning task {task!r}")
-    labels = [getattr(s, task) for s in dataset]
-    if any(lab is None for lab in labels):
+    if any(getattr(s, task) is None for s in dataset):
         raise DataError(f"fine-tuning the {task!r} head needs {task} labels on every sample")
     if init is not None:
         _check_init_compat(init, model_cfg, vocab)
@@ -411,8 +419,8 @@ def finetune(
     else:
         init_core = None
     samples = [
-        (s.ids, s.break_mask, [rank_to_class(r) for r in (lab if task == "fine" else [lab])])
-        for s, lab in zip(dataset, labels)
+        (s.ids, s.break_mask, [rank_to_class(r) for r in (s.fine if task == "fine" else [s.overall])])
+        for s in cut_to_max_len(dataset, task, model_cfg)
     ]
     params, epoch_losses = _train(samples, task, model_cfg, tcfg, init_core)
     return Checkpoint(

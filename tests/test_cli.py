@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,28 +306,34 @@ class TestPipeline:
         assert len(break_lines) == n_words - 1
 
     def test_score_warns_when_utterance_exceeds_max_len(self, pipeline, tmp_path, capsys, caplog):
-        # A checkpoint trained at max_len 16 reads [CLS] and the first 15 tokens
+        # Checkpoints trained at max_len 16 read [CLS] and the first 15 tokens
         # of a 20-word utterance: 7 of its 19 breaks. The other 12 go unscored,
-        # which is logged; standard output still lists only the scored ones.
+        # and the overall rank reads only those tokens; both are logged, while
+        # standard output still lists only the scored breaks.
         cfg = tmp_path / "short.yaml"
         cfg.write_text(open(pipeline["cfg"]).read()
                        .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n"))
-        fine = str(tmp_path / "fine16.pbrk")
-        assert run("finetune", "--config", str(cfg), "--task", "fine",
-                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"], "--out", fine) == 0
+        ckpts = {task: str(tmp_path / f"{task}16.pbrk") for task in ("overall", "fine")}
+        for task, ckpt in ckpts.items():
+            assert run("finetune", "--config", str(cfg), "--task", task,
+                       "--in", pipeline["esl"], "--vocab", pipeline["vocab"], "--out", ckpt) == 0
         ctm = tmp_path / "long.ctm"
         ctm.write_text("".join(f"long1 1 {0.5 * i:.2f} 0.40 the\n" for i in range(20))
                        + "short1 1 0.00 0.40 the\nshort1 1 0.50 0.40 fox\n")
         capsys.readouterr()
         caplog.clear()
-        assert run("score", "--fine-ckpt", fine, "--align", str(ctm)) == 0
+        assert run("score", "--overall-ckpt", ckpts["overall"], "--fine-ckpt", ckpts["fine"],
+                   "--align", str(ctm)) == 0
         out = capsys.readouterr().out
         assert len([l for l in out.splitlines() if "[br" in l]) == 7 + 1
         assert "max_len" not in out
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 1
-        assert "long1" in warnings[0] and "max_len 16" in warnings[0]
-        assert "last 12 break positions" in warnings[0]
+        assert len(warnings) == 2
+        assert all("long1" in w and "40 tokens" in w and "max_len 16" in w for w in warnings)
+        assert "overall checkpoint's" in warnings[0] and "break positions" not in warnings[0]
+        assert "overall rank reads only the first 16 of them" in warnings[0]
+        assert "fine checkpoint's" in warnings[1]
+        assert "last 12 break positions" in warnings[1]
 
     def test_finetune_cuts_to_encoder_max_len(self, tmp_path, caplog):
         # Synth writes whole records, many longer than the encoder's 16 tokens:
@@ -355,21 +363,25 @@ class TestPipeline:
     def test_eval_fine_scores_the_breaks_within_encoder_max_len(self, pipeline, tmp_path,
                                                                  caplog):
         # Each fold's encoder reads 16 tokens, so the report holds the breaks
-        # among them, and one warning says how many items reach past them.
+        # among them. The items are cut once, before the folds, so one warning
+        # says how many reach past them.
         cfg = tmp_path / "short.yaml"
         cfg.write_text(open(pipeline["cfg"]).read()
                        .replace("ffn_dim: 32\n", "ffn_dim: 32\n  max_len: 16\n"))
         out = tmp_path / "eval.json"
         caplog.clear()
         assert run("eval", "--config", str(cfg), "--task", "fine", "--in", pipeline["esl"],
-                   "--vocab", pipeline["vocab"], "--model", "scratch", "--k", "2",
+                   "--vocab", pipeline["vocab"], "--model", "scratch", "--k", "3",
                    "--out", str(out)) == 0
         esl = [json.loads(l) for l in open(pipeline["esl"])]
         n_long = sum(len(s["ids"]) > 16 for s in esl)
         assert n_long > 0
         folds = json.loads(out.read_text())["folds"]
+        assert len(folds) == 3
         assert sum(f["total"] for f in folds) == sum(sum(s["break_mask"][:16]) for s in esl)
-        assert f"{n_long} of {len(esl)} items are longer than the model's max_len 16" in caplog.text
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"{n_long} of {len(esl)} fine samples are longer than max_len 16 "
+                            "and are cut to it"]
 
     def test_train_max_len_is_an_unknown_key(self, pipeline, tmp_path, caplog):
         cfg = tmp_path / "c.yaml"
@@ -453,6 +465,32 @@ class TestPipelineEdgeValues:
                                    "--vocab", vocab, "--out", str(tmp_path / "r.pbrk")))
         assert got == want
         assert (tmp_path / "r.pbrk").exists() == (want == ("pretrain", 0))
+
+    def test_diverging_runs_print_no_numpy_warnings(self, tmp_path):
+        # At lr 1e30 the first step overflows. Pretrain stops at the non-finite
+        # loss (exit 3); a Bi-LSTM finetune trains on (exit 0), its later steps
+        # reading overflowed weights. Neither the parent nor the forked shard
+        # worker (batches of 16 and 64 rows are split) prints numpy's
+        # RuntimeWarnings.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("synth: {n_sentences: 60}\n"
+                       "encoder: {d_model: 16, n_heads: 2, n_layers: 1, ffn_dim: 32}\n"
+                       "train: {epochs: 1, lr: 1.0e+30}\n")
+        d = tmp_path / "d"
+        assert run("synth", "--config", str(cfg), "--out-dir", str(d)) == 0
+        data = ["--vocab", str(d / "vocab.tsv"), "--config", str(cfg)]
+        assert run("corrupt", "--in", str(d / "native.jsonl"), *data,
+                   "--out", str(d / "pre.jsonl")) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for argv, code in (
+            (["pretrain", "--in", str(d / "pre.jsonl"), "--out", str(d / "r.pbrk")], 3),
+            (["finetune", "--model", "bilstm", "--task", "fine", "--batch-size", "16",
+              "--in", str(d / "esl.jsonl"), "--out", str(d / "f.pbrk")], 0),
+        ):
+            proc = subprocess.run([sys.executable, "-m", "breakscore.cli", *argv, *data],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == code, proc.stderr
+            assert "Warning" not in proc.stderr, proc.stderr
 
     @pytest.mark.parametrize("n", [10**23, 2**63, -(10**23), 0])
     def test_huge_n_sentences_validated_without_generating(self, tmp_path, monkeypatch, n):

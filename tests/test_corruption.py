@@ -1,5 +1,6 @@
 """Replaced-break corruption: edit statistics, labeling, determinism."""
 import io
+import json
 import math
 
 import pytest
@@ -133,10 +134,14 @@ class TestSerialization:
 
     def test_read_stream(self):
         ids, mask = sample(2)
-        s = LabeledSequence(id="a", ids=tuple(ids), break_mask=tuple(mask), label=0)
+        s = LabeledSequence(id="a", ids=tuple(ids), break_mask=tuple(mask))
         text = labeled_to_json(s) + "\n\n" + labeled_to_json(s) + "\n"
         assert read_labeled(io.StringIO(text)) == [s, s]
 
     def test_inconsistent_label_rejected(self):
-        with pytest.raises(DataError):
-            LabeledSequence(id="a", ids=(2, 8), break_mask=(False, False), label=1)
+        # The label follows from the edits; a file that says otherwise is bad data.
+        for label, edits in ((1, []), (0, [[2, 0, 1]]), (2, [])):
+            line = json.dumps({"id": "a", "ids": [2, 8, 4, 9], "break_mask": [False, False, True, False],
+                               "label": label, "edits": edits})
+            with pytest.raises(DataError, match="label inconsistent with edit list"):
+                labeled_from_json(line)

@@ -150,6 +150,7 @@ class TestTextReaders:
         for obj in parses_or_rejects_a_line(corruption.read_labeled, text):
             assert is_array_of(obj["break_mask"], bool), obj
             assert obj["ids"] and is_array_of(obj["ids"], int), obj
+            assert int(obj["label"]) == int(bool(obj["edits"])), obj
 
     @fuzz
     @given(records({

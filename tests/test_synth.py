@@ -1,7 +1,8 @@
 """Synthetic native and learner corpora."""
 import pytest
 
-from breakscore.alignment import BreakClass
+from breakscore import synth
+from breakscore.alignment import BreakClass, TokenSequence
 from breakscore.exceptions import DataError
 from breakscore.ranks import Rank
 from breakscore.synth import (
@@ -151,6 +152,22 @@ class TestGenerateEsl:
     def test_empty_native_rejected(self):
         with pytest.raises(DataError):
             generate_esl(self.cfg, [])
+
+    def test_unreachable_target_rejected_on_the_first_call(self, monkeypatch):
+        # "fox runs" has one gap, an optional site, which takes no Fair break;
+        # the injection counts are fixed, so no draw could make it Fair.
+        calls = []
+        real = synth._corrupt_to_class
+
+        def counting(*args):
+            calls.append(args[0].id)
+            return real(*args)
+
+        monkeypatch.setattr(synth, "_corrupt_to_class", counting)
+        native = [TokenSequence(id="n7", words=("fox", "runs"), breaks=(BreakClass.BR0,))]
+        with pytest.raises(DataError, match="'n7' to Fair"):
+            generate_esl(SynthConfig(class_shape=(0.0, 1.0, 0.0)), native)
+        assert calls == ["n7"]
 
 
 class TestStatsAndEncoding:

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 from conftest import blas_threads
+from hypothesis import given, settings, strategies as st
 
+from breakscore.alignment import BreakClass
 from breakscore.checkpoint import N_CLASSES, Checkpoint, param_shapes
 from breakscore.corruption import (
     LABEL_CORRUPTED,
@@ -74,9 +76,8 @@ class TestRatedSample:
     @pytest.mark.parametrize("cls", [RatedSample, LabeledSequence])
     def test_token_ids_are_non_negative_ints(self, cls, bad_ids):
         # Checked when a record is read, not as a traceback from batch padding.
-        labels = {"label": 0} if cls is LabeledSequence else {}
         with pytest.raises(DataError, match="token ids"):
-            cls(id="a", ids=bad_ids, break_mask=(False, False), **labels)
+            cls(id="a", ids=bad_ids, break_mask=(False, False))
 
     def test_json_round_trip(self):
         ids, mask = encoded([8, 9, 10], [1, 3])
@@ -97,19 +98,46 @@ class TestRatedSample:
             read_rated(io.StringIO('{"id":"a","ids":[2,8],"break_mask":[false,false]}\n{"x":1}\n'))
 
 
+class TestCut:
+    """A record cut to n tokens keeps their labels: the fine ranks of the
+    breaks among them, and the edits among them, which decide its label."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(breaks=st.lists(st.integers(0, 3), max_size=14), n=st.integers(2, 32), data=st.data())
+    def test_cut_keeps_the_prefix_and_its_labels(self, breaks, n, data):
+        ids, mask = encoded([8 + i % 4 for i in range(len(breaks) + 1)], breaks)
+        positions = [i for i, b in enumerate(mask) if b]
+        fine = tuple(data.draw(st.lists(st.sampled_from(list(Rank)), min_size=len(positions),
+                                        max_size=len(positions))))
+        rated = RatedSample(id="a", ids=ids, break_mask=mask, fine=fine).cut(n)
+        assert rated.ids == ids[:n] and rated.break_mask == mask[:n]
+        assert len(rated.fine) == sum(mask[:n]) and rated.fine == fine[: len(rated.fine)]
+
+        edited = data.draw(st.lists(st.sampled_from(positions), unique=True) if positions
+                           else st.just([]))
+        edits = tuple((pos, BreakClass.BR0, BreakClass.BR3) for pos in sorted(edited))
+        labeled = LabeledSequence(id="a", ids=ids, break_mask=mask, edits=edits).cut(n)
+        assert labeled.ids == ids[:n] and labeled.break_mask == mask[:n]
+        assert labeled.edits == tuple(e for e in edits if e[0] < n)
+        assert (labeled.label == LABEL_CORRUPTED) == bool(labeled.edits)
+
+
 class TestPadBatch:
     def test_padding_and_masks(self):
         a = encoded([8, 9], [0])
         b = encoded([8, 9, 10], [1, 2])
-        ids, pad_mask, break_mask = _pad_batch([a, b], max_len=32)
+        ids, pad_mask, break_mask = _pad_batch([a, b])
         assert ids.shape == (2, 6)
         assert pad_mask[0].tolist() == [True] * 4 + [False] * 2
         assert ids[0, 4:].tolist() == [0, 0]
         assert break_mask[1].tolist() == [False, False, True, False, True, False]
 
     def test_max_len_truncates(self):
-        a = encoded([8] * 10, [0] * 9)
-        ids, pad_mask, _ = _pad_batch([a], max_len=7)
+        # The task cuts a record to max_len; the batch pads what is left.
+        ids, mask = encoded([8] * 10, [0] * 9)
+        [s] = tasks.cut_to_max_len([RatedSample(id="a", ids=ids, break_mask=mask)], "overall",
+                                   dataclasses.replace(small_cfg(12), max_len=7))
+        ids, pad_mask, _ = _pad_batch([(s.ids, s.break_mask)])
         assert ids.shape == (1, 7) and pad_mask.all()
 
 
@@ -131,8 +159,8 @@ class TestTrainBatches:
     def _recorded_batches(self, monkeypatch, dataset, seed):
         batches, pad = [], []
 
-        def recording(seqs, max_len):
-            out = _pad_batch(seqs, max_len)
+        def recording(seqs):
+            out = _pad_batch(seqs)
             batches.append([ids for ids, _ in seqs])
             pad.append(out[1])
             return out
@@ -170,8 +198,8 @@ class TestTrainBatches:
         # A Bi-LSTM reads any length: no token of a 150-token record is cut.
         padded = []
 
-        def recording(seqs, max_len):
-            out = _pad_batch(seqs, max_len)
+        def recording(seqs):
+            out = _pad_batch(seqs)
             padded.append(out[1].sum(axis=1).tolist())
             return out
 
@@ -305,7 +333,8 @@ class TestPretrainRbtd:
     def test_labels_count_only_edits_within_max_len(self, monkeypatch, caplog):
         # At max_len 16 the model reads a 23-token sample's first 16 tokens, so
         # a sample whose every edit lies past them trains, and is scored on
-        # the held-out split, as an original.
+        # the held-out split, as an original. The warning counts those samples
+        # over the whole set, held-out ones included.
         rng = make_rng(1, "long")
         corpus = []
         for i in range(40):
@@ -313,8 +342,10 @@ class TestPretrainRbtd:
             ids, mask = encoded(word_ids, [int(rng.integers(4)) for _ in range(11)])
             corpus.append((f"u{i}", list(ids), list(mask)))
         data = build_pretrain_dataset(corpus, CorruptionConfig(seed=0))
-        read = {s.ids: int(any(pos < 16 for pos, _, _ in s.edits)) for s in data}
-        assert sum(s.label == LABEL_CORRUPTED and not read[s.ids] for s in data) >= 10
+        # The first 16 tokens differ from the original's where an edit lies among them.
+        read = {s.ids[:16]: int(any(pos < 16 for pos, _, _ in s.edits)) for s in data}
+        relabeled = sum(s.label == LABEL_CORRUPTED and not read[s.ids[:16]] for s in data)
+        assert relabeled >= 10
 
         trained, held = [], []
         real_train, real_predict = tasks._train, tasks._predict_logits
@@ -338,11 +369,10 @@ class TestPretrainRbtd:
         tcfg = TrainConfig(batch_size=16, epochs=1, lr=1e-3, seed=0)
         cfg = dataclasses.replace(small_cfg(12), max_len=16)
         pretrain_rbtd(data, tcfg, cfg, toy_vocab())
+        assert all(len(ids) == 16 for ids, _ in trained)
         assert [target for _, target in trained] == [read[ids] for ids, _ in trained]
         assert held[0] == held[1] and len(held[0]) == 8
-        label = {s.ids: s.label for s in data}
-        relabeled = sum(label[ids] != target for ids, target in trained)
-        assert relabeled > 0
+        assert "160 of 160 rbtd samples are longer than max_len 16" in caplog.text
         assert f"; {relabeled} of them lose every edit and are labeled original" in caplog.text
 
         # Within two tokens no break is read: nothing is left to discriminate.
@@ -483,14 +513,14 @@ class TestBatchedPrediction:
 
     def test_token_batches_cover_every_sample_within_the_budget(self):
         seqs = self.mixed_seqs() + [encoded([8] * 40, [1] * 39)]   # 80 tokens, over 64
-        batches = tasks._token_batches(seqs, max_len=100, max_tokens=64)
+        batches = tasks._token_batches(seqs, max_tokens=64)
         assert sorted(i for b in batches for i in b) == list(range(len(seqs)))
         lengths = [[len(seqs[i][0]) for i in b] for b in batches]
         assert [l for b in lengths for l in b] == sorted(len(ids) for ids, _ in seqs)
         for b in lengths:
             assert len(b) == 1 or len(b) * max(b) <= 64
         assert lengths[-1] == [80]   # a sample over the budget is a batch of one
-        assert tasks._token_batches([], max_len=100) == []
+        assert tasks._token_batches([]) == []
 
     @pytest.mark.parametrize("model", ["encoder", "bilstm"])
     def test_batch_entry_points_match_one_sample_wrappers(self, model):
@@ -500,7 +530,7 @@ class TestBatchedPrediction:
         else:
             cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
         core = init_params(cfg.param_shapes(), make_rng(0, "init"))
-        assert len(tasks._token_batches(seqs, cfg.max_len)) >= 2
+        assert len(tasks._token_batches(seqs)) >= 2
         # Scaled-up weights and a centred head make the predicted ranks differ.
         core = {k: v if k.endswith("_g") else v * 25 for k, v in core.items()}
         rng = make_rng(1, "head")
@@ -603,9 +633,9 @@ class TestShardedTraining:
         # with one usable CPU both are padded in this process.
         padded = []
 
-        def recording(seqs, max_len):
+        def recording(seqs):
             padded.append(sorted(ids for ids, _ in seqs))
-            return _pad_batch(seqs, max_len)
+            return _pad_batch(seqs)
 
         monkeypatch.setattr(tasks, "_pad_batch", recording)
         monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
