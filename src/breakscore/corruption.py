@@ -126,13 +126,20 @@ def labeled_to_json(s: LabeledSequence) -> str:
 
 def labeled_from_json(line: str) -> LabeledSequence:
     obj = json.loads(line)
+    edits = jsonl.array(obj, "edits", list)
+    # JSON integers only: no strings, fractions or true/false.
+    if not all(len(e) == 3 and all(type(v) is int for v in e) for e in edits):
+        raise DataError(f"'edits' must be [position, old, new] integer triples, "
+                        f"got {obj['edits']!r}")
+    if type(obj["label"]) is not int:
+        raise DataError(f"'label' must be an integer, got {obj['label']!r}")
     s = LabeledSequence(
         id=obj["id"],
         ids=tuple(obj["ids"]),
         break_mask=jsonl.array(obj, "break_mask", bool),
-        edits=tuple((pos, BreakClass(old), BreakClass(new)) for pos, old, new in obj["edits"]),
+        edits=tuple((pos, BreakClass(old), BreakClass(new)) for pos, old, new in edits),
     )
-    if int(obj["label"]) != s.label:
+    if obj["label"] != s.label:
         raise DataError(f"sample {s.id!r}: label inconsistent with edit list")
     return s
 

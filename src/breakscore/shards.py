@@ -1,9 +1,15 @@
-"""Data-parallel train steps: a large batch trains as row shards whose
-gradients are summed in shard order (Goyal et al. 2017, arXiv:1706.02677,
-inside one batch). Shard 0 runs in the training process, shard 1 in one
-worker forked for the run; both read the parameters from, and write their
-gradients to, one anonymous shared mapping. Training pins BLAS to one thread
-per process, so its bytes do not depend on the CPU or BLAS thread count.
+"""Work split over two processes: one worker forked for a run serves either
+a train step's second row shard or every other cross-validation fold.
+
+A large batch trains as row shards whose gradients are summed in shard order
+(Goyal et al. 2017, arXiv:1706.02677, inside one batch). Shard 0 runs in the
+training process, shard 1 in the worker; both read the parameters from, and
+write their gradients to, one anonymous shared mapping. Cross-validation runs
+the even folds in its own process and the odd ones in the worker, which the
+fork gives the dataset without pickling it. An open worker holds a CPU
+(`usable_cpus`), so on two CPUs neither process forks a shard worker while
+the folds run. Training and cross-validation pin BLAS to one thread per
+process, so their bytes do not depend on the CPU or BLAS thread count.
 `keep_freed_memory` has glibc reuse freed blocks instead of returning them to
 the kernel; the CLI sets it once per process, and a forked worker inherits it.
 """
@@ -99,10 +105,17 @@ def keep_freed_memory() -> bool:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on; a worker needs a second one of its own."""
+    """CPUs this process may give work to; a new worker needs a second one.
+    That is the CPUs it may run on, less one per child it has running, such as
+    an open worker. A worker has one only: it is a daemon process, which may
+    fork no worker of its own."""
+    if multiprocessing.current_process().daemon:
+        return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1   # macOS has no affinity call
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1   # macOS has no affinity call
+    return max(1, cpus - len(multiprocessing.active_children()))
 
 
 def shared_slots(shapes: dict, n: int) -> tuple[np.ndarray, list[dict]]:
@@ -126,12 +139,13 @@ class _RemoteTraceback(Exception):
 
 
 class ShardWorker:
-    """`step(*args)` in one process forked on entry. The parent `submit`s the
-    arguments and later takes the `result`, or the exception the step raised,
-    re-raised with its type."""
+    """`step(*args)` in one process forked on entry: a train step's shard 1, or
+    one cross-validation fold. The parent `submit`s the arguments, one or more
+    times, and later takes each `result` in order, or the exception the step
+    raised, re-raised with its type. `name` says which in messages."""
 
-    def __init__(self, step):
-        self._step = step
+    def __init__(self, step, name: str):
+        self._step, self._name = step, name
 
     def __enter__(self):
         ctx = multiprocessing.get_context("fork")
@@ -158,14 +172,16 @@ class ShardWorker:
 
     def _gone(self) -> ChildProcessError:
         self._proc.join(_STOP_SECONDS)
-        return ChildProcessError(f"shard worker exited with code {self._proc.exitcode}")
+        return ChildProcessError(f"{self._name} worker exited with code {self._proc.exitcode}")
 
-    def __exit__(self, *exc):
-        try:
-            self._conn.send(None)
-        except OSError:   # the worker is gone already
-            pass
-        self._proc.join(_STOP_SECONDS)
+    def __exit__(self, exc_type, *exc):
+        # After an error the worker may be busy with work no one will take.
+        if exc_type is None:
+            try:
+                self._conn.send(None)
+            except OSError:   # the worker is gone already
+                pass
+            self._proc.join(_STOP_SECONDS)
         if self._proc.is_alive():
             self._proc.kill()
             self._proc.join()

@@ -297,7 +297,7 @@ def _train(
     # A diverging run ends at the non-finite loss check, so numpy's overflow
     # warnings would only repeat it; the worker forks inside errstate and keeps it.
     with np.errstate(over="ignore", invalid="ignore"), shards.one_blas_thread() as pinned, (
-        shards.ShardWorker(shard_step) if fork and pinned else contextlib.nullcontext()
+        shards.ShardWorker(shard_step, "shard") if fork and pinned else contextlib.nullcontext()
     ) as worker:
         for epoch, batches in enumerate(schedule):
             losses = []
@@ -438,10 +438,15 @@ def finetune(
 
 def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.ndarray]:
     """`_predict_logits` of each (ids, break_mask) under a checkpoint of the
-    given kind, in token-budgeted batches."""
+    given kind, in token-budgeted batches. Parameters so large that the forward
+    overflows make the checkpoint bad data, not a numpy warning."""
     if ckpt.kind != kind:
         raise DataError(f"expected a {kind!r} checkpoint, got {ckpt.kind!r}")
-    return _predict_logits(ckpt.params, kind, ckpt.model_cfg, seqs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = _predict_logits(ckpt.params, kind, ckpt.model_cfg, seqs)
+    if logits and not np.isfinite(np.concatenate(logits)).all():
+        raise DataError(f"the {kind} checkpoint gives non-finite logits")
+    return logits
 
 
 def _ranks(logits: np.ndarray) -> list[Rank]:

@@ -7,7 +7,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from bench.tracing import Tracer  # noqa: E402
-from breakscore import cli  # noqa: E402
+from breakscore import cli, shards  # noqa: E402
 
 
 def test_tracer_installs_and_uninstalls_against_the_package():
@@ -19,10 +19,12 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     assert all(getattr(m, a) is o for m, a, o in patched)
 
 
-def test_traced_eval_times_each_fold_and_item(tmp_path):
+def test_traced_eval_times_each_fold_and_item(tmp_path, monkeypatch):
     # The tracer wraps cli.make_trained_predictor by its name and calls it
     # with whatever arguments cmd_eval passes, so this guards the call
     # contract: train_fn(train_items, fold_seed) returns predictor(item).
+    # Spans made in the fold worker die with it, so every fold runs here.
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
     config = tmp_path / "tiny.yaml"
     config.write_text(
         "seed: 2\nsynth: {n_sentences: 12}\n"

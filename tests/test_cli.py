@@ -17,6 +17,7 @@ from breakscore import corruption, shards, synth, tasks
 from breakscore.cli import main
 from breakscore.checkpoint import load_checkpoint
 from breakscore.exceptions import DataError, NumericError
+from breakscore.rngs import make_rng
 
 CTM = """\
 u1 1 0.00 0.40 Hello
@@ -533,6 +534,14 @@ _BAD_LINE_2 = {
                                           "--out", str(p["root"] / "x.pbrk")),
                           "pretrain",
                           '{"id":"b","ids":[2,8,4],"break_mask":[0,"no",0],"label":0,"edits":[]}\n'),
+    "labeled-label-type": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
+                                           "--out", str(p["root"] / "x.pbrk")),
+                           "pretrain", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,false,true,'
+                                       'false],"label":"1","edits":[[2,0,1]]}\n'),
+    "labeled-edit-type": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
+                                          "--out", str(p["root"] / "x.pbrk")),
+                          "pretrain", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,false,true,'
+                                      'false],"label":1,"edits":[[2,true,2]]}\n'),
     "sequence": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
                                  "--out", str(p["root"] / "x.jsonl")),
                  "native", '{"id":"b","words":["a","b"],"breaks":[]}\n'),
@@ -768,6 +777,33 @@ class TestScoreChecks:
         assert capsys.readouterr().out == ""
         assert str(bad) in caplog.text
 
+    @pytest.mark.parametrize("ckpt, names, value", [
+        ("encoder-overall", ("layer0.wq", "layer0.wk"), 1e20),
+        ("encoder-fine", ("head_w",), np.nan),
+        ("bilstm-overall", ("head_b",), np.inf),
+    ], ids=["encoder-overflow", "encoder-nan", "bilstm-inf"])
+    def test_checkpoint_with_non_finite_logits_exits_2(
+            self, score_ckpts, tmp_path, capsys, caplog, rewrite_checkpoint, ckpt, names, value):
+        # Well formed, but with the first row of each named array set to value
+        # its forward overflows or carries a NaN: bad data, and no numpy
+        # warning or garbage ranks on stdout.
+        def edit(meta, params):
+            for name in names:
+                params[name] = params[name].copy()
+                params[name][0] = value
+
+        kind = ckpt.split("-")[1]
+        bad = tmp_path / f"{kind}.pbrk"
+        shutil.copy(score_ckpts[ckpt], bad)
+        rewrite_checkpoint(str(bad), edit)
+        ctm = tmp_path / "a.ctm"
+        ctm.write_text(CTM)
+        capsys.readouterr()
+        caplog.clear()
+        assert run("score", f"--{kind}-ckpt", str(bad), "--align", str(ctm)) == 2
+        assert capsys.readouterr().out == ""
+        assert f"the {kind} checkpoint gives non-finite logits" in caplog.text
+
     def test_programming_fault_in_a_fold_propagates(self, pipeline, monkeypatch):
         # Only a BreakscoreError maps to an exit code; anything else is a bug
         # and keeps its traceback.
@@ -827,6 +863,58 @@ class TestShardWorkerFaults:
         fault_in_worker(lambda: os._exit(7))
         assert self._pretrain(pipeline, tmp_path) == 2
         assert "shard worker exited with code 7" in caplog.text
+
+
+class TestFoldWorker:
+    """`eval` runs every other fold in a forked worker when it can. A fault in
+    either process ends the command as it would on one, and leaves no process
+    behind and BLAS at its old thread count."""
+
+    @staticmethod
+    def fault_in_fold(monkeypatch, fold, fault):
+        """Make `tasks.finetune` run `fault()` when it trains `fold`, which it
+        knows by the fold's derived seed (the pipeline's seed is 3)."""
+        fold_seed = int(make_rng(3, f"fold{fold}").integers(2**31))
+        finetune = tasks.finetune
+
+        def faulty(dataset, init, tcfg, *args, **kwargs):
+            if tcfg.seed == fold_seed:
+                fault()
+            return finetune(dataset, init, tcfg, *args, **kwargs)
+
+        monkeypatch.setattr(tasks, "finetune", faulty)
+
+    @staticmethod
+    def _eval(pipeline):
+        threads = blas_threads()
+        code = run("eval", "--config", pipeline["cfg"], "--task", "overall",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"],
+                   "--model", "scratch", "--k", "3")
+        assert multiprocessing.active_children() == []
+        assert blas_threads() == threads
+        return code
+
+    @pytest.mark.parametrize("fold", [0, 1])
+    def test_data_error_in_one_fold_exits_2_naming_it(self, pipeline, monkeypatch, caplog, fold):
+        def fault():
+            raise DataError("fault in this fold")
+
+        self.fault_in_fold(monkeypatch, fold, fault)
+        assert self._eval(pipeline) == 2
+        assert f"training failed on fold {fold}: fault in this fold" in caplog.text
+
+    @pytest.mark.skipif(shards.usable_cpus() < 2 or blas_threads() is None,
+                        reason="the fold worker needs two CPUs and a BLAS thread pin")
+    def test_dead_fold_worker_exits_2_naming_its_exit_code(self, pipeline, monkeypatch, caplog):
+        parent = os.getpid()
+
+        def fault():
+            if os.getpid() != parent:
+                os._exit(7)
+
+        self.fault_in_fold(monkeypatch, 1, fault)
+        assert self._eval(pipeline) == 2
+        assert "fold worker exited with code 7" in caplog.text
 
 
 _OVERALL_LINE = re.compile(r"  overall: (\w+)  \(Poor=([0-9.]+) Fair=([0-9.]+) Great=([0-9.]+)\)")

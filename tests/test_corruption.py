@@ -138,6 +138,18 @@ class TestSerialization:
         text = labeled_to_json(s) + "\n\n" + labeled_to_json(s) + "\n"
         assert read_labeled(io.StringIO(text)) == [s, s]
 
+    @pytest.mark.parametrize("label, edits", [
+        ("1", [[2, 0, 1]]), (1.9, [[2, 0, 1]]), (True, [[2, 0, 1]]), (1, [[2, True, 2]]),
+        (1, [[2.0, 0, 1]]), (1, [[2, 0]]), (1, [2, 0, 1]),
+    ], ids=["label-string", "label-fraction", "label-bool", "edit-class-bool",
+            "edit-position-float", "edit-pair", "edit-not-array"])
+    def test_non_integer_label_or_edit_rejected(self, label, edits):
+        # JSON integers only, as the token ids; nothing is coerced.
+        line = json.dumps({"id": "a", "ids": [2, 8, 4, 9], "break_mask": [False, False, True, False],
+                           "label": label, "edits": edits})
+        with pytest.raises(DataError, match="must be"):
+            labeled_from_json(line)
+
     def test_inconsistent_label_rejected(self):
         # The label follows from the edits; a file that says otherwise is bad data.
         for label, edits in ((1, []), (0, [[2, 0, 1]]), (2, [])):

@@ -146,11 +146,18 @@ class TestTextReaders:
     @example('{"id":"a","ids":[2,8,4,9],"break_mask":[0,"no",1,0],"label":0,"edits":[]}')
     @example('{"id":"a","ids":[],"break_mask":[],"label":0,"edits":[]}')
     @example('{"id":"a","ids":[true,8],"break_mask":[false,false],"label":0,"edits":[]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":"1",'
+             '"edits":[[2,0,1]]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":true,'
+             '"edits":[[2,0,1]]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":1,'
+             '"edits":[[2,true,2]]}')
     def test_labeled_jsonl(self, text):
         for obj in parses_or_rejects_a_line(corruption.read_labeled, text):
             assert is_array_of(obj["break_mask"], bool), obj
             assert obj["ids"] and is_array_of(obj["ids"], int), obj
-            assert int(obj["label"]) == int(bool(obj["edits"])), obj
+            assert all(is_array_of(edit, int) for edit in obj["edits"]), obj
+            assert obj["label"] == int(bool(obj["edits"])) and type(obj["label"]) is int, obj
 
     @fuzz
     @given(records({

@@ -1,9 +1,12 @@
 """Confusion-matrix metrics, stratified folds, fold aggregation."""
+import logging
 import math
 
 import numpy as np
 import pytest
+from conftest import blas_threads
 
+from breakscore import shards
 from breakscore.exceptions import DataError, NumericError
 from breakscore.metrics import (
     ConfusionMatrix,
@@ -14,6 +17,10 @@ from breakscore.metrics import (
     kfold_split,
     per_class_prf,
 )
+from breakscore.rngs import make_rng
+
+# Whether cross_validate can run folds on a forked worker here.
+FOLD_WORKER = shards.usable_cpus() >= 2 and blas_threads() is not None
 
 
 def brute_force_metrics(true, pred, n_classes=3):
@@ -125,7 +132,9 @@ class TestCrossValidate:
         agg = cross_validate(items, labels, train_fn, k=5, seed=0)
         assert agg["accuracy"]["mean"] == 1.0 and agg["accuracy"]["std"] == 0.0
 
-    def test_fold_seeds_differ_but_are_stable(self):
+    def test_fold_seeds_differ_but_are_stable(self, monkeypatch):
+        # `seen` collects only this process's folds, so all of them run here.
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
         items = list(range(12))
         labels = [i % 2 for i in items]
         seen: list[int] = []
@@ -153,6 +162,41 @@ class TestCrossValidate:
         with pytest.raises(expected, match="fold 0: boom") as info:
             cross_validate(items, [i % 2 for i in items], train_fn, k=2, n_classes=2)
         assert type(info.value) is expected
+
+    def test_report_same_with_and_without_fold_worker(self, monkeypatch, caplog):
+        # Predictions depend on the fold seed, so the reports agree only if each
+        # fold got its own seed on both paths and came back in fold order.
+        items = list(range(40))
+        labels = [i % 3 for i in items]
+
+        def train_fn(train_items, fold_seed):
+            return lambda item: [(item % 3, (item + int(fold_seed) % (item + 2)) % 3)]
+
+        caplog.set_level(logging.DEBUG, logger="breakscore.metrics")
+        default = cross_validate(items, labels, train_fn, k=5, seed=7)
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+        alone = cross_validate(items, labels, train_fn, k=5, seed=7)
+        assert default == alone
+        assert len({f["accuracy"] for f in alone["folds"]}) > 1
+        assert "5 folds on 1 process" in caplog.messages
+        assert ("5 folds on 2 processes" in caplog.messages) == FOLD_WORKER
+
+    @pytest.mark.parametrize("raised, match", [
+        (DataError, "^training failed on fold 1: boom$"), (ValueError, "^boom$"),
+    ], ids=["pipeline-error", "programming-fault"])
+    def test_failure_in_fold_1_keeps_its_type_and_fold(self, raised, match):
+        # Fold 1 is the first fold the fold worker runs.
+        items = list(range(20))
+        fold1_seed = make_rng(3, "fold1").integers(2**31)
+
+        def train_fn(train_items, fold_seed):
+            if fold_seed == fold1_seed:
+                raise raised("boom")
+            return lambda item: [(item % 2, item % 2)]
+
+        with pytest.raises(raised, match=match) as info:
+            cross_validate(items, [i % 2 for i in items], train_fn, k=4, seed=3, n_classes=2)
+        assert type(info.value) is raised
 
     def test_fold_programming_fault_is_not_a_data_error(self):
         # Any other exception is a bug, not bad input: it leaves unwrapped.

@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -24,7 +25,7 @@ from breakscore.exceptions import DataError
 from breakscore.nn.bilstm import BiLstmConfig
 from breakscore.nn.encoder import EncoderConfig
 from breakscore.nn.functional import init_params
-from breakscore.ranks import Rank
+from breakscore.ranks import Rank, rank_to_class
 from breakscore.rngs import make_rng
 from breakscore import metrics, shards, tasks
 from breakscore.cli import main
@@ -597,6 +598,47 @@ class TestShardedTraining:
         for k in forked:
             assert forked[k].tobytes() == alone[k].tobytes(), k
         return forked
+
+    def test_open_worker_holds_a_cpu(self):
+        # The worker itself may fork none: a daemon process has no children.
+        before = shards.usable_cpus()
+        with shards.ShardWorker(shards.usable_cpus, "test") as worker:
+            worker.submit()
+            assert worker.result() == 1
+            assert shards.usable_cpus() == max(1, before - 1)
+        assert shards.usable_cpus() == before
+
+    @pytest.mark.skipif(not WORKER, reason="the fold worker needs two CPUs and a BLAS thread pin")
+    @pytest.mark.parametrize("cpus, entries", [(2, 1), (4, 3)])
+    def test_fold_worker_forks_no_nested_worker(self, monkeypatch, cpus, entries):
+        # Every batch splits. On two CPUs, while cross-validation's fold worker
+        # is open, neither process forks a shard worker; on four, the parent
+        # forks one for each of its folds 0 and 2, the fold worker none. The
+        # report is the serial one.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        entered = multiprocessing.RawValue("i", 0)   # shared with the forked worker
+
+        class CountedWorker(shards.ShardWorker):
+            def __enter__(self):
+                entered.value += 1
+                return super().__enter__()
+
+        monkeypatch.setattr(shards, "ShardWorker", CountedWorker)
+        data = self._rated(18)
+        tcfg = TrainConfig(batch_size=8, epochs=1, lr=1e-3, seed=0)
+
+        def train_fn(items, fold_seed):
+            ckpt = finetune(items, None, dataclasses.replace(tcfg, seed=int(fold_seed)), "overall",
+                            model_cfg=self._model("encoder"), vocab=toy_vocab())
+            return lambda s: [(rank_to_class(s.overall),
+                               rank_to_class(predict_overall(ckpt, s.ids, s.break_mask)[0]))]
+
+        labels = [rank_to_class(s.overall) for s in data]
+        parallel = metrics.cross_validate(data, labels, train_fn, k=3, seed=1)
+        assert entered.value == entries
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+        assert metrics.cross_validate(data, labels, train_fn, k=3, seed=1) == parallel
+        assert entered.value == entries
 
     @staticmethod
     def _rated(n=24, one_word=0):
