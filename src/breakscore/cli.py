@@ -184,6 +184,12 @@ def cmd_finetune(args) -> int:
     return 0
 
 
+def _class_pairs(item: tasks.RatedSample, task: str, preds) -> list[tuple[int, int]]:
+    """(true, predicted) class pairs of the item's `task` labels and their predicted ranks."""
+    labels = [item.overall] if task == "overall" else item.fine
+    return [(rank_to_class(t), rank_to_class(p)) for t, p in zip(labels, preds, strict=True)]
+
+
 def _against_ref_predictor(task, truth, refs_by_id):
     def predictor(item: tasks.RatedSample):
         test_seq = truth.get(item.id)
@@ -194,14 +200,10 @@ def _against_ref_predictor(task, truth, refs_by_id):
         if not refs:
             raise DataError(f"no reference sequence for {item.id!r}")
         if task == "overall":
-            score = baseline.best_of_references(test_seq, refs)
-            pred = baseline.rank_from_similarity(score)
-            return [(rank_to_class(item.overall), rank_to_class(pred))]
-        pred_ranks = baseline.fine_rank_against_reference(test_seq, refs[0])
-        return [
-            (rank_to_class(t), rank_to_class(p))
-            for t, p in zip(item.fine, pred_ranks, strict=True)
-        ]
+            preds = [baseline.rank_from_similarity(baseline.best_of_references(test_seq, refs))]
+        else:
+            preds = baseline.fine_rank_against_reference(test_seq, refs[0])
+        return _class_pairs(item, task, preds)
 
     return predictor
 
@@ -214,14 +216,12 @@ def make_trained_predictor(task, model_cfg, vocab, tcfg, init_ckpt):
         ckpt = tasks.finetune(train_items, init_ckpt, fold_tcfg, task, model_cfg, vocab)
 
         def predictor(item: tasks.RatedSample):
+            seqs = [(item.ids, item.break_mask)]
             if task == "overall":
-                pred, _ = tasks.predict_overall(ckpt, item.ids, item.break_mask)
-                return [(rank_to_class(item.overall), rank_to_class(pred))]
-            preds = tasks.predict_finegrained(ckpt, item.ids, item.break_mask)
-            return [
-                (rank_to_class(t), rank_to_class(p))
-                for t, p in zip(item.fine, preds, strict=True)
-            ]
+                preds, _ = tasks.predict_overall(ckpt, seqs)
+            else:
+                preds = tasks.predict_finegrained(ckpt, seqs)[0]
+            return _class_pairs(item, task, preds)
 
         return predictor
 
@@ -294,9 +294,9 @@ def cmd_score(args) -> int:
     # Each checkpoint predicts the whole file in length-sorted batches; the
     # blocks come out in file order.
     if overall_ckpt is not None:
-        overall, probs = tasks.predict_overall_batch(overall_ckpt, encoded)
+        overall, probs = tasks.predict_overall(overall_ckpt, encoded)
     if fine_ckpt is not None:
-        fine = tasks.predict_finegrained_batch(fine_ckpt, encoded)
+        fine = tasks.predict_finegrained(fine_ckpt, encoded)
     lines = []
     for u, seq in enumerate(seqs):
         n_tokens = len(encoded[u][0])

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from . import shards
 from .exceptions import BreakscoreError, DataError
+from .ranks import Rank
 from .rngs import make_rng
 
 log = logging.getLogger(__name__)
@@ -25,67 +26,49 @@ class EvalConfig:
             raise DataError(f"k must be >= 2, got {self.k}")
 
 
-@dataclass
-class ConfusionMatrix:
-    """Square count matrix; rows are true classes, columns predicted."""
-
-    counts: list[list[int]]
-
-    @classmethod
-    def zeros(cls, n_classes: int = 3) -> "ConfusionMatrix":
-        return cls([[0] * n_classes for _ in range(n_classes)])
-
-    @classmethod
-    def from_pairs(cls, true, pred, n_classes: int = 3) -> "ConfusionMatrix":
-        cm = cls.zeros(n_classes)
-        for t, p in zip(true, pred, strict=True):
-            if not (0 <= t < n_classes and 0 <= p < n_classes):
-                raise DataError(f"class out of range: true={t} pred={p}")
-            cm.counts[t][p] += 1
-        return cm
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
+def confusion(pairs, n_classes: int) -> list[list[int]]:
+    """Counts of (true, predicted) class pairs; rows are true classes, columns predicted."""
+    counts = [[0] * n_classes for _ in range(n_classes)]
+    for t, p in pairs:
+        if not (0 <= t < n_classes and 0 <= p < n_classes):
+            raise DataError(f"class out of range: true={t} pred={p}")
+        counts[t][p] += 1
+    return counts
 
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def per_class_prf(cm: ConfusionMatrix) -> list[dict]:
-    """Precision/recall/F1/support for every class."""
+def per_class_prf(counts: list[list[int]]) -> list[dict]:
+    """Precision/recall/F1/support for every class of a `confusion` count matrix."""
     out = []
-    for c in range(cm.n_classes):
-        tp = cm.counts[c][c]
-        col = sum(cm.counts[r][c] for r in range(cm.n_classes))
-        row = sum(cm.counts[c])
-        precision = _safe_div(tp, col)
+    for c, column in enumerate(zip(*counts)):
+        tp = counts[c][c]
+        row = sum(counts[c])
+        precision = _safe_div(tp, sum(column))
         recall = _safe_div(tp, row)
         f1 = _safe_div(2 * precision * recall, precision + recall)
         out.append({"precision": precision, "recall": recall, "f1": f1, "support": row})
     return out
 
 
-def compute_metrics(cm: ConfusionMatrix) -> dict:
-    """Accuracy, weighted/macro F1, and the per-class table for one fold."""
-    total = cm.total
+def compute_metrics(counts: list[list[int]]) -> dict:
+    """Accuracy, weighted/macro F1, and the per-class table of one `confusion`
+    count matrix."""
+    total = sum(map(sum, counts))
     if total == 0:
         raise DataError("empty confusion matrix")
-    per_class = per_class_prf(cm)
-    accuracy = sum(cm.counts[c][c] for c in range(cm.n_classes)) / total
-    macro_f1 = sum(pc["f1"] for pc in per_class) / cm.n_classes
+    per_class = per_class_prf(counts)
+    accuracy = sum(counts[c][c] for c in range(len(counts))) / total
+    macro_f1 = sum(pc["f1"] for pc in per_class) / len(counts)
     weighted_f1 = sum(pc["f1"] * pc["support"] for pc in per_class) / total
     return {
         "accuracy": accuracy,
         "weighted_f1": weighted_f1,
         "macro_f1": macro_f1,
         "per_class": per_class,
-        "confusion": [list(row) for row in cm.counts],
+        "confusion": [list(row) for row in counts],
         "total": total,
     }
 
@@ -126,11 +109,12 @@ def aggregate_folds(fold_metrics: list[dict]) -> dict:
     return agg
 
 
-def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0, n_classes: int = 3) -> dict:
+def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0) -> dict:
     """k-fold CV: train on k-1 folds, score the held-out one, aggregate.
 
     `train_fn(train_items, fold_seed)` returns a predictor mapping an item to
-    (true_class, pred_class) pairs; it is given a per-fold derived seed. With a
+    (true_class, pred_class) pairs over the `Rank` classes; it is given a
+    per-fold derived seed. A fold whose items give no pair is a DataError. With a
     second CPU free, a forked worker runs the odd folds while this process runs
     the even ones, both on one BLAS thread; the report is the same either way.
     """
@@ -145,8 +129,9 @@ def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0, n_classes
             # Keep the error's type, so its exit code survives the fold wrapper.
             raise type(e)(f"training failed on fold {fi}: {e}") from e
         pairs = [pair for i in folds[fi] for pair in predictor(items[i])]
-        cm = ConfusionMatrix.from_pairs([t for t, _ in pairs], [p for _, p in pairs], n_classes)
-        return compute_metrics(cm)
+        if not pairs:
+            raise DataError(f"fold {fi}: its {len(folds[fi])} test items give nothing to score")
+        return compute_metrics(confusion(pairs, len(Rank)))
 
     with shards.one_blas_thread() as pinned:
         if not pinned or shards.usable_cpus() < 2:
@@ -176,14 +161,8 @@ def format_report(agg: dict, title: str = "evaluation") -> str:
         m = agg[key]
         lines.append(f"{name:<18}{100 * m['mean']:10.1f}({100 * m['std']:.2f})")
     # Per-category table pooled over folds.
-    n_classes = len(agg["folds"][0]["per_class"])
-    pooled = ConfusionMatrix.zeros(n_classes)
-    for fm in agg["folds"]:
-        for r in range(n_classes):
-            for c in range(n_classes):
-                pooled.counts[r][c] += fm["confusion"][r][c]
-    names = ("Poor", "Fair", "Great") if n_classes == 3 else tuple(str(i) for i in range(n_classes))
+    pooled = [list(map(sum, zip(*rows))) for rows in zip(*(fm["confusion"] for fm in agg["folds"]))]
     lines.append(f"{'Category':<10}{'Precision':>10}{'Recall':>10}")
-    for c, pc in enumerate(per_class_prf(pooled)):
-        lines.append(f"{names[c]:<10}{100 * pc['precision']:>9.1f}%{100 * pc['recall']:>9.1f}%")
+    for rank, pc in zip(Rank, per_class_prf(pooled), strict=True):
+        lines.append(f"{rank.label:<10}{100 * pc['precision']:>9.1f}%{100 * pc['recall']:>9.1f}%")
     return "\n".join(lines)

@@ -151,14 +151,14 @@ def _length_batches(lengths: np.ndarray, order: np.ndarray, batch_size: int):
 PREDICT_TOKENS = 512
 
 
-def _token_batches(seqs: list[tuple], max_tokens: int = PREDICT_TOKENS):
+def _token_batches(seqs: list[tuple]):
     """Indices into `seqs`, stable-sorted by length and cut so that rows x
-    padded length stays within max_tokens; a sequence longer than that is a
-    batch of its own."""
+    padded length stays within PREDICT_TOKENS; a sequence longer than that is
+    a batch of its own."""
     lengths = [len(s[0]) for s in seqs]
     batches, batch = [], []
     for i in np.argsort(lengths, kind="stable").tolist():
-        if batch and (len(batch) + 1) * lengths[i] > max_tokens:
+        if batch and (len(batch) + 1) * lengths[i] > PREDICT_TOKENS:
             batches.append(batch)
             batch = []
         batch.append(i)
@@ -323,14 +323,14 @@ def _train(
     return {k: v.copy() for k, v in params.items()}, epoch_losses
 
 
-def _predict_logits(params, kind, cfg, seqs: list[tuple], max_tokens: int = PREDICT_TOKENS):
+def _predict_logits(params, kind, cfg, seqs: list[tuple]):
     """Head logits of each (ids, break_mask), in input order: one [n_classes]
     array per sample, or one [n_breaks, n_classes] array for the "fine" head.
     Each sample is cut to the model's max_len, then samples run in
-    length-sorted padded batches of at most max_tokens tokens."""
+    length-sorted padded batches (`_token_batches`)."""
     seqs = [(ids[: cfg.max_len], mask[: cfg.max_len]) for ids, mask in seqs]
     out = [None] * len(seqs)
-    for batch in _token_batches(seqs, max_tokens):
+    for batch in _token_batches(seqs):
         ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch])
         hidden, _ = _forward(params, cfg, ids, pad_mask)
         rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
@@ -376,11 +376,8 @@ def pretrain_rbtd(
 
     logits = _predict_logits(params, "rbtd", enc_cfg,
                              [(dataset[i].ids, dataset[i].break_mask) for i in held])
-    cm = metrics.ConfusionMatrix.from_pairs(
-        [targets[i] for i in held], [int(np.argmax(row)) for row in logits],
-        n_classes=N_CLASSES["rbtd"],
-    )
-    held_metrics = metrics.compute_metrics(cm)
+    pairs = zip((targets[i] for i in held), (int(np.argmax(row)) for row in logits), strict=True)
+    held_metrics = metrics.compute_metrics(metrics.confusion(pairs, N_CLASSES["rbtd"]))
     report = {
         "held_out": len(held),
         "accuracy": held_metrics["accuracy"],
@@ -454,13 +451,13 @@ def _ranks(logits: np.ndarray) -> list[Rank]:
     return [class_to_rank(c) for c in np.argmax(logits, axis=-1).tolist()]
 
 
-def predict_overall_batch(ckpt: Checkpoint, seqs: list[tuple]) -> tuple[list[Rank], np.ndarray]:
+def predict_overall(ckpt: Checkpoint, seqs: list[tuple]) -> tuple[list[Rank], np.ndarray]:
     """The rank of each (ids, break_mask) and its class probabilities, one row each."""
     logits = np.reshape(_checked_logits(ckpt, "overall", seqs), (len(seqs), ckpt.n_classes))
     return _ranks(logits), softmax(logits)
 
 
-def predict_finegrained_batch(ckpt: Checkpoint, seqs: list[tuple]) -> list[list[Rank]]:
+def predict_finegrained(ckpt: Checkpoint, seqs: list[tuple]) -> list[list[Rank]]:
     """For each (ids, break_mask), one rank per break position, in position order."""
     logits = _checked_logits(ckpt, "fine", seqs)
     if not logits:
@@ -468,14 +465,3 @@ def predict_finegrained_batch(ckpt: Checkpoint, seqs: list[tuple]) -> list[list[
     ranks = _ranks(np.concatenate(logits))
     ends = np.cumsum([len(rows) for rows in logits]).tolist()
     return [ranks[lo:hi] for lo, hi in zip([0, *ends], ends)]
-
-
-def predict_overall(ckpt: Checkpoint, ids, break_mask) -> tuple[Rank, np.ndarray]:
-    """Rank plus class probabilities; ties break toward the lower rank."""
-    ranks, probs = predict_overall_batch(ckpt, [(ids, break_mask)])
-    return ranks[0], probs[0]
-
-
-def predict_finegrained(ckpt: Checkpoint, ids, break_mask) -> list[Rank]:
-    """One rank per break position, in position order."""
-    return predict_finegrained_batch(ckpt, [(ids, break_mask)])[0]

@@ -19,12 +19,8 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     assert all(getattr(m, a) is o for m, a, o in patched)
 
 
-def test_traced_eval_times_each_fold_and_item(tmp_path, monkeypatch):
-    # The tracer wraps cli.make_trained_predictor by its name and calls it
-    # with whatever arguments cmd_eval passes, so this guards the call
-    # contract: train_fn(train_items, fold_seed) returns predictor(item).
-    # Spans made in the fold worker die with it, so every fold runs here.
-    monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+def tiny_corpus(tmp_path):
+    """A tiny run config and the corpus `synth` writes for it."""
     config = tmp_path / "tiny.yaml"
     config.write_text(
         "seed: 2\nsynth: {n_sentences: 12}\n"
@@ -33,16 +29,31 @@ def test_traced_eval_times_each_fold_and_item(tmp_path, monkeypatch):
     )
     data = tmp_path / "data"
     assert cli.main(["synth", "--config", str(config), "--out-dir", str(data)]) == 0
+    return str(config), data
+
+
+def traced_main(argv) -> tuple[int, Tracer]:
+    """`cli.main(argv)` under an enabled tracer; its exit code and the tracer."""
     tracer = Tracer()
     tracer.install()
     try:
         tracer.enabled = True
         tracer.start_operation("")
-        code = cli.main(["eval", "--task", "fine", "--config", str(config), "--k", "2",
-                         "--in", str(data / "esl.jsonl"), "--vocab", str(data / "vocab.tsv"),
-                         "--model", "scratch"])
+        return cli.main(argv), tracer
     finally:
         tracer.uninstall()
+
+
+def test_traced_eval_times_each_fold_and_item(tmp_path, monkeypatch):
+    # The tracer wraps cli.make_trained_predictor by its name and calls it
+    # with whatever arguments cmd_eval passes, so this guards the call
+    # contract: train_fn(train_items, fold_seed) returns predictor(item).
+    # Spans made in the fold worker die with it, so every fold runs here.
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+    config, data = tiny_corpus(tmp_path)
+    code, tracer = traced_main(["eval", "--task", "fine", "--config", config, "--k", "2",
+                                "--in", str(data / "esl.jsonl"), "--vocab", str(data / "vocab.tsv"),
+                                "--model", "scratch"])
     assert code == 0
     requests = {name: [s[5] for s in tracer.spans if s[1] == name]
                 for name in ("metrics.cv_train", "metrics.cv_predict")}
@@ -52,3 +63,28 @@ def test_traced_eval_times_each_fold_and_item(tmp_path, monkeypatch):
     predicted = requests["metrics.cv_predict"]
     assert {r.split("/")[0] for r in predicted} == {"fold0", "fold1"}
     assert sorted(r.split("/", 1)[1] for r in predicted) == item_ids
+
+
+def test_traced_score_times_each_head(tmp_path):
+    # `score` predicts the whole file once per head, through the names the
+    # tracer wraps, so each head's forwards fall inside its one predict span.
+    config, data = tiny_corpus(tmp_path)
+    ckpts = []
+    for task in ("overall", "fine"):
+        ckpts += [f"--{task}-ckpt", str(tmp_path / f"{task}.pbrk")]
+        assert cli.main(["finetune", "--task", task, "--config", config,
+                         "--in", str(data / "esl.jsonl"), "--vocab", str(data / "vocab.tsv"),
+                         "--out", ckpts[-1]]) == 0
+    with open(data / "native.jsonl") as f:
+        words = [json.loads(line)["words"] for line in f][:3]
+    ctm = tmp_path / "three.ctm"
+    ctm.write_text("".join(f"u{u} 1 {0.5 * i:.2f} 0.40 {w}\n"
+                           for u, ws in enumerate(words) for i, w in enumerate(ws)))
+    code, tracer = traced_main(["score", *ckpts, "--align", str(ctm)])
+    assert code == 0
+    names = {s[0]: s[1] for s in tracer.spans}
+    heads = {name: [s[0] for s in tracer.spans if s[1] == name]
+             for name in ("tasks.predict_overall", "tasks.predict_finegrained")}
+    assert all(len(ids) == 1 for ids in heads.values()), heads
+    forwards = [names[s[4]] for s in tracer.spans if s[1] == "nn.encoder.forward"]
+    assert sorted(forwards) == sorted(heads)

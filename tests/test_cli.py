@@ -18,6 +18,7 @@ from breakscore.cli import main
 from breakscore.checkpoint import load_checkpoint
 from breakscore.exceptions import DataError, NumericError
 from breakscore.rngs import make_rng
+from breakscore.vocab import CLS_ID
 
 CTM = """\
 u1 1 0.00 0.40 Hello
@@ -902,6 +903,21 @@ class TestFoldWorker:
         self.fault_in_fold(monkeypatch, fold, fault)
         assert self._eval(pipeline) == 2
         assert f"training failed on fold {fold}: fault in this fold" in caplog.text
+
+    def test_fold_with_nothing_to_score_exits_2_naming_it(self, pipeline, tmp_path, caplog):
+        # Two items with breaks, rated Poor, and eight one-word items, rated
+        # Great: stratified, the two go to folds 0 and 1, so every fold trains
+        # on breaks but fold 2 has none to score.
+        records = [json.loads(l) for l in open(pipeline["esl"])]
+        records = [dict(r, overall=1) for r in records if any(r["break_mask"])][:2] + [
+            {"id": f"one{i}", "ids": [CLS_ID, 8], "break_mask": [False, False],
+             "overall": 3, "fine": []} for i in range(8)]
+        esl = tmp_path / "mostly_one_word.jsonl"
+        esl.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run("eval", "--config", pipeline["cfg"], "--task", "fine", "--in", str(esl),
+                   "--vocab", pipeline["vocab"], "--model", "scratch", "--k", "5") == 2
+        assert "fold 2: its 2 test items give nothing to score" in caplog.text
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(shards.usable_cpus() < 2 or blas_threads() is None,
                         reason="the fold worker needs two CPUs and a BLAS thread pin")

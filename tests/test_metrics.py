@@ -9,9 +9,9 @@ from conftest import blas_threads
 from breakscore import shards
 from breakscore.exceptions import DataError, NumericError
 from breakscore.metrics import (
-    ConfusionMatrix,
     aggregate_folds,
     compute_metrics,
+    confusion,
     cross_validate,
     format_report,
     kfold_split,
@@ -45,8 +45,7 @@ def brute_force_metrics(true, pred, n_classes=3):
 class TestComputeMetrics:
     def test_fixed_matrix(self):
         # rows true, cols predicted
-        cm = ConfusionMatrix([[2, 1, 0], [0, 3, 0], [1, 0, 3]])
-        m = compute_metrics(cm)
+        m = compute_metrics([[2, 1, 0], [0, 3, 0], [1, 0, 3]])
         assert m["accuracy"] == pytest.approx(0.8)
         # per-class F1: c0 2/3*2/3 -> 2/3; c1 3/4,1 -> 6/7; c2 1,3/4 -> 6/7
         assert m["macro_f1"] == pytest.approx((2 / 3 + 6 / 7 + 6 / 7) / 3)
@@ -54,8 +53,7 @@ class TestComputeMetrics:
 
     def test_zero_denominators_define_zero(self):
         # Class 2 never predicted and never true: P=R=F1=0, still in macro.
-        cm = ConfusionMatrix([[5, 0, 0], [0, 5, 0], [0, 0, 0]])
-        m = compute_metrics(cm)
+        m = compute_metrics([[5, 0, 0], [0, 5, 0], [0, 0, 0]])
         assert m["per_class"][2] == {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0}
         assert m["macro_f1"] == pytest.approx(2 / 3)
         assert m["accuracy"] == 1.0
@@ -66,7 +64,7 @@ class TestComputeMetrics:
             n = int(rng.integers(1, 40))
             true = rng.integers(0, 3, size=n).tolist()
             pred = rng.integers(0, 3, size=n).tolist()
-            m = compute_metrics(ConfusionMatrix.from_pairs(true, pred))
+            m = compute_metrics(confusion(zip(true, pred), 3))
             acc, macro, weighted = brute_force_metrics(true, pred)
             assert m["accuracy"] == pytest.approx(acc)
             assert m["macro_f1"] == pytest.approx(macro)
@@ -74,11 +72,11 @@ class TestComputeMetrics:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataError):
-            compute_metrics(ConfusionMatrix.zeros(3))
+            compute_metrics(confusion([], 3))
 
     def test_out_of_range_class(self):
         with pytest.raises(DataError):
-            ConfusionMatrix.from_pairs([0, 3], [0, 0])
+            confusion([(0, 0), (3, 0)], 3)
 
 
 class TestKFold:
@@ -115,10 +113,16 @@ class TestAggregate:
         assert agg["accuracy"]["std"] == pytest.approx(math.sqrt(0.08 / 3))
 
     def test_report_contains_tables(self):
-        cm = ConfusionMatrix([[2, 1, 0], [0, 3, 0], [1, 0, 3]])
-        agg = aggregate_folds([compute_metrics(cm)])
-        text = format_report(agg, title="t")
+        folds = [[[2, 1, 0], [0, 3, 0], [1, 0, 3]], [[0, 0, 1], [2, 1, 0], [0, 0, 4]]]
+        text = format_report(aggregate_folds([compute_metrics(cm) for cm in folds]), title="t")
         assert "Accuracy" in text and "Precision" in text and "Recall" in text
+        # Pooled [[2, 1, 1], [2, 4, 0], [1, 0, 7]]: precision and recall are
+        # Poor 2/5 and 2/4, Fair 4/5 and 4/6, Great 7/8 and 7/8.
+        assert text.splitlines()[-3:] == [
+            "Poor           40.0%     50.0%",
+            "Fair           80.0%     66.7%",
+            "Great          87.5%     87.5%",
+        ]
 
 
 class TestCrossValidate:
@@ -143,10 +147,10 @@ class TestCrossValidate:
             seen.append(int(fold_seed))
             return lambda item: [(0, 0)]
 
-        cross_validate(items, labels, train_fn, k=3, seed=4, n_classes=2)
+        cross_validate(items, labels, train_fn, k=3, seed=4)
         first = list(seen)
         seen.clear()
-        cross_validate(items, labels, train_fn, k=3, seed=4, n_classes=2)
+        cross_validate(items, labels, train_fn, k=3, seed=4)
         assert seen == first
         assert len(set(first)) == 3
 
@@ -160,7 +164,7 @@ class TestCrossValidate:
             raise raised("boom")
 
         with pytest.raises(expected, match="fold 0: boom") as info:
-            cross_validate(items, [i % 2 for i in items], train_fn, k=2, n_classes=2)
+            cross_validate(items, [i % 2 for i in items], train_fn, k=2)
         assert type(info.value) is expected
 
     def test_report_same_with_and_without_fold_worker(self, monkeypatch, caplog):
@@ -195,8 +199,23 @@ class TestCrossValidate:
             return lambda item: [(item % 2, item % 2)]
 
         with pytest.raises(raised, match=match) as info:
-            cross_validate(items, [i % 2 for i in items], train_fn, k=4, seed=3, n_classes=2)
+            cross_validate(items, [i % 2 for i in items], train_fn, k=4, seed=3)
         assert type(info.value) is raised
+
+    def test_fold_with_nothing_to_score_names_the_fold(self, monkeypatch):
+        # Items 0-7 give no pair, as one-word items do under the fine head.
+        # Stratified on the class, items 8 and 9 go to folds 0 and 1, so
+        # fold 2 is the first with nothing to score on either path.
+        items = list(range(10))
+        labels = [1] * 8 + [0] * 2
+
+        def train_fn(train_items, fold_seed):
+            return lambda item: [(0, 0)] if item >= 8 else []
+
+        for cpus in (2, 1):
+            monkeypatch.setattr(shards, "usable_cpus", lambda: cpus)
+            with pytest.raises(DataError, match="^fold 2: its 2 test items give nothing to score$"):
+                cross_validate(items, labels, train_fn, k=5)
 
     def test_fold_programming_fault_is_not_a_data_error(self):
         # Any other exception is a bug, not bad input: it leaves unwrapped.
@@ -206,4 +225,4 @@ class TestCrossValidate:
             raise ValueError("boom")
 
         with pytest.raises(ValueError, match="^boom$"):
-            cross_validate(items, [i % 2 for i in items], train_fn, k=2, n_classes=2)
+            cross_validate(items, [i % 2 for i in items], train_fn, k=2)

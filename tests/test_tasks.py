@@ -56,6 +56,18 @@ def toy_vocab(n_words=4):
     return Vocabulary(word_to_id={f"w{i}": 8 + i for i in range(n_words)})
 
 
+def one_row_batches(params, kind, cfg, seqs):
+    """`_predict_logits` with a budget of one token, so each sample is a batch of its own."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tasks, "PREDICT_TOKENS", 1)
+        return _predict_logits(params, kind, cfg, seqs)
+
+
+def seqs_of(samples):
+    """The (ids, break_mask) of each sample, as the predict entry points take them."""
+    return [(s.ids, s.break_mask) for s in samples]
+
+
 def encoded(word_ids, breaks):
     """[CLS] w b w b w ... as (ids, break_mask)."""
     ids = [CLS_ID, word_ids[0]]
@@ -212,7 +224,7 @@ class TestTrainBatches:
         ckpt = finetune([sample], None, TrainConfig(batch_size=1, epochs=1, lr=1e-3), "fine",
                         model_cfg=BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8),
                         vocab=toy_vocab())
-        assert len(predict_finegrained(ckpt, ids, mask)) == 74
+        assert len(predict_finegrained(ckpt, [(ids, mask)])[0]) == 74
         assert padded == [[150], [150]]   # one train step, one prediction
 
     @pytest.mark.parametrize("model", ["encoder", "bilstm"])
@@ -315,9 +327,9 @@ class TestPretrainRbtd:
             params["head_w"] = rng.normal(size=(hdim, n_classes)).astype(np.float32)
             params["head_b"] = np.zeros(n_classes, dtype=np.float32)
             # Centre the logits so that the argmax varies across samples.
-            first = _predict_logits(params, kind, cfg, seqs, max_tokens=1)
+            first = one_row_batches(params, kind, cfg, seqs)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in first]).mean(axis=0)
-            single = _predict_logits(params, kind, cfg, seqs, max_tokens=1)
+            single = one_row_batches(params, kind, cfg, seqs)
             batched = _predict_logits(params, kind, cfg, seqs)
             assert [len(np.atleast_2d(l)) for l in single] == rows_per_seq
             for a, b in zip(single, batched, strict=True):
@@ -350,7 +362,7 @@ class TestPretrainRbtd:
 
         trained, held = [], []
         real_train, real_predict = tasks._train, tasks._predict_logits
-        real_from_pairs = metrics.ConfusionMatrix.from_pairs
+        real_confusion = metrics.confusion
 
         def train(samples, *args, **kwargs):
             trained.extend((ids, target) for ids, _, (target,) in samples)
@@ -360,13 +372,14 @@ class TestPretrainRbtd:
             held.append([read[ids] for ids, _ in seqs])
             return real_predict(params, kind, cfg, seqs)
 
-        def from_pairs(true, pred, n_classes):
-            held.append(list(true))
-            return real_from_pairs(true, pred, n_classes)
+        def confusion(pairs, n_classes):
+            pairs = list(pairs)
+            held.append([t for t, _ in pairs])
+            return real_confusion(pairs, n_classes)
 
         monkeypatch.setattr(tasks, "_train", train)
         monkeypatch.setattr(tasks, "_predict_logits", predict)
-        monkeypatch.setattr(metrics.ConfusionMatrix, "from_pairs", staticmethod(from_pairs))
+        monkeypatch.setattr(metrics, "confusion", confusion)
         tcfg = TrainConfig(batch_size=16, epochs=1, lr=1e-3, seed=0)
         cfg = dataclasses.replace(small_cfg(12), max_len=16)
         pretrain_rbtd(data, tcfg, cfg, toy_vocab())
@@ -389,7 +402,7 @@ class TestFinetuneOverall:
         ]
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=0)
         ckpt = finetune(dataset, None, tcfg, "overall", model_cfg=small_cfg(12), vocab=toy_vocab())
-        preds = [predict_overall(ckpt, s.ids, s.break_mask)[0] for s in dataset]
+        preds, _ = predict_overall(ckpt, seqs_of(dataset))
         acc = np.mean([p == s.overall for p, s in zip(preds, dataset)])
         assert acc == 1.0
         assert ckpt.extra["epoch_losses"][-1] < ckpt.extra["epoch_losses"][0]
@@ -404,7 +417,8 @@ class TestFinetuneOverall:
         ckpt = finetune(dataset[:64], None, tcfg, "overall", model_cfg=small_cfg(12),
                         vocab=toy_vocab())
         held = dataset[64:]
-        acc = np.mean([predict_overall(ckpt, s.ids, s.break_mask)[0] == s.overall for s in held])
+        preds, _ = predict_overall(ckpt, seqs_of(held))
+        acc = np.mean([p == s.overall for p, s in zip(preds, held)])
         assert acc == 1.0
 
     def test_bilstm_model_trains(self):
@@ -415,9 +429,8 @@ class TestFinetuneOverall:
         tcfg = TrainConfig(batch_size=8, epochs=60, lr=1e-2, seed=0)
         cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
         ckpt = finetune(dataset, None, tcfg, "overall", model_cfg=cfg, vocab=toy_vocab())
-        acc = np.mean(
-            [predict_overall(ckpt, s.ids, s.break_mask)[0] == s.overall for s in dataset]
-        )
+        preds, _ = predict_overall(ckpt, seqs_of(dataset))
+        acc = np.mean([p == s.overall for p, s in zip(preds, dataset)])
         assert acc == 1.0
 
     def test_missing_labels_rejected(self):
@@ -465,8 +478,7 @@ class TestFinetuneFinegrained:
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=0)
         ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         hits = total = 0
-        for s in dataset:
-            preds = predict_finegrained(ckpt, s.ids, s.break_mask)
+        for s, preds in zip(dataset, predict_finegrained(ckpt, seqs_of(dataset)), strict=True):
             assert len(preds) == len(s.fine)
             hits += sum(p == t for p, t in zip(preds, s.fine))
             total += len(s.fine)
@@ -487,7 +499,7 @@ class TestFinetuneFinegrained:
         tcfg = TrainConfig(batch_size=8, epochs=1, seed=0)
         ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         with pytest.raises(DataError):
-            predict_overall(ckpt, dataset[0].ids, dataset[0].break_mask)
+            predict_overall(ckpt, seqs_of(dataset[:1]))
 
     def test_out_of_vocab_sample_rejected_at_predict(self):
         dataset = self._dataset(8)
@@ -495,12 +507,12 @@ class TestFinetuneFinegrained:
         ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         bad_ids = tuple(list(dataset[0].ids[:-1]) + [99])
         with pytest.raises(DataError, match="vocabulary"):
-            predict_finegrained(ckpt, bad_ids, dataset[0].break_mask)
+            predict_finegrained(ckpt, [(bad_ids, dataset[0].break_mask)])
 
 
 class TestBatchedPrediction:
-    """`score` predicts many samples per call, cut to a token budget; the
-    one-sample wrappers run the same path with a batch of one."""
+    """`score` predicts many samples per call, cut to a token budget; a
+    fold's predictor runs the same path with a batch of one."""
 
     @staticmethod
     def mixed_seqs(n=40):
@@ -512,9 +524,10 @@ class TestBatchedPrediction:
             seqs.append(encoded(word_ids, [int(rng.integers(4)) for _ in range(n_words - 1)]))
         return seqs
 
-    def test_token_batches_cover_every_sample_within_the_budget(self):
+    def test_token_batches_cover_every_sample_within_the_budget(self, monkeypatch):
         seqs = self.mixed_seqs() + [encoded([8] * 40, [1] * 39)]   # 80 tokens, over 64
-        batches = tasks._token_batches(seqs, max_tokens=64)
+        monkeypatch.setattr(tasks, "PREDICT_TOKENS", 64)
+        batches = tasks._token_batches(seqs)
         assert sorted(i for b in batches for i in b) == list(range(len(seqs)))
         lengths = [[len(seqs[i][0]) for i in b] for b in batches]
         assert [l for b in lengths for l in b] == sorted(len(ids) for ids, _ in seqs)
@@ -524,7 +537,7 @@ class TestBatchedPrediction:
         assert tasks._token_batches([]) == []
 
     @pytest.mark.parametrize("model", ["encoder", "bilstm"])
-    def test_batch_entry_points_match_one_sample_wrappers(self, model):
+    def test_batch_entry_points_match_one_element_calls(self, model):
         seqs = self.mixed_seqs()
         if model == "encoder":
             cfg = small_cfg(12)
@@ -539,21 +552,21 @@ class TestBatchedPrediction:
         for kind in ("overall", "fine"):
             params = dict(core, head_w=rng.normal(size=(16, 3)).astype(np.float32),
                           head_b=np.zeros(3, dtype=np.float32))
-            logits = _predict_logits(params, kind, cfg, seqs, max_tokens=1)
+            logits = one_row_batches(params, kind, cfg, seqs)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in logits]).mean(axis=0)
             ckpts[kind] = Checkpoint(kind=kind, model_cfg=cfg, vocab=toy_vocab(), seed=0,
                                      params=params, init_from=None)
 
-        ranks, probs = tasks.predict_overall_batch(ckpts["overall"], seqs)
+        ranks, probs = predict_overall(ckpts["overall"], seqs)
         assert probs.shape == (len(seqs), 3)
-        for (ids, mask), rank, row in zip(seqs, ranks, probs, strict=True):
-            one_rank, one_probs = predict_overall(ckpts["overall"], ids, mask)
-            assert rank == one_rank
-            np.testing.assert_allclose(row, one_probs, rtol=1e-5, atol=1e-6)
+        for seq, rank, row in zip(seqs, ranks, probs, strict=True):
+            one_ranks, one_probs = predict_overall(ckpts["overall"], [seq])
+            assert [rank] == one_ranks and one_probs.shape == (1, 3)
+            np.testing.assert_allclose(row, one_probs[0], rtol=1e-5, atol=1e-6)
         assert len(set(ranks)) >= 2
 
-        fine = tasks.predict_finegrained_batch(ckpts["fine"], seqs)
-        assert fine == [predict_finegrained(ckpts["fine"], ids, mask) for ids, mask in seqs]
+        fine = predict_finegrained(ckpts["fine"], seqs)
+        assert fine == [predict_finegrained(ckpts["fine"], [seq])[0] for seq in seqs]
         assert [len(r) for r in fine] == [sum(mask) for _, mask in seqs]
         assert len({r for rs in fine for r in rs}) >= 2
 
@@ -563,9 +576,9 @@ class TestBatchedPrediction:
                       head_w=np.zeros((16, 3), dtype=np.float32), head_b=np.zeros(3, np.float32))
         ckpt = Checkpoint(kind="overall", model_cfg=cfg, vocab=toy_vocab(), seed=0,
                           params=params, init_from=None)
-        ranks, probs = tasks.predict_overall_batch(ckpt, [])
+        ranks, probs = predict_overall(ckpt, [])
         assert ranks == [] and probs.shape == (0, 3)
-        assert tasks.predict_finegrained_batch(dataclasses.replace(ckpt, kind="fine"), []) == []
+        assert predict_finegrained(dataclasses.replace(ckpt, kind="fine"), []) == []
 
 
 class TestShardedTraining:
@@ -631,7 +644,7 @@ class TestShardedTraining:
             ckpt = finetune(items, None, dataclasses.replace(tcfg, seed=int(fold_seed)), "overall",
                             model_cfg=self._model("encoder"), vocab=toy_vocab())
             return lambda s: [(rank_to_class(s.overall),
-                               rank_to_class(predict_overall(ckpt, s.ids, s.break_mask)[0]))]
+                               rank_to_class(predict_overall(ckpt, seqs_of([s]))[0][0]))]
 
         labels = [rank_to_class(s.overall) for s in data]
         parallel = metrics.cross_validate(data, labels, train_fn, k=3, seed=1)
