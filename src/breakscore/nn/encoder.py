@@ -42,6 +42,8 @@ class EncoderConfig:
         for name in ("vocab_size", "d_model", "n_heads", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_layers < 0:
+            raise DataError(f"n_layers must be >= 0, got {self.n_layers}")
         if self.d_model % self.n_heads != 0:
             raise DataError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -92,10 +94,16 @@ def encoder_forward(
     cfg: EncoderConfig,
     train: bool = False,
     dropout_rng: np.random.Generator | None = None,
+    cls_only: bool = False,
 ):
     """Hidden states [B, L, d_model] plus the cache needed for backward.
 
     `ids` is [B, L] int; `pad_mask` is [B, L] bool, True at real tokens.
+    With `cls_only`, for a head that reads the [CLS] state alone, the last
+    layer computes its query side (attention output, FFN, final layer norm)
+    for row 0 only, and the hidden states are [B, 1, d_model]. Its layer
+    norm, keys and values still cover every row, which [CLS] attends to.
+    With no layers there is nothing to cut.
     """
     ids = np.asarray(ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
@@ -122,11 +130,12 @@ def encoder_forward(
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
+        rows = 1 if cls_only and i == cfg.n_layers - 1 else l   # query rows computed
         h, ln1_cache = layer_norm(x, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        q, q_cache = linear(h, params[pre + "wq"], params[pre + "bq"])
+        q, q_cache = linear(h[:, :rows], params[pre + "wq"], params[pre + "bq"])
         k, k_cache = linear(h, params[pre + "wk"], params[pre + "bk"])
         v, v_cache = linear(h, params[pre + "wv"], params[pre + "bv"])
-        q *= scale   # on q's [B, L, d], not on the [B, H, L, L] scores
+        q *= scale   # on q's [B, rows, d], not on the [B, H, L, rows] scores
         qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
         scores = kh @ qh.transpose(0, 1, 3, 2)
         scores += key_bias
@@ -134,6 +143,7 @@ def encoder_forward(
         ctx = _matmul_merged(probs.transpose(0, 1, 3, 2), vh)
         attn_out, o_cache = linear(ctx, params[pre + "wo"], params[pre + "bo"])
         attn_out, attn_drop = dropout(attn_out, drop_p, dropout_rng) if drop_p else (attn_out, None)
+        x = x[:, :rows]
         x += attn_out
 
         h2, ln2_cache = layer_norm(x, params[pre + "ln2_g"], params[pre + "ln2_b"])
@@ -194,13 +204,17 @@ def encoder_backward(dhidden, cache) -> dict:
         dq = _matmul_merged(dscores.transpose(0, 1, 3, 2), c["kh"])
         dq *= cache["scale"]
         dk = _matmul_merged(dscores, c["qh"])
-        dh, grads[pre + "wq"], grads[pre + "bq"] = linear_backward(dq, c["q"])
-        dh_k, grads[pre + "wk"], grads[pre + "bk"] = linear_backward(dk, c["k"])
-        dh += dh_k
+        # Queries, and so dx, may cover the first rows only; keys and values
+        # cover every row.
+        rows = dx.shape[1]
+        dh_q, grads[pre + "wq"], grads[pre + "bq"] = linear_backward(dq, c["q"])
+        dh, grads[pre + "wk"], grads[pre + "bk"] = linear_backward(dk, c["k"])
+        dh[:, :rows] += dh_q
         dh_v, grads[pre + "wv"], grads[pre + "bv"] = linear_backward(dv, c["v"])
         dh += dh_v
         dres, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = layer_norm_backward(dh, c["ln1"])
-        dx += dres
+        dres[:, :rows] += dx
+        dx = dres
 
     dx = dropout_backward(dx, cache["emb_drop"])
     # Embedding gradient as one scatter-add over flat (id, column) offsets:

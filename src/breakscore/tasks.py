@@ -171,9 +171,12 @@ def _token_batches(seqs: list[tuple]):
 # Training data arrives cut to it (`cut_to_max_len`).
 
 
-def _forward(params, cfg, ids, pad_mask, train=False, dropout_rng=None):
+def _forward(params, cfg, ids, pad_mask, *, kind, train=False, dropout_rng=None):
+    """Hidden states and backward cache. The encoder computes its last layer for
+    the CLS row only unless the head reads every break position ("fine")."""
     if isinstance(cfg, EncoderConfig):
-        return encoder_forward(ids, pad_mask, params, cfg, train=train, dropout_rng=dropout_rng)
+        return encoder_forward(ids, pad_mask, params, cfg, train=train, dropout_rng=dropout_rng,
+                               cls_only=kind != "fine")
     return bilstm_forward(ids, pad_mask, params, cfg)
 
 
@@ -268,7 +271,7 @@ def _train(
             flat[1 + s].fill(0.0)
             return 0.0
         ids, pad_mask, break_mask = _pad_batch([(samples[i][0], samples[i][1]) for i in rows_idx])
-        hidden, cache = _forward(params, cfg, ids, pad_mask, train=True,
+        hidden, cache = _forward(params, cfg, ids, pad_mask, kind=kind, train=True,
                                  dropout_rng=drop_rngs[s])
         rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
         if len(rows) != len(shard_targets):
@@ -332,7 +335,7 @@ def _predict_logits(params, kind, cfg, seqs: list[tuple]):
     out = [None] * len(seqs)
     for batch in _token_batches(seqs):
         ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch])
-        hidden, _ = _forward(params, cfg, ids, pad_mask)
+        hidden, _ = _forward(params, cfg, ids, pad_mask, kind=kind)
         rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
         logits = rows @ params["head_w"] + params["head_b"]
         if kind == "fine":

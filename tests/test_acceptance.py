@@ -172,9 +172,11 @@ def test_gradient_correctness():
 
     worst["bilstm"] = grad_check(bilstm_loss, bparams, n_coords=15, seed=3)
 
-    # Sequence head (the discriminator/overall path: CLS pool + linear + CE).
-    # Batched with mixed targets so no coordinate's gradient rests on a single
-    # near-cancelling CLS vector, which would sink below finite-difference noise.
+    # Sequence head (the discriminator/overall path: CLS pool + linear + CE),
+    # through the task plumbing, so the encoder computes its last layer for
+    # the CLS row only. Batched with mixed targets so no coordinate's gradient
+    # rests on a single near-cancelling CLS vector, which would sink below
+    # finite-difference noise.
     cfg, _, _ = _encoder_case(200)
     case_rng = make_rng(200, "batch")
     hids = np.concatenate(
@@ -190,14 +192,14 @@ def test_gradient_correctness():
 
     def seq_head_loss(p):
         core = {k: v for k, v in p.items() if not k.startswith("head_")}
-        h, cache = encoder_forward(hids, hmask, core, cfg)
-        pooled = h[:, 0, :]
+        h, cache = tasks._forward(core, cfg, hids, hmask, kind="rbtd")
+        assert h.shape[1] == 1
+        pooled = tasks._head_rows("rbtd", cfg, h, hmask, None)
         logits = pooled @ p["head_w"] + p["head_b"]
         loss, dlogits = batched_cross_entropy(logits, targets)
         grads = {"head_w": pooled.T @ dlogits, "head_b": dlogits.sum(axis=0)}
-        dh = np.zeros_like(h)
-        dh[:, 0, :] = dlogits @ p["head_w"].T
-        grads.update(encoder_backward(dh, cache))
+        dh = tasks._head_rows_backward("rbtd", cfg, dlogits @ p["head_w"].T, h, hmask, None)
+        grads.update(tasks._backward(core, cfg, dh, cache))
         return loss, grads
 
     worst["sequence-head"] = grad_check(seq_head_loss, seq_params, n_coords=15, seed=5)

@@ -431,6 +431,8 @@ _EDGE_RUNS = {
     "empty-corpus": ({}, 6, 0, None, ("corrupt", 2)),
     "n-layers-0": ({"encoder": "{d_model: 4, n_heads: 1, n_layers: 0, ffn_dim: 8}"}, 6, None,
                    None, ("pretrain", 0)),
+    "n-layers--1": ({"encoder": "{d_model: 4, n_heads: 1, n_layers: -1, ffn_dim: 8}"}, 6, None,
+                    None, ("pretrain", 2)),
     "max-len-4": ({"encoder": "{d_model: 4, n_heads: 1, n_layers: 1, ffn_dim: 8, max_len: 4}"},
                   6, None, None, ("pretrain", 0)),
     # No break lies within two tokens, so every sample reads as an original.

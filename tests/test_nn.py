@@ -334,6 +334,33 @@ class TestEncoder:
 
         assert grad_check(loss_fn, params, n_coords=40) < 1e-4
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 0])
+    def test_cls_only_equals_row_0_of_all_rows(self, n_layers):
+        # float64 on a padded batch. The [CLS]-only hidden states are row 0 of
+        # the all-rows ones (every row with no layers), and their backward
+        # gives the all-rows backward's gradients for a dhidden zero off row 0.
+        # Tolerances are absolute: bk's true gradient is 0, since the softmax
+        # over keys is shift-invariant, so its computed value is rounding noise.
+        cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=n_layers,
+                            ffn_dim=16, max_len=10)
+        params = {k: v.astype(np.float64)
+                  for k, v in init_params(cfg.param_shapes(), make_rng(0, "init")).items()}
+        params = {k: v * 20 if v.ndim == 2 else v for k, v in params.items()}  # away from linear
+        ids = np.array([[2, 8, 4, 9, 5, 0], [2, 10, 3, 0, 0, 0], [2, 7, 7, 6, 11, 4]])
+        mask = ids != 0
+        full, full_cache = encoder_forward(ids, mask, params, cfg)
+        cls, cls_cache = encoder_forward(ids, mask, params, cfg, cls_only=True)
+        assert cls.shape == ((3, 1, 8) if n_layers else full.shape)
+        np.testing.assert_allclose(cls[:, 0], full[:, 0], rtol=0, atol=1e-12)
+
+        dfull = np.zeros_like(full)
+        dfull[:, 0] = make_rng(2, "probe").normal(size=(3, 8))
+        want = encoder_backward(dfull, full_cache)
+        got = encoder_backward(dfull[:, : cls.shape[1]], cls_cache)
+        assert set(got) == set(want) == set(params)
+        for k in params:
+            np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-10, err_msg=k)
+
     def test_broken_gradient_is_detected(self):
         # Sensitivity check: a corrupted backward must trip the checker.
         cfg, params = tiny_encoder()
