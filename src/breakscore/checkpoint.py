@@ -43,6 +43,11 @@ def param_shapes(kind: str, model_cfg) -> dict[str, tuple[int, ...]]:
     return {**model_cfg.param_shapes(), "head_w": (model_cfg.hidden_dim, n), "head_b": (n,)}
 
 
+def param_count(kind: str, model_cfg) -> int:
+    """Number of parameters `param_shapes` holds, without building it."""
+    return model_cfg.n_params + (model_cfg.hidden_dim + 1) * N_CLASSES[kind]
+
+
 @dataclass
 class Checkpoint:
     kind: str                      # which task head the params carry
@@ -130,18 +135,21 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
         if ckpt.vocab.size != ckpt.model_cfg.vocab_size:
             raise DataError(f"{path}: vocabulary of {ckpt.vocab.size} ids, but model_cfg "
                             f"has vocab_size {ckpt.model_cfg.vocab_size}")
+        # The blob's size is checked against the parameter count before the
+        # table is built or anything read, so a huge model_cfg allocates nothing.
+        count = param_count(ckpt.kind, ckpt.model_cfg)
+        blob = os.fstat(f.fileno()).st_size - f.tell()
+        if 4 * count != blob:
+            what = "truncated" if 4 * count > blob else "trailing bytes after"
+            raise DataError(f"{path}: {what} parameter blob: its model_cfg and kind {ckpt.kind!r} "
+                            f"give {count} parameters, {4 * count} bytes, but {blob} bytes "
+                            "follow the metadata")
         shapes = param_shapes(ckpt.kind, ckpt.model_cfg)
         table = [[name, list(shapes[name])] for name in sorted(shapes)]
         if meta["n_classes"] != ckpt.n_classes or meta["params"] != table:
             raise DataError(f"{path}: n_classes or parameter table does not match a "
                             f"{ckpt.kind} {ckpt.model} checkpoint of its model_cfg")
-        remaining = os.fstat(f.fileno()).st_size - f.tell()
         for name, shape in table:
             n_bytes = 4 * math.prod(shape)
-            if n_bytes > remaining:   # checked before reading, so a huge shape allocates nothing
-                raise DataError(f"{path}: truncated parameter blob at {name!r}")
-            remaining -= n_bytes
             ckpt.params[name] = np.frombuffer(f.read(n_bytes), dtype="<f4").reshape(shape).copy()
-        if f.read(1):
-            raise DataError(f"{path}: trailing bytes after parameter blob")
     return ckpt

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DataError
+from .functional import embedding_backward
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,12 @@ class BiLstmConfig:
     def hidden_dim(self) -> int:
         """Width of each position's hidden state: both directions' h."""
         return 2 * self.hidden_size
+
+    @property
+    def n_params(self) -> int:
+        """Number of parameters `param_shapes` holds, by arithmetic."""
+        e, h = self.embed_dim, self.hidden_size
+        return self.vocab_size * e + 2 * 4 * h * (e + h + 1)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every parameter, in initialization order; gates stack [i|f|g|o]."""
@@ -192,7 +199,7 @@ def bilstm_forward(ids, pad_mask, params: dict, cfg: BiLstmConfig):
         x, pad_mask, params["bw_wx"], params["bw_wh"], params["bw_b"], hidden[..., hid:],
         reverse=True,
     )
-    cache = {"ids": ids, "fw": cache_fw, "bw": cache_bw, "cfg": cfg, "dtype": x.dtype}
+    cache = {"ids": ids, "fw": cache_fw, "bw": cache_bw, "cfg": cfg}
     return hidden.transpose(1, 0, 2).copy(), cache
 
 
@@ -207,10 +214,8 @@ def bilstm_backward(dhidden, params: dict, cache) -> dict:
         dhidden[..., hid:], cache["bw"], params["bw_wx"], params["bw_wh"], reverse=True
     )
     dx += dx_bw
-    demb = np.zeros((cfg.vocab_size, cfg.embed_dim), dtype=cache["dtype"])
-    np.add.at(demb, cache["ids"].T.reshape(-1), dx)
     return {
-        "emb": demb,
+        "emb": embedding_backward(cache["ids"].T, dx, cfg.vocab_size),   # dx is time-major
         "fw_wx": dwx_fw, "fw_wh": dwh_fw, "fw_b": db_fw,
         "bw_wx": dwx_bw, "bw_wh": dwh_bw, "bw_b": db_bw,
     }

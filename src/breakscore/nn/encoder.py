@@ -15,6 +15,7 @@ from ..exceptions import DataError
 from .functional import (
     dropout,
     dropout_backward,
+    embedding_backward,
     gelu,
     gelu_backward,
     layer_norm,
@@ -58,6 +59,14 @@ class EncoderConfig:
         """Width of each position's hidden state."""
         return self.d_model
 
+    @property
+    def n_params(self) -> int:
+        """Number of parameters `param_shapes` holds, by arithmetic: a size
+        check need not build a table of n_layers entries."""
+        d, f = self.d_model, self.ffn_dim
+        per_layer = 4 * d * d + 2 * d * f + 9 * d + f   # qkvo, FFN, two layer norms
+        return (self.vocab_size + self.max_len) * d + self.n_layers * per_layer + 2 * d
+
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every encoder parameter, in initialization order."""
         d, f = self.d_model, self.ffn_dim
@@ -94,16 +103,19 @@ def encoder_forward(
     cfg: EncoderConfig,
     train: bool = False,
     dropout_rng: np.random.Generator | None = None,
-    cls_only: bool = False,
+    positions=slice(None),
 ):
-    """Hidden states [B, L, d_model] plus the cache needed for backward.
+    """Hidden states [B, P, d_model] at `positions` plus the cache needed for
+    backward.
 
     `ids` is [B, L] int; `pad_mask` is [B, L] bool, True at real tokens.
-    With `cls_only`, for a head that reads the [CLS] state alone, the last
-    layer computes its query side (attention output, FFN, final layer norm)
-    for row 0 only, and the hidden states are [B, 1, d_model]. Its layer
-    norm, keys and values still cover every row, which [CLS] attends to.
-    With no layers there is nothing to cut.
+    `positions` indexes the position axis, P of its L entries: every one by
+    default, `[0]` for a head that reads the [CLS] state alone, or the break
+    columns of the batch for one that reads every break. The last layer
+    computes its query side (attention output, FFN, final layer norm) at those
+    positions only; its layer norm, keys and values still cover every row,
+    which the queries attend to. With no layers only the final layer norm is
+    cut.
     """
     ids = np.asarray(ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
@@ -130,20 +142,22 @@ def encoder_forward(
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
-        rows = 1 if cls_only and i == cfg.n_layers - 1 else l   # query rows computed
+        cols = positions if i == cfg.n_layers - 1 else slice(None)   # query columns computed
         h, ln1_cache = layer_norm(x, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        q, q_cache = linear(h[:, :rows], params[pre + "wq"], params[pre + "bq"])
+        q, q_cache = linear(h[:, cols], params[pre + "wq"], params[pre + "bq"])
         k, k_cache = linear(h, params[pre + "wk"], params[pre + "bk"])
         v, v_cache = linear(h, params[pre + "wv"], params[pre + "bv"])
-        q *= scale   # on q's [B, rows, d], not on the [B, H, L, rows] scores
+        q *= scale   # on q's [B, P, d], not on the [B, H, L, P] scores
         qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
-        scores = kh @ qh.transpose(0, 1, 3, 2)
+        # A contiguous [B, H, dh, P] copy of the queries multiplies faster
+        # than the strided transposed view, with the same bits.
+        scores = kh @ np.ascontiguousarray(qh.transpose(0, 1, 3, 2))
         scores += key_bias
         probs = softmax(scores, axis=-2)
         ctx = _matmul_merged(probs.transpose(0, 1, 3, 2), vh)
         attn_out, o_cache = linear(ctx, params[pre + "wo"], params[pre + "bo"])
         attn_out, attn_drop = dropout(attn_out, drop_p, dropout_rng) if drop_p else (attn_out, None)
-        x = x[:, :rows]
+        x = x[:, cols]
         x += attn_out
 
         h2, ln2_cache = layer_norm(x, params[pre + "ln2_g"], params[pre + "ln2_b"])
@@ -164,9 +178,11 @@ def encoder_forward(
             }
         )
 
+    if not cfg.n_layers:
+        x = x[:, positions]
     hidden, lnf_cache = layer_norm(x, params["lnf_g"], params["lnf_b"])
     cache = {
-        "ids": ids, "l": l, "scale": scale, "emb_drop": emb_drop,
+        "ids": ids, "l": l, "positions": positions, "scale": scale, "emb_drop": emb_drop,
         "layers": layer_caches, "lnf": lnf_cache, "cfg": cfg, "dtype": dtype,
     }
     return hidden, cache
@@ -204,25 +220,23 @@ def encoder_backward(dhidden, cache) -> dict:
         dq = _matmul_merged(dscores.transpose(0, 1, 3, 2), c["kh"])
         dq *= cache["scale"]
         dk = _matmul_merged(dscores, c["qh"])
-        # Queries, and so dx, may cover the first rows only; keys and values
-        # cover every row.
-        rows = dx.shape[1]
+        # The last layer's queries, and so dx, cover `positions` only; keys
+        # and values cover every row.
+        cols = cache["positions"] if i == cfg.n_layers - 1 else slice(None)
         dh_q, grads[pre + "wq"], grads[pre + "bq"] = linear_backward(dq, c["q"])
         dh, grads[pre + "wk"], grads[pre + "bk"] = linear_backward(dk, c["k"])
-        dh[:, :rows] += dh_q
+        dh[:, cols] += dh_q
         dh_v, grads[pre + "wv"], grads[pre + "bv"] = linear_backward(dv, c["v"])
         dh += dh_v
         dres, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = layer_norm_backward(dh, c["ln1"])
-        dres[:, :rows] += dx
+        dres[:, cols] += dx
         dx = dres
 
+    if not cfg.n_layers:
+        dx, cut = np.zeros((len(ids), cache["l"], cfg.d_model), dtype=cache["dtype"]), dx
+        dx[:, cache["positions"]] = cut
     dx = dropout_backward(dx, cache["emb_drop"])
-    # Embedding gradient as one scatter-add over flat (id, column) offsets:
-    # several times faster than a row-wise np.add.at, in the same order.
-    d = cfg.d_model
-    dtok = np.zeros(cfg.vocab_size * d, dtype=cache["dtype"])
-    np.add.at(dtok, (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1), dx.reshape(-1))
-    grads["tok_emb"] = dtok.reshape(cfg.vocab_size, d)
+    grads["tok_emb"] = embedding_backward(ids, dx, cfg.vocab_size)
     dpos = np.zeros((cfg.max_len, cfg.d_model), dtype=cache["dtype"])
     dpos[: cache["l"]] = dx.sum(axis=0)
     grads["pos_emb"] = dpos

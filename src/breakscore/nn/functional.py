@@ -61,6 +61,17 @@ def linear_backward(dy, cache):
     return dx, dw, db
 
 
+def embedding_backward(ids, dx, n_rows: int):
+    """Gradient of an [n_rows, d] table gathered as `table[ids]`, from dx
+    [*ids.shape, d]. One scatter-add over flat (id, column) offsets: several
+    times faster than a row-wise np.add.at, and bitwise equal to it, since each
+    entry sums its rows in the same order."""
+    d = dx.shape[-1]
+    grad = np.zeros(n_rows * d, dtype=dx.dtype)
+    np.add.at(grad, (np.reshape(ids, (-1, 1)) * d + np.arange(d)).reshape(-1), dx.reshape(-1))
+    return grad.reshape(n_rows, d)
+
+
 # -- layer norm --------------------------------------------------------------
 
 _LN_EPS = 1e-5

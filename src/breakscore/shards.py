@@ -118,20 +118,20 @@ def usable_cpus() -> int:
     return max(1, cpus - len(multiprocessing.active_children()))
 
 
-def shared_slots(shapes: dict, n: int) -> tuple[np.ndarray, list[dict]]:
-    """n zeroed float32 copies of a name -> shape table in one anonymous shared
-    mapping, which a forked child shares: the [n, size] matrix and, per copy,
-    a dict of named views into its row."""
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    size = sum(sizes)
+def shared_rows(n: int, size: int) -> np.ndarray:
+    """A zeroed [n, size] float32 matrix in one anonymous shared mapping, which
+    a forked child shares. Raises OverflowError or OSError when the mapping
+    cannot be made."""
     buf = np.frombuffer(mmap.mmap(-1, 4 * max(1, n * size)), dtype=np.float32)
-    flat = buf[: n * size].reshape(n, size)
-    offsets = np.cumsum([0, *sizes]).tolist()
-    return flat, [
-        {name: row[lo:lo + k].reshape(shape)
-         for (name, shape), lo, k in zip(shapes.items(), offsets, sizes)}
-        for row in flat
-    ]
+    return buf[: n * size].reshape(n, size)
+
+
+def named_views(row: np.ndarray, shapes: dict) -> dict:
+    """Name -> view into `row` of each entry of a name -> shape table, laid
+    out in table order."""
+    ends = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
+    return {name: row[lo:hi].reshape(shape)
+            for (name, shape), lo, hi in zip(shapes.items(), ends, ends[1:])}
 
 
 class _RemoteTraceback(Exception):

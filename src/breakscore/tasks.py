@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import jsonl, metrics, shards
-from .checkpoint import N_CLASSES, Checkpoint, param_shapes
+from .checkpoint import N_CLASSES, Checkpoint, param_count, param_shapes
 from .corruption import LABEL_CORRUPTED, LabeledSequence
 from .exceptions import DataError, NumericError
 from .nn.adam import adam_step
@@ -171,12 +171,20 @@ def _token_batches(seqs: list[tuple]):
 # Training data arrives cut to it (`cut_to_max_len`).
 
 
-def _forward(params, cfg, ids, pad_mask, *, kind, train=False, dropout_rng=None):
-    """Hidden states and backward cache. The encoder computes its last layer for
-    the CLS row only unless the head reads every break position ("fine")."""
+def _head_cols(kind, cfg, break_mask):
+    """The columns of a padded batch whose hidden states the head reads: the
+    CLS column (encoder) or the break columns ("fine"); every column for the
+    BiLSTM, which computes them all anyway."""
+    if not isinstance(cfg, EncoderConfig):
+        return slice(None)
+    return np.flatnonzero(break_mask.any(axis=0)) if kind == "fine" else [0]
+
+
+def _forward(params, cfg, ids, pad_mask, *, cols, train=False, dropout_rng=None):
+    """Hidden states at the `_head_cols` columns, and the backward cache."""
     if isinstance(cfg, EncoderConfig):
         return encoder_forward(ids, pad_mask, params, cfg, train=train, dropout_rng=dropout_rng,
-                               cls_only=kind != "fine")
+                               positions=cols)
     return bilstm_forward(ids, pad_mask, params, cfg)
 
 
@@ -186,22 +194,23 @@ def _backward(params, cfg, dhidden, cache):
     return bilstm_backward(dhidden, params, cache)
 
 
-def _head_rows(kind, cfg, hidden, pad_mask, break_mask):
-    """The hidden states a head reads: one per break position ("fine"), else one
-    per sequence, the CLS state (encoder) or the masked mean (BiLSTM)."""
+def _head_rows(kind, cfg, hidden, pad_mask, break_mask, cols):
+    """The hidden states a head reads from those at the `cols` columns: one per
+    break position ("fine"), else one per sequence, the CLS state (encoder) or
+    the masked mean (BiLSTM)."""
     if kind == "fine":
-        return hidden[np.nonzero(break_mask)]
+        return hidden[np.nonzero(break_mask[:, cols])]
     if isinstance(cfg, EncoderConfig):
         return hidden[:, 0, :]
     m = pad_mask.astype(hidden.dtype)
     return (hidden * m[:, :, None]).sum(axis=1) / m.sum(axis=1)[:, None]
 
 
-def _head_rows_backward(kind, cfg, drows, hidden, pad_mask, break_mask):
+def _head_rows_backward(kind, cfg, drows, hidden, pad_mask, break_mask, cols):
     """Scatter the gradient of `_head_rows` back onto the hidden states."""
     dhidden = np.zeros_like(hidden)
     if kind == "fine":
-        dhidden[np.nonzero(break_mask)] = drows
+        dhidden[np.nonzero(break_mask[:, cols])] = drows
     elif isinstance(cfg, EncoderConfig):
         dhidden[:, 0, :] = drows
     else:
@@ -236,8 +245,16 @@ def _train(
     """
     # Parameters and the two shards' gradient slots share one mapping, so a
     # forked worker reads each Adam update and the parent reads its gradient.
+    # It is sized by arithmetic: a model too large for it stops before its
+    # table of parameter shapes is built.
+    size = param_count(kind, cfg)
+    try:
+        flat = shards.shared_rows(3, size)
+    except (OverflowError, OSError) as e:
+        raise DataError(f"cannot map {12 * size} bytes for the parameters and gradients of "
+                        f"{cfg}: {e}") from e
     shapes = param_shapes(kind, cfg)
-    flat, (params, *grad_slots) = shards.shared_slots(shapes, 3)
+    params, *grad_slots = (shards.named_views(row, shapes) for row in flat)
     # What init_core does not give is drawn in table order: network, then head.
     init_core = init_core or {}
     drawn = init_params({k: s for k, s in shapes.items() if k not in init_core},
@@ -271,9 +288,10 @@ def _train(
             flat[1 + s].fill(0.0)
             return 0.0
         ids, pad_mask, break_mask = _pad_batch([(samples[i][0], samples[i][1]) for i in rows_idx])
-        hidden, cache = _forward(params, cfg, ids, pad_mask, kind=kind, train=True,
+        cols = _head_cols(kind, cfg, break_mask)
+        hidden, cache = _forward(params, cfg, ids, pad_mask, cols=cols, train=True,
                                  dropout_rng=drop_rngs[s])
-        rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
+        rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask, cols)
         if len(rows) != len(shard_targets):
             raise DataError(
                 f"{len(shard_targets)} {kind} labels for {len(rows)} head positions"
@@ -286,7 +304,7 @@ def _train(
             dlogits *= dlogits.dtype.type(share)
         grads = {"head_w": rows.T @ dlogits, "head_b": dlogits.sum(axis=0)}
         dhidden = _head_rows_backward(
-            kind, cfg, dlogits @ params["head_w"].T, hidden, pad_mask, break_mask
+            kind, cfg, dlogits @ params["head_w"].T, hidden, pad_mask, break_mask, cols
         )
         grads.update(_backward(params, cfg, dhidden, cache))
         for k, g in grads.items():
@@ -335,8 +353,9 @@ def _predict_logits(params, kind, cfg, seqs: list[tuple]):
     out = [None] * len(seqs)
     for batch in _token_batches(seqs):
         ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch])
-        hidden, _ = _forward(params, cfg, ids, pad_mask, kind=kind)
-        rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask)
+        cols = _head_cols(kind, cfg, break_mask)
+        hidden, _ = _forward(params, cfg, ids, pad_mask, cols=cols)
+        rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask, cols)
         logits = rows @ params["head_w"] + params["head_b"]
         if kind == "fine":
             logits = np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1])

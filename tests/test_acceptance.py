@@ -172,11 +172,11 @@ def test_gradient_correctness():
 
     worst["bilstm"] = grad_check(bilstm_loss, bparams, n_coords=15, seed=3)
 
-    # Sequence head (the discriminator/overall path: CLS pool + linear + CE),
-    # through the task plumbing, so the encoder computes its last layer for
-    # the CLS row only. Batched with mixed targets so no coordinate's gradient
-    # rests on a single near-cancelling CLS vector, which would sink below
-    # finite-difference noise.
+    # The heads through the task plumbing, so the encoder computes its last
+    # layer only at the columns the head reads: [CLS] for the sequence head
+    # (the discriminator/overall path: CLS pool + linear + CE), the break
+    # columns for the token head (fine-grained path: per-break-position
+    # linear + CE).
     cfg, _, _ = _encoder_case(200)
     case_rng = make_rng(200, "batch")
     hids = np.concatenate(
@@ -184,47 +184,40 @@ def test_gradient_correctness():
     ).astype(np.int64)
     hmask = np.ones_like(hids, dtype=bool)
     hmask[1, -1] = hmask[3, -2:] = False
+
+    def head_loss(kind, break_mask, targets):
+        def loss_fn(p):
+            core = {k: v for k, v in p.items() if not k.startswith("head_")}
+            cols = tasks._head_cols(kind, cfg, break_mask)
+            h, cache = tasks._forward(core, cfg, hids, hmask, cols=cols)
+            assert h.shape[1] == len(cols)
+            states = tasks._head_rows(kind, cfg, h, hmask, break_mask, cols)
+            logits = states @ p["head_w"] + p["head_b"]
+            loss, dlogits = batched_cross_entropy(logits, targets)
+            grads = {"head_w": states.T @ dlogits, "head_b": dlogits.sum(axis=0)}
+            dh = tasks._head_rows_backward(kind, cfg, dlogits @ p["head_w"].T, h, hmask,
+                                           break_mask, cols)
+            grads.update(tasks._backward(core, cfg, dh, cache))
+            return loss, grads
+
+        return loss_fn
+
+    # Batched with mixed targets so no coordinate's gradient rests on a single
+    # near-cancelling CLS vector, which would sink below finite-difference noise.
     seq_params = init_params(cfg.param_shapes(), make_rng(5, "init"))
     head_rng = make_rng(5, "head")
     seq_params["head_w"] = trunc_normal((cfg.d_model, 2), head_rng)
     seq_params["head_b"] = np.zeros(2, dtype=np.float32)
-    targets = np.array([1, 0, 1, 0])
+    worst["sequence-head"] = grad_check(head_loss("rbtd", None, np.array([1, 0, 1, 0])),
+                                        seq_params, n_coords=15, seed=5)
 
-    def seq_head_loss(p):
-        core = {k: v for k, v in p.items() if not k.startswith("head_")}
-        h, cache = tasks._forward(core, cfg, hids, hmask, kind="rbtd")
-        assert h.shape[1] == 1
-        pooled = tasks._head_rows("rbtd", cfg, h, hmask, None)
-        logits = pooled @ p["head_w"] + p["head_b"]
-        loss, dlogits = batched_cross_entropy(logits, targets)
-        grads = {"head_w": pooled.T @ dlogits, "head_b": dlogits.sum(axis=0)}
-        dh = tasks._head_rows_backward("rbtd", cfg, dlogits @ p["head_w"].T, h, hmask, None)
-        grads.update(tasks._backward(core, cfg, dh, cache))
-        return loss, grads
-
-    worst["sequence-head"] = grad_check(seq_head_loss, seq_params, n_coords=15, seed=5)
-
-    # Token head (fine-grained path: per-break-position linear + CE).
     tok_params = init_params(cfg.param_shapes(), make_rng(6, "init"))
     tok_params["head_w"] = trunc_normal((cfg.d_model, 3), make_rng(6, "head"))
     tok_params["head_b"] = np.zeros(3, dtype=np.float32)
-    rows = np.array([0, 0, 1, 2, 3])
-    cols = np.array([2, 4, 1, 3, 2])
-    tok_targets = np.array([0, 2, 1, 2, 0])
-
-    def tok_head_loss(p):
-        core = {k: v for k, v in p.items() if not k.startswith("head_")}
-        h, cache = encoder_forward(hids, hmask, core, cfg)
-        states = h[rows, cols]
-        logits = states @ p["head_w"] + p["head_b"]
-        loss, dlogits = batched_cross_entropy(logits, tok_targets)
-        grads = {"head_w": states.T @ dlogits, "head_b": dlogits.sum(axis=0)}
-        dh = np.zeros_like(h)
-        dh[rows, cols] = dlogits @ p["head_w"].T
-        grads.update(encoder_backward(dh, cache))
-        return loss, grads
-
-    worst["token-head"] = grad_check(tok_head_loss, tok_params, n_coords=15, seed=6)
+    break_mask = np.zeros_like(hmask)
+    break_mask[[0, 0, 1, 2, 3], [2, 4, 1, 3, 2]] = True   # columns 1 to 4
+    worst["token-head"] = grad_check(head_loss("fine", break_mask, np.array([0, 2, 1, 2, 0])),
+                                     tok_params, n_coords=15, seed=6)
 
     elapsed = time.time() - t0
     bad = {k: v for k, v in worst.items() if v >= 1e-3}

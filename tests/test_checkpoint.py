@@ -1,11 +1,20 @@
 """On-disk model format: round trips, corruption detection, atomicity."""
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from breakscore.checkpoint import MAGIC, N_CLASSES, Checkpoint, load_checkpoint, save_checkpoint
+from breakscore.checkpoint import (
+    MAGIC,
+    N_CLASSES,
+    Checkpoint,
+    load_checkpoint,
+    param_count,
+    param_shapes,
+    save_checkpoint,
+)
 from breakscore.exceptions import DataError
 from breakscore.nn.bilstm import BiLstmConfig
 from breakscore.nn.encoder import EncoderConfig
@@ -161,6 +170,16 @@ class TestDerivedMetadata:
         got = load_checkpoint(path)
         assert (got.model, got.n_classes) == (model, N_CLASSES[kind])
 
+    @pytest.mark.parametrize("cfg", [
+        EncoderConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=0, ffn_dim=16, max_len=8),
+        EncoderConfig(vocab_size=13, d_model=6, n_heads=3, n_layers=3, ffn_dim=5, max_len=9),
+        BiLstmConfig(vocab_size=10, embed_dim=4, hidden_size=3),
+        BiLstmConfig(vocab_size=7, embed_dim=1, hidden_size=11),
+    ], ids=["encoder-0-layers", "encoder-3-layers", "bilstm", "bilstm-wide"])
+    @pytest.mark.parametrize("kind", sorted(N_CLASSES))
+    def test_parameter_count_is_the_table_total(self, kind, cfg):
+        assert param_count(kind, cfg) == sum(map(math.prod, param_shapes(kind, cfg).values()))
+
     @pytest.mark.parametrize("edit", list(UNDERIVABLE.values()), ids=list(UNDERIVABLE))
     def test_mismatch_is_a_data_error_naming_path(self, tmp_path, rewrite_checkpoint, edit):
         path = str(tmp_path / "m.pbrk")
@@ -177,12 +196,14 @@ class TestDerivedMetadata:
             f.readline()
             meta, blob = json.loads(f.readline()), f.read()
         # A consistent table for a 2**40-row position embedding: only the
-        # blob's size can refuse it, before anything is read.
+        # blob's size can refuse it, before anything is read. The message
+        # counts pos_emb's 2**43 parameters and the 1,314 others.
         meta["model_cfg"]["max_len"] = 2**40
         meta["params"] = [[n, [2**40, 8] if n == "pos_emb" else s] for n, s in meta["params"]]
         with open(path, "wb") as f:
             f.write(MAGIC + json.dumps(meta).encode() + b"\n" + blob)
-        with pytest.raises(DataError, match="truncated parameter blob at 'pos_emb'"):
+        with pytest.raises(DataError, match=f"truncated parameter blob: .* give {2**43 + 1314} "
+                                            f"parameters, {4 * (2**43 + 1314)} bytes, but 5512 bytes"):
             load_checkpoint(path)
 
 

@@ -718,6 +718,59 @@ class TestBadInputFiles:
         assert message in caplog.text
 
 
+def _run_capped(*argv):
+    """`main(argv)` in a child process whose address space is capped at 2 GiB,
+    so a model that asks for more fails there and leaves the host's memory
+    alone. Returns (exit code, stderr)."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from breakscore.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+class TestModelSizes:
+    """A model too large to hold exits 2 with a message naming its config and
+    the bytes or parameters it needs, before its table of parameter shapes is
+    built: 10**8 layers would be a table of 1.6 billion entries. Each probe
+    runs under an address-space cap, never without it."""
+
+    @pytest.mark.parametrize("command, model, config, message", [
+        ("pretrain", "encoder", "encoder: {n_layers: 100000000}", "n_layers=100000000"),
+        ("finetune", "bilstm", "bilstm: {hidden_size: 1000000000000}",
+         "hidden_size=1000000000000"),
+        ("finetune", "encoder", "encoder: {d_model: 4000000}", "d_model=4000000"),
+        ("finetune", "encoder", "encoder: {ffn_dim: 1000000000000}", "ffn_dim=1000000000000"),
+        ("finetune", "encoder", "encoder: {max_len: 1000000000000}", "max_len=1000000000000"),
+    ], ids=["n_layers", "bilstm-hidden_size", "d_model", "ffn_dim", "max_len"])
+    def test_oversized_model_exits_2_naming_config_and_bytes(self, pipeline, tmp_path, command,
+                                                             model, config, message):
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text(config + "\n")
+        data = {"pretrain": ("--in", pipeline["pretrain"]),
+                "finetune": ("--task", "fine", "--model", model, "--in", pipeline["esl"])}
+        code, err = _run_capped(command, "--config", str(cfg), *data[command],
+                                "--vocab", pipeline["vocab"], "--out", str(tmp_path / "x.pbrk"))
+        assert code == 2, err
+        assert re.search(r"cannot map \d+ bytes for the parameters and gradients of "
+                         rf"\w+Config\(.*{message}", err), err
+        assert not (tmp_path / "x.pbrk").exists()
+
+    def test_checkpoint_claiming_huge_model_exits_2_naming_count(self, pipeline, tmp_path,
+                                                                 rewrite_checkpoint):
+        path = tmp_path / "huge.pbrk"
+        assert run("finetune", "--config", pipeline["cfg"], "--task", "overall",
+                   "--in", pipeline["esl"], "--vocab", pipeline["vocab"], "--out", str(path)) == 0
+        rewrite_checkpoint(path, lambda meta, params: meta["model_cfg"].update(n_layers=10**8))
+        ctm = tmp_path / "a.ctm"
+        ctm.write_text(CTM)
+        code, err = _run_capped("score", "--overall-ckpt", str(path), "--align", str(ctm))
+        assert code == 2, err
+        assert re.search(r"huge.pbrk: truncated parameter blob: its model_cfg and kind 'overall' "
+                         r"give \d{12} parameters", err), err
+
+
 class TestScoreChecks:
     def test_checkpoints_with_different_vocabularies_exit_2(self, pipeline, tmp_path, capsys,
                                                              caplog):

@@ -13,6 +13,7 @@ from breakscore.nn.functional import (
     batched_cross_entropy,
     dropout,
     dropout_backward,
+    embedding_backward,
     gelu,
     gelu_backward,
     init_params,
@@ -264,6 +265,22 @@ class TestInPlaceOps:
         np.testing.assert_array_equal(keep, want)
         np.testing.assert_array_equal(out, x * want)
 
+    @pytest.mark.parametrize("time_major", [False, True])
+    def test_embedding_gradient_bitwise_equal_to_row_wise_scatter(self, time_major):
+        # The flat scatter sums each entry's rows in the order a row-wise
+        # np.add.at does, so float32 rounding matches to the bit. Ids repeat
+        # within and across rows, as [PAD] and [CLS] do; the Bi-LSTM passes
+        # time-major ids ([L, B] views of [B, L] ones).
+        rng = make_rng(13, "t")
+        ids = rng.integers(0, 9, size=(7, 12))
+        ids = ids.T if time_major else ids
+        dx = rng.normal(size=(*ids.shape, 5)).astype(np.float32)
+        want = np.zeros((9, 5), dtype=np.float32)
+        np.add.at(want, ids.reshape(-1), dx.reshape(-1, 5))
+        got = embedding_backward(ids, dx, 9)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
 
 def tiny_encoder(dropout=0.0):
     cfg = EncoderConfig(
@@ -335,12 +352,14 @@ class TestEncoder:
         assert grad_check(loss_fn, params, n_coords=40) < 1e-4
 
     @pytest.mark.parametrize("n_layers", [1, 2, 0])
-    def test_cls_only_equals_row_0_of_all_rows(self, n_layers):
-        # float64 on a padded batch. The [CLS]-only hidden states are row 0 of
-        # the all-rows ones (every row with no layers), and their backward
-        # gives the all-rows backward's gradients for a dhidden zero off row 0.
-        # Tolerances are absolute: bk's true gradient is 0, since the softmax
-        # over keys is shift-invariant, so its computed value is rounding noise.
+    @pytest.mark.parametrize("head", ["cls", "fine"])
+    def test_cut_positions_equal_those_of_all_rows(self, head, n_layers):
+        # float64 on a padded batch. The hidden states at the positions a head
+        # reads, [CLS] alone or some break columns, are those columns of the
+        # all-rows ones, and their backward gives the all-rows backward's
+        # gradients for a dhidden zero off those columns. Tolerances are
+        # absolute: bk's true gradient is 0, since the softmax over keys is
+        # shift-invariant, so its computed value is rounding noise.
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=n_layers,
                             ffn_dim=16, max_len=10)
         params = {k: v.astype(np.float64)
@@ -348,15 +367,16 @@ class TestEncoder:
         params = {k: v * 20 if v.ndim == 2 else v for k, v in params.items()}  # away from linear
         ids = np.array([[2, 8, 4, 9, 5, 0], [2, 10, 3, 0, 0, 0], [2, 7, 7, 6, 11, 4]])
         mask = ids != 0
+        positions = {"cls": [0], "fine": np.array([1, 3, 4])}[head]
         full, full_cache = encoder_forward(ids, mask, params, cfg)
-        cls, cls_cache = encoder_forward(ids, mask, params, cfg, cls_only=True)
-        assert cls.shape == ((3, 1, 8) if n_layers else full.shape)
-        np.testing.assert_allclose(cls[:, 0], full[:, 0], rtol=0, atol=1e-12)
+        cut, cut_cache = encoder_forward(ids, mask, params, cfg, positions=positions)
+        assert cut.shape == (3, len(positions), 8)
+        np.testing.assert_allclose(cut, full[:, positions], rtol=0, atol=1e-12)
 
         dfull = np.zeros_like(full)
-        dfull[:, 0] = make_rng(2, "probe").normal(size=(3, 8))
+        dfull[:, positions] = make_rng(2, "probe").normal(size=cut.shape)
         want = encoder_backward(dfull, full_cache)
-        got = encoder_backward(dfull[:, : cls.shape[1]], cls_cache)
+        got = encoder_backward(dfull[:, positions], cut_cache)
         assert set(got) == set(want) == set(params)
         for k in params:
             np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-10, err_msg=k)

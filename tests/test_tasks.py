@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import blas_threads
+from gradcheck import grad_check
 from hypothesis import given, settings, strategies as st
 
 from breakscore.alignment import BreakClass
@@ -24,7 +25,7 @@ from breakscore.corruption import (
 from breakscore.exceptions import DataError
 from breakscore.nn.bilstm import BiLstmConfig
 from breakscore.nn.encoder import EncoderConfig
-from breakscore.nn.functional import init_params
+from breakscore.nn.functional import batched_cross_entropy, init_params
 from breakscore.ranks import Rank, rank_to_class
 from breakscore.rngs import make_rng
 from breakscore import metrics, shards, tasks
@@ -579,6 +580,85 @@ class TestBatchedPrediction:
         ranks, probs = predict_overall(ckpt, [])
         assert ranks == [] and probs.shape == (0, 3)
         assert predict_finegrained(dataclasses.replace(ckpt, kind="fine"), []) == []
+
+
+class TestHeadColumns:
+    """The encoder computes its last layer only at the columns the head reads:
+    [CLS], or the break columns of the batch for the fine head. Forcing every
+    column (`_head_cols` patched to all) must give the same head rows."""
+
+    @pytest.fixture(scope="class")
+    def esl(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("synth")
+        cfg = out / "run.yaml"
+        cfg.write_text("seed: 11\nsynth: {n_sentences: 60}\n")
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        vocab = Vocabulary.from_lines((out / "vocab.tsv").read_text().splitlines())
+        with open(out / "esl.jsonl") as f:
+            return read_rated(f), vocab
+
+    @pytest.mark.parametrize("n_layers, max_len", [(2, 128), (0, 128), (2, 16)])
+    def test_fine_cut_matches_all_rows_on_a_synthesized_file(self, esl, monkeypatch,
+                                                              n_layers, max_len):
+        # Scaled-up weights and a centred head make the ranks differ. At
+        # max_len 16 most records are cut, so their breaks past it get no rank.
+        samples, vocab = esl
+        seqs = seqs_of(samples) + [encoded([8], [])]   # a one-word item has no break
+        cfg = EncoderConfig(vocab_size=vocab.size, d_model=32, n_heads=4, n_layers=n_layers,
+                            ffn_dim=64, max_len=max_len)
+        params = {k: v if k.endswith("_g") else v * 25
+                  for k, v in init_params(cfg.param_shapes(), make_rng(11, "init")).items()}
+        params["head_w"] = make_rng(11, "head").normal(size=(32, 3)).astype(np.float32)
+        params["head_b"] = np.zeros(3, dtype=np.float32)
+        cut = _predict_logits(params, "fine", cfg, seqs)
+        params["head_b"] = -np.concatenate(cut).mean(axis=0)
+        ckpt = Checkpoint(kind="fine", model_cfg=cfg, vocab=vocab, seed=11, params=params)
+        cut = _predict_logits(params, "fine", cfg, seqs)
+        cut_ranks = predict_finegrained(ckpt, seqs)
+        monkeypatch.setattr(tasks, "_head_cols", lambda kind, cfg, break_mask: slice(None))
+        full = _predict_logits(params, "fine", cfg, seqs)
+        full_ranks = predict_finegrained(ckpt, seqs)
+
+        assert [len(r) for r in cut_ranks] == [sum(mask[:max_len]) for _, mask in seqs]
+        for got, want in zip(cut, full, strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+        assert cut_ranks == full_ranks
+        assert len({r for ranks in cut_ranks for r in ranks}) == 3
+
+    def test_batch_without_break_columns(self):
+        cfg = small_cfg(12)
+        params = dict(init_params(cfg.param_shapes(), make_rng(0, "init")),
+                      head_w=np.ones((16, 3), dtype=np.float32), head_b=np.zeros(3, np.float32))
+        ckpt = Checkpoint(kind="fine", model_cfg=cfg, vocab=toy_vocab(), seed=0,
+                          params=params, init_from=None)
+        assert predict_finegrained(ckpt, [encoded([8], []), encoded([9], [])]) == [[], []]
+
+    @pytest.mark.parametrize("n_layers", [2, 0])
+    @pytest.mark.parametrize("kind", ["fine", "overall"])
+    def test_gradients_against_finite_differences(self, kind, n_layers):
+        # The train step's path, from the padded batch through the head
+        # columns, the head rows and the head to the loss, and back.
+        cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=n_layers,
+                            ffn_dim=16, max_len=16)
+        params = init_params(param_shapes(kind, cfg), make_rng(0, "init"))
+        params = {k: v * 20 if k.startswith("layer") and v.ndim == 2 else v
+                  for k, v in params.items()}   # away from linear
+        ids, pad_mask, break_mask = _pad_batch(
+            [encoded([8, 9, 10, 11], [0, 3, 1]), encoded([9, 8], [2]), encoded([10], [])])
+        targets = np.arange(3 if kind == "overall" else 4) % 3
+
+        def loss_fn(p):
+            cols = tasks._head_cols(kind, cfg, break_mask)
+            hidden, cache = tasks._forward(p, cfg, ids, pad_mask, cols=cols)
+            rows = tasks._head_rows(kind, cfg, hidden, pad_mask, break_mask, cols)
+            loss, dlogits = batched_cross_entropy(rows @ p["head_w"] + p["head_b"], targets)
+            grads = {"head_w": rows.T @ dlogits, "head_b": dlogits.sum(axis=0)}
+            dhidden = tasks._head_rows_backward(kind, cfg, dlogits @ p["head_w"].T, hidden,
+                                                pad_mask, break_mask, cols)
+            grads.update(tasks._backward(p, cfg, dhidden, cache))
+            return loss, grads
+
+        assert grad_check(loss_fn, params, n_coords=40) < 1e-4
 
 
 class TestShardedTraining:
