@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DataError
-from .functional import embedding_backward
+from .functional import check_sizes, embedding_backward
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class BiLstmConfig:
     hidden_size: int = 128
 
     def __post_init__(self):
+        check_sizes(self, ("vocab_size", "embed_dim", "hidden_size"))
         for name in ("vocab_size", "embed_dim", "hidden_size"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -204,14 +205,23 @@ def bilstm_forward(ids, pad_mask, params: dict, cfg: BiLstmConfig):
 
 
 def bilstm_backward(dhidden, params: dict, cache) -> dict:
+    """Parameter gradients for a loss whose gradient w.r.t. hidden is dhidden.
+
+    Consumes `cache`, as `encoder_backward` does: each direction's scan cache
+    is popped as its BPTT starts, so the forward direction's buffers are freed
+    before the backward direction's run. A second call on the same cache
+    raises RuntimeError.
+    """
     cfg: BiLstmConfig = cache["cfg"]
+    if "fw" not in cache:
+        raise RuntimeError("bilstm_backward: the cache was consumed by an earlier backward")
     hid = cfg.hidden_size
     dhidden = dhidden.transpose(1, 0, 2)   # time-major view [L, B, 2*hidden]
     dx, dwx_fw, dwh_fw, db_fw = _backprop_direction(
-        dhidden[..., :hid], cache["fw"], params["fw_wx"], params["fw_wh"], reverse=False
+        dhidden[..., :hid], cache.pop("fw"), params["fw_wx"], params["fw_wh"], reverse=False
     )
     dx_bw, dwx_bw, dwh_bw, db_bw = _backprop_direction(
-        dhidden[..., hid:], cache["bw"], params["bw_wx"], params["bw_wh"], reverse=True
+        dhidden[..., hid:], cache.pop("bw"), params["bw_wx"], params["bw_wh"], reverse=True
     )
     dx += dx_bw
     return {

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..exceptions import DataError
 from .functional import (
+    check_sizes,
     dropout,
     dropout_backward,
     embedding_backward,
@@ -40,6 +41,7 @@ class EncoderConfig:
     dropout_prob: float = 0.1
 
     def __post_init__(self):
+        check_sizes(self, ("vocab_size", "d_model", "n_heads", "n_layers", "ffn_dim", "max_len"))
         for name in ("vocab_size", "d_model", "n_heads", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -154,6 +156,7 @@ def encoder_forward(
         scores = kh @ np.ascontiguousarray(qh.transpose(0, 1, 3, 2))
         scores += key_bias
         probs = softmax(scores, axis=-2)
+        del scores
         ctx = _matmul_merged(probs.transpose(0, 1, 3, 2), vh)
         attn_out, o_cache = linear(ctx, params[pre + "wo"], params[pre + "bo"])
         attn_out, attn_drop = dropout(attn_out, drop_p, dropout_rng) if drop_p else (attn_out, None)
@@ -189,53 +192,81 @@ def encoder_forward(
 
 
 def encoder_backward(dhidden, cache) -> dict:
-    """Parameter gradients for a loss whose gradient w.r.t. hidden is dhidden."""
+    """Parameter gradients for a loss whose gradient w.r.t. hidden is dhidden.
+
+    Consumes `cache`: each saved activation is popped at the line that uses
+    it, and each temporary is dropped after its last use, so the activations
+    are freed layer by layer as backward goes, not when it returns. "ids",
+    "cfg" and the shape entries stay. A second call on the same cache raises
+    RuntimeError.
+    """
     cfg: EncoderConfig = cache["cfg"]
     ids = cache["ids"]
+    layers = cache.pop("layers", None)
+    if layers is None:
+        raise RuntimeError("encoder_backward: the cache was consumed by an earlier backward")
     grads: dict[str, np.ndarray] = {}
 
-    dx, grads["lnf_g"], grads["lnf_b"] = layer_norm_backward(dhidden, cache["lnf"])
+    dx, grads["lnf_g"], grads["lnf_b"] = layer_norm_backward(dhidden, cache.pop("lnf"))
 
     for i in reversed(range(cfg.n_layers)):
         pre = f"layer{i}."
-        c = cache["layers"][i]
+        c = layers.pop()
 
         # FFN sublayer: x_out = x_in + drop(W2 gelu(W1 LN(x_in)))
-        df2 = dropout_backward(dx, c["ffn_drop"])
-        da, grads[pre + "ffn_w2"], grads[pre + "ffn_b2"] = linear_backward(df2, c["f2"])
-        df1 = gelu_backward(da, c["gelu"])
-        dh2, grads[pre + "ffn_w1"], grads[pre + "ffn_b1"] = linear_backward(df1, c["f1"])
-        dres, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = layer_norm_backward(dh2, c["ln2"])
+        df2 = dropout_backward(dx, c.pop("ffn_drop"))
+        da, grads[pre + "ffn_w2"], grads[pre + "ffn_b2"] = linear_backward(df2, c.pop("f2"))
+        del df2
+        df1 = gelu_backward(da, c.pop("gelu"))
+        del da
+        dh2, grads[pre + "ffn_w1"], grads[pre + "ffn_b1"] = linear_backward(df1, c.pop("f1"))
+        del df1
+        dres, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = layer_norm_backward(dh2, c.pop("ln2"))
+        del dh2
         dx += dres
+        del dres
 
         # Attention sublayer.
-        dattn = dropout_backward(dx, c["attn_drop"])
-        dctx, grads[pre + "wo"], grads[pre + "bo"] = linear_backward(dattn, c["o"])
+        dattn = dropout_backward(dx, c.pop("attn_drop"))
+        dctx, grads[pre + "wo"], grads[pre + "bo"] = linear_backward(dattn, c.pop("o"))
+        del dattn
         # Keys-major throughout: probs_t and dscores are [B, H, keys, queries].
         dctx_h = _split_heads(dctx, cfg.n_heads)
-        probs_t = c["probs"].transpose(0, 1, 3, 2)
-        dprobs = c["vh"] @ dctx_h.transpose(0, 1, 3, 2)
+        del dctx
+        probs_t = c.pop("probs").transpose(0, 1, 3, 2)
+        dprobs = c.pop("vh") @ dctx_h.transpose(0, 1, 3, 2)
         dv = _matmul_merged(probs_t, dctx_h)
+        del dctx_h
         dscores = softmax_backward(dprobs, probs_t, axis=-2)
-        dq = _matmul_merged(dscores.transpose(0, 1, 3, 2), c["kh"])
+        del dprobs, probs_t
+        dq = _matmul_merged(dscores.transpose(0, 1, 3, 2), c.pop("kh"))
         dq *= cache["scale"]
-        dk = _matmul_merged(dscores, c["qh"])
+        dk = _matmul_merged(dscores, c.pop("qh"))
+        del dscores
         # The last layer's queries, and so dx, cover `positions` only; keys
         # and values cover every row.
         cols = cache["positions"] if i == cfg.n_layers - 1 else slice(None)
-        dh_q, grads[pre + "wq"], grads[pre + "bq"] = linear_backward(dq, c["q"])
-        dh, grads[pre + "wk"], grads[pre + "bk"] = linear_backward(dk, c["k"])
+        dh_q, grads[pre + "wq"], grads[pre + "bq"] = linear_backward(dq, c.pop("q"))
+        del dq
+        dh, grads[pre + "wk"], grads[pre + "bk"] = linear_backward(dk, c.pop("k"))
+        del dk
         dh[:, cols] += dh_q
-        dh_v, grads[pre + "wv"], grads[pre + "bv"] = linear_backward(dv, c["v"])
+        del dh_q
+        dh_v, grads[pre + "wv"], grads[pre + "bv"] = linear_backward(dv, c.pop("v"))
+        del dv
         dh += dh_v
-        dres, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = layer_norm_backward(dh, c["ln1"])
+        del dh_v
+        dres, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = layer_norm_backward(dh, c.pop("ln1"))
+        del dh
         dres[:, cols] += dx
         dx = dres
+        del dres
 
     if not cfg.n_layers:
         dx, cut = np.zeros((len(ids), cache["l"], cfg.d_model), dtype=cache["dtype"]), dx
         dx[:, cache["positions"]] = cut
-    dx = dropout_backward(dx, cache["emb_drop"])
+        del cut
+    dx = dropout_backward(dx, cache.pop("emb_drop"))
     grads["tok_emb"] = embedding_backward(ids, dx, cfg.vocab_size)
     dpos = np.zeros((cfg.max_len, cfg.d_model), dtype=cache["dtype"])
     dpos[: cache["l"]] = dx.sum(axis=0)

@@ -1,6 +1,9 @@
 """Fixtures shared by several test modules."""
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,19 @@ def blas_threads() -> int | None:
     """The BLAS thread count in effect, or None when it cannot be read."""
     fns = shards._blas_thread_fns()
     return None if fns is None else fns[0]()
+
+
+def run_capped(statement: str, *argv):
+    """Python `statement` in a child process whose address space is capped at
+    2 GiB, with `argv` as its `sys.argv[1:]`, so a model that asks for more
+    fails there and leaves the host's memory alone. Returns (exit code,
+    stderr)."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            + statement)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+    return proc.returncode, proc.stderr
 
 
 def _rewrite_checkpoint(path, edit):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
-from conftest import blas_threads
+from conftest import blas_threads, run_capped
 
 from breakscore import corruption, shards, synth, tasks
 from breakscore.cli import main
@@ -719,15 +719,8 @@ class TestBadInputFiles:
 
 
 def _run_capped(*argv):
-    """`main(argv)` in a child process whose address space is capped at 2 GiB,
-    so a model that asks for more fails there and leaves the host's memory
-    alone. Returns (exit code, stderr)."""
-    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-            "from breakscore.cli import main; sys.exit(main(sys.argv[1:]))")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                          text=True, timeout=300)
-    return proc.returncode, proc.stderr
+    """`main(argv)` under `run_capped`'s address-space cap."""
+    return run_capped("from breakscore.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
 
 
 class TestModelSizes:
@@ -832,6 +825,31 @@ class TestScoreChecks:
                    score_ckpts["encoder-fine"], "--align", str(ctm)) == 2
         assert capsys.readouterr().out == ""
         assert str(bad) in caplog.text
+
+    @pytest.mark.parametrize("ckpt", ["encoder-overall", "bilstm-fine"])
+    def test_checkpoint_with_a_non_int_size_exits_2_naming_the_key(
+            self, score_ckpts, tmp_path, caplog, rewrite_checkpoint, ckpt):
+        # A size stored as a float equal to its integer (d_model 16.0) passed
+        # every range and count check, then failed in the blob read or the
+        # forward with a TypeError; a bool is no size either.
+        kind = ckpt.split("-")[1]
+        with open(score_ckpts[ckpt], "rb") as f:
+            f.readline()
+            model_cfg = json.loads(f.readline())["model_cfg"]
+        keys = [k for k, v in model_cfg.items() if type(v) is int]
+        assert len(keys) == {"encoder": 6, "bilstm": 3}[ckpt.split("-")[0]]
+        ctm = tmp_path / "a.ctm"
+        ctm.write_text(CTM)
+        for key in keys:
+            for value in (float(model_cfg[key]), True):
+                bad = tmp_path / f"{key}.pbrk"
+                shutil.copy(score_ckpts[ckpt], bad)
+                rewrite_checkpoint(str(bad), lambda meta, params: meta["model_cfg"].update(
+                    {key: value}))
+                caplog.clear()
+                assert run("score", f"--{kind}-ckpt", str(bad), "--align", str(ctm)) == 2, key
+                message = f"{bad}: bad metadata: {key} must be an integer, got {value!r}"
+                assert message in caplog.text
 
     @pytest.mark.parametrize("ckpt, names, value", [
         ("encoder-overall", ("layer0.wq", "layer0.wk"), 1e20),

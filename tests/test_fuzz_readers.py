@@ -13,22 +13,27 @@ reached.
 
 `TestCliContract` then drives `cli.main` itself on such inputs: `finetune`
 and `eval` on fuzzed rated JSONL, `ingest` and `score` on fuzzed CTM and TSV
-files, and `score` on fuzzed checkpoint bytes.
+files, and `score` on fuzzed checkpoint bytes. `score` on checkpoints that
+claim a model of up to 10**12 units in one size runs in a child process under
+an address-space cap.
 """
 import dataclasses
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 import yaml
+from conftest import run_capped
 from hypothesis import example, given, settings, strategies as st
 
 from breakscore import alignment, cli, corruption, tasks
 from breakscore.checkpoint import MAGIC, N_CLASSES, Checkpoint, load_checkpoint, save_checkpoint
 from breakscore.config import _SECTION_TYPES, load_config
 from breakscore.exceptions import BreakscoreError, ParseError
+from breakscore.nn.bilstm import BiLstmConfig
 from breakscore.nn.encoder import EncoderConfig
 from breakscore.nn.functional import init_params
 from breakscore.rngs import make_rng
@@ -236,12 +241,15 @@ class TestConfigYaml:
         parses_or_raises(_load_and_build, _write(workdir / "cfg.yaml", data))
 
 
-def _valid_checkpoint_bytes(path, kind="fine") -> bytes:
-    """A tiny encoder checkpoint of `kind` with the parameters its config implies."""
-    cfg = EncoderConfig(vocab_size=10, d_model=4, n_heads=2, n_layers=1, ffn_dim=8, max_len=8)
+_TINY_ENCODER = EncoderConfig(vocab_size=10, d_model=4, n_heads=2, n_layers=1, ffn_dim=8,
+                              max_len=8)
+
+
+def _valid_checkpoint_bytes(path, kind="fine", cfg=_TINY_ENCODER) -> bytes:
+    """A tiny checkpoint of `kind` with the parameters its model config implies."""
     params = init_params(cfg.param_shapes(), make_rng(3, "init"))
-    n_classes = N_CLASSES[kind]
-    params["head_w"] = np.arange(4 * n_classes, dtype=np.float32).reshape(4, n_classes)
+    n_classes, width = N_CLASSES[kind], cfg.hidden_dim
+    params["head_w"] = np.arange(width * n_classes, dtype=np.float32).reshape(width, n_classes)
     params["head_b"] = np.ones(n_classes, np.float32)
     save_checkpoint(Checkpoint(
         kind=kind, model_cfg=cfg,
@@ -280,6 +288,34 @@ def checkpoint_bytes(draw, valid: bytes):
     return MAGIC + json.dumps(meta).encode("utf-8") + b"\n" + blob
 
 
+def score_with_one_huge_size(work_dir):
+    """Fuzz `score` on tiny valid encoder and Bi-LSTM checkpoints whose
+    model_cfg has one size set to an integer up to 10**12: each call returns 0
+    or 2. A regression here may try to allocate terabytes, so this runs only
+    in `run_capped`'s child process, never in the test run itself."""
+    work = pathlib.Path(work_dir)
+    (work / "huge.ctm").write_text("u1 1 0.00 0.30 fox\nu1 1 0.31 0.30 the\n")
+    valid = {
+        (kind, model): _valid_checkpoint_bytes(work / f"huge-{kind}-{model}.pbrk", kind, cfg)
+        for kind in ("overall", "fine")
+        for model, cfg in (("encoder", _TINY_ENCODER),
+                           ("bilstm", BiLstmConfig(vocab_size=10, embed_dim=4, hidden_size=3)))
+    }
+
+    @settings(fuzz, database=None)
+    @given(ckpt=st.sampled_from(sorted(valid)), data=st.data())
+    def score(ckpt, data):
+        head, _, blob = valid[ckpt][len(MAGIC):].partition(b"\n")
+        meta = json.loads(head)
+        sizes = sorted(k for k, v in meta["model_cfg"].items() if type(v) is int)
+        meta["model_cfg"][data.draw(st.sampled_from(sizes))] = data.draw(st.integers(-1, 10**12))
+        path = _write(work / "huge.pbrk", MAGIC + json.dumps(meta).encode("utf-8") + b"\n" + blob)
+        argv = ["score", f"--{ckpt[0]}-ckpt", path, "--align", str(work / "huge.ctm")]
+        assert cli.main(argv) in (0, 2), meta["model_cfg"]
+
+    score()
+
+
 class TestCheckpointBytes:
     @pytest.fixture(scope="class")
     def valid(self, workdir):
@@ -294,6 +330,11 @@ class TestCheckpointBytes:
     def test_pbrk1(self, workdir, valid, data):
         path = _write(workdir / "fuzz.pbrk", data.draw(checkpoint_bytes(valid)))
         parses_or_raises(load_checkpoint, path)
+
+    def test_score_on_one_huge_size_under_a_memory_cap(self, workdir):
+        code, err = run_capped("from test_fuzz_readers import score_with_one_huge_size; "
+                               "score_with_one_huge_size(sys.argv[1])", str(workdir))
+        assert code == 0, err[-4000:]
 
     def test_zero_heads_is_a_data_error(self, workdir, valid):
         head, _, blob = valid[len(MAGIC):].partition(b"\n")

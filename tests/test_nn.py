@@ -1,6 +1,7 @@
 """Numerical core: primitives, encoder, BiLSTM, Adam, gradient checking."""
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,20 +237,35 @@ class TestInPlaceOps:
                 np.testing.assert_array_equal(a, saved, err_msg=fn.__name__)
 
     def test_encoder_leaves_inputs_and_cache_unchanged(self):
+        # Backward consumes its cache but writes into none of the arrays it
+        # saved: each keeps its bytes, and the gradients equal those of a fresh
+        # forward and backward. A second backward on the consumed cache is an
+        # error, not a read of what is left.
         cfg, params = tiny_encoder(dropout=0.2)
         ids = np.array([[2, 8, 4, 9, 5, 0], [2, 10, 0, 0, 0, 0]])
         mask = ids != 0
         dhidden = make_rng(11, "t").normal(size=(2, 6, 8)).astype(np.float32)
         saved = {k: v.copy() for k, v in params.items()}
         ids_saved, dh_saved = ids.copy(), dhidden.copy()
-        h, cache = encoder_forward(ids, mask, params, cfg, train=True,
+
+        def forward():
+            return encoder_forward(ids, mask, params, cfg, train=True,
                                    dropout_rng=make_rng(0, "drop"))
+
+        h, cache = forward()
         h_saved = h.copy()
+        cached = list(_arrays(cache))
+        cached_saved = [a.copy() for a in cached]
         first = encoder_backward(dhidden, cache)
-        second = encoder_backward(dhidden, cache)   # the cache is read, not consumed
+        assert set(cache) == {"ids", "l", "positions", "scale", "cfg", "dtype"}
+        with pytest.raises(RuntimeError, match="consumed"):
+            encoder_backward(dhidden, cache)
+        fresh = encoder_backward(dhidden, forward()[1])
         for k in params:
             np.testing.assert_array_equal(params[k], saved[k], err_msg=k)
-            np.testing.assert_array_equal(first[k], second[k], err_msg=k)
+            np.testing.assert_array_equal(first[k], fresh[k], err_msg=k)
+        for a, a_saved in zip(cached, cached_saved):
+            np.testing.assert_array_equal(a, a_saved)
         np.testing.assert_array_equal(ids, ids_saved)
         np.testing.assert_array_equal(dhidden, dh_saved)
         np.testing.assert_array_equal(h, h_saved)
@@ -280,6 +296,18 @@ class TestInPlaceOps:
         got = embedding_backward(ids, dx, 9)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, want)
+
+
+def _arrays(obj):
+    """Every numpy array inside a backward cache of dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
 
 
 def tiny_encoder(dropout=0.0):
@@ -381,6 +409,37 @@ class TestEncoder:
         for k in params:
             np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-10, err_msg=k)
 
+    @pytest.mark.parametrize("batch, length", [(32, 95), (4, 20)])
+    @pytest.mark.parametrize("head", ["cls", "breaks", "all"])
+    def test_backward_frees_each_activation_once_used(self, batch, length, head):
+        # Traced from before the forward, backward's heap peak above its entry
+        # stays within two of the widest attention arrays (layer 0's [B, H, L, L]
+        # scores gradient and its input), four [B, L, d_model] arrays and the
+        # gradients it returns. A backward that kept each temporary until its
+        # name was rebound went to about twice that at [32, 95].
+        cfg = EncoderConfig(vocab_size=203, d_model=64, n_heads=4, n_layers=2, ffn_dim=128,
+                            max_len=128, dropout_prob=0.1)
+        params = init_params(cfg.param_shapes(), make_rng(0, "init"))
+        ids = make_rng(14, "ids").integers(8, cfg.vocab_size, size=(batch, length))
+        ids[:, 0] = 2
+        mask = np.arange(length)[None, :] < np.linspace(length, 2, batch).astype(int)[:, None]
+        ids[~mask] = 0
+        positions = {"cls": [0], "breaks": np.arange(1, length, 2), "all": slice(None)}[head]
+        tracemalloc.start()
+        try:
+            h, cache = encoder_forward(ids, mask, params, cfg, train=True,
+                                       dropout_rng=make_rng(5, "drop"), positions=positions)
+            dhidden = np.ones_like(h)
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            grads = encoder_backward(dhidden, cache)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        attention, row = batch * cfg.n_heads * length * length * 4, batch * length * cfg.d_model * 4
+        bound = 2 * attention + 4 * row + sum(g.nbytes for g in grads.values())
+        assert peak <= bound, (peak, bound)
+
     def test_broken_gradient_is_detected(self):
         # Sensitivity check: a corrupted backward must trip the checker.
         cfg, params = tiny_encoder()
@@ -403,6 +462,25 @@ def tiny_bilstm():
 
 
 class TestBiLstm:
+    def test_backward_consumes_its_cache(self):
+        # Each direction's scan cache is popped, with none of its arrays
+        # written; the gradients equal those of a fresh forward and backward.
+        cfg, params = tiny_bilstm()
+        ids = np.array([[2, 8, 4, 9], [2, 10, 0, 0]])
+        dhidden = make_rng(15, "t").normal(size=(2, 4, 10)).astype(np.float32)
+        _, cache = bilstm_forward(ids, ids != 0, params, cfg)
+        cached = list(_arrays(cache))
+        cached_saved = [a.copy() for a in cached]
+        first = bilstm_backward(dhidden, params, cache)
+        assert set(cache) == {"ids", "cfg"}
+        with pytest.raises(RuntimeError, match="consumed"):
+            bilstm_backward(dhidden, params, cache)
+        fresh = bilstm_backward(dhidden, params, bilstm_forward(ids, ids != 0, params, cfg)[1])
+        for k in params:
+            np.testing.assert_array_equal(first[k], fresh[k], err_msg=k)
+        for a, a_saved in zip(cached, cached_saved):
+            np.testing.assert_array_equal(a, a_saved)
+
     def test_shapes(self):
         cfg, params = tiny_bilstm()
         ids = np.array([[2, 8, 4, 0], [2, 9, 0, 0]])
