@@ -73,6 +73,20 @@ def compute_metrics(counts: list[list[int]]) -> dict:
     }
 
 
+def pooled_confusion(fold_metrics: list[dict]) -> list[list[int]]:
+    """The sum of the folds' `confusion` count matrices."""
+    return [list(map(sum, zip(*rows))) for rows in zip(*(fm["confusion"] for fm in fold_metrics))]
+
+
+def warn_if_one_class(counts: list[list[int]], names, what: str) -> None:
+    """Log one WARNING naming the class when every prediction counted in a
+    `confusion` matrix fell in it: such scores are a constant predictor's."""
+    predicted = [c for c, column in enumerate(zip(*counts)) if any(column)]
+    if len(predicted) == 1:
+        log.warning("every %s prediction is %s: the model scores as a constant predictor",
+                    what, names[predicted[0]])
+
+
 def kfold_split(labels: list[int], k: int = 5, seed: int = 0) -> list[list[int]]:
     """Stratified fold assignment over item indices.
 
@@ -136,16 +150,18 @@ def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0) -> dict:
     with shards.one_blas_thread() as pinned:
         if not pinned or shards.usable_cpus() < 2:
             log.debug("%d folds on 1 process", k)
-            return aggregate_folds([fold_metrics(fi) for fi in range(k)])
-        log.debug("%d folds on 2 processes", k)
-        fold_results = [None] * k
-        with shards.ShardWorker(fold_metrics, "fold") as worker:
-            for fi in range(1, k, 2):
-                worker.submit(fi)
-            for fi in range(0, k, 2):
-                fold_results[fi] = fold_metrics(fi)
-            for fi in range(1, k, 2):
-                fold_results[fi] = worker.result()
+            fold_results = [fold_metrics(fi) for fi in range(k)]
+        else:
+            log.debug("%d folds on 2 processes", k)
+            fold_results = [None] * k
+            with shards.ShardWorker(fold_metrics, "fold") as worker:
+                for fi in range(1, k, 2):
+                    worker.submit(fi)
+                for fi in range(0, k, 2):
+                    fold_results[fi] = fold_metrics(fi)
+                for fi in range(1, k, 2):
+                    fold_results[fi] = worker.result()
+    warn_if_one_class(pooled_confusion(fold_results), [r.label for r in Rank], "cross-validation")
     return aggregate_folds(fold_results)
 
 
@@ -161,7 +177,7 @@ def format_report(agg: dict, title: str = "evaluation") -> str:
         m = agg[key]
         lines.append(f"{name:<18}{100 * m['mean']:10.1f}({100 * m['std']:.2f})")
     # Per-category table pooled over folds.
-    pooled = [list(map(sum, zip(*rows))) for rows in zip(*(fm["confusion"] for fm in agg["folds"]))]
+    pooled = pooled_confusion(agg["folds"])
     lines.append(f"{'Category':<10}{'Precision':>10}{'Recall':>10}")
     for rank, pc in zip(Rank, per_class_prf(pooled), strict=True):
         lines.append(f"{rank.label:<10}{100 * pc['precision']:>9.1f}%{100 * pc['recall']:>9.1f}%")

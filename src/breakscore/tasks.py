@@ -168,55 +168,47 @@ def _token_batches(seqs: list[tuple]):
 # -- model plumbing ----------------------------------------------------------
 # The model config's type picks the network: the encoder or the Bi-LSTM, and
 # its max_len the most tokens of a sequence it reads, in training and prediction.
-# Training data arrives cut to it (`cut_to_max_len`).
+# Training data arrives cut to it (`cut_to_max_len`). `_head_rows`, which the
+# train step and prediction share, runs the network and picks what the head reads.
 
 
-def _head_cols(kind, cfg, break_mask):
-    """The columns of a padded batch whose hidden states the head reads: the
-    CLS column (encoder) or the break columns ("fine"); every column for the
-    BiLSTM, which computes them all anyway."""
-    if not isinstance(cfg, EncoderConfig):
-        return slice(None)
-    return np.flatnonzero(break_mask.any(axis=0)) if kind == "fine" else [0]
+def _head_rows(params, kind, cfg, ids, pad_mask, break_mask, dropout_rng=None):
+    """The hidden states a head reads from a padded batch, and their backward.
 
-
-def _forward(params, cfg, ids, pad_mask, *, cols, train=False, dropout_rng=None):
-    """Hidden states at the `_head_cols` columns, and the backward cache."""
-    if isinstance(cfg, EncoderConfig):
-        return encoder_forward(ids, pad_mask, params, cfg, train=train, dropout_rng=dropout_rng,
-                               positions=cols)
-    return bilstm_forward(ids, pad_mask, params, cfg)
-
-
-def _backward(params, cfg, dhidden, cache):
-    if isinstance(cfg, EncoderConfig):
-        return encoder_backward(dhidden, cache)
-    return bilstm_backward(dhidden, params, cache)
-
-
-def _head_rows(kind, cfg, hidden, pad_mask, break_mask, cols):
-    """The hidden states a head reads from those at the `cols` columns: one per
-    break position ("fine"), else one per sequence, the CLS state (encoder) or
-    the masked mean (BiLSTM)."""
-    if kind == "fine":
-        return hidden[np.nonzero(break_mask[:, cols])]
-    if isinstance(cfg, EncoderConfig):
-        return hidden[:, 0, :]
-    m = pad_mask.astype(hidden.dtype)
-    return (hidden * m[:, :, None]).sum(axis=1) / m.sum(axis=1)[:, None]
-
-
-def _head_rows_backward(kind, cfg, drows, hidden, pad_mask, break_mask, cols):
-    """Scatter the gradient of `_head_rows` back onto the hidden states."""
-    dhidden = np.zeros_like(hidden)
-    if kind == "fine":
-        dhidden[np.nonzero(break_mask[:, cols])] = drows
-    elif isinstance(cfg, EncoderConfig):
-        dhidden[:, 0, :] = drows
+    The rows are one per break position ("fine"), else one per sequence: the
+    [CLS] state (encoder) or the masked mean over real positions (Bi-LSTM,
+    which has no [CLS] convention). The encoder computes its last layer only at
+    the columns the head reads, [CLS] or the batch's break columns; the Bi-LSTM
+    computes every column anyway. A `dropout_rng` means train mode.
+    `backward(drows)`, called at most once, takes the rows' gradient to the
+    network's parameter gradients.
+    """
+    encoder = isinstance(cfg, EncoderConfig)
+    if encoder:
+        cols = np.flatnonzero(break_mask.any(axis=0)) if kind == "fine" else [0]
+        hidden, cache = encoder_forward(ids, pad_mask, params, cfg, train=dropout_rng is not None,
+                                        dropout_rng=dropout_rng, positions=cols)
     else:
-        m = pad_mask.astype(hidden.dtype)
-        dhidden += drows[:, None, :] * (m / m.sum(axis=1)[:, None])[:, :, None]
-    return dhidden
+        cols = slice(None)
+        hidden, cache = bilstm_forward(ids, pad_mask, params, cfg)
+    if kind == "fine" or encoder:
+        at = np.nonzero(break_mask[:, cols]) if kind == "fine" else (slice(None), 0)
+        rows = hidden[at]
+    else:
+        at, m = None, pad_mask.astype(hidden.dtype)
+        rows = (hidden * m[:, :, None]).sum(axis=1) / m.sum(axis=1)[:, None]
+
+    def backward(drows):
+        dhidden = np.zeros_like(hidden)
+        if at is not None:
+            dhidden[at] = drows
+        else:
+            dhidden += drows[:, None, :] * (m / m.sum(axis=1)[:, None])[:, :, None]
+        if encoder:
+            return encoder_backward(dhidden, cache)
+        return bilstm_backward(dhidden, params, cache)
+
+    return rows, backward
 
 
 def _check_init_compat(init: Checkpoint, cfg, vocab) -> None:
@@ -288,10 +280,7 @@ def _train(
             flat[1 + s].fill(0.0)
             return 0.0
         ids, pad_mask, break_mask = _pad_batch([(samples[i][0], samples[i][1]) for i in rows_idx])
-        cols = _head_cols(kind, cfg, break_mask)
-        hidden, cache = _forward(params, cfg, ids, pad_mask, cols=cols, train=True,
-                                 dropout_rng=drop_rngs[s])
-        rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask, cols)
+        rows, backward = _head_rows(params, kind, cfg, ids, pad_mask, break_mask, drop_rngs[s])
         if len(rows) != len(shard_targets):
             raise DataError(
                 f"{len(shard_targets)} {kind} labels for {len(rows)} head positions"
@@ -303,10 +292,7 @@ def _train(
             loss *= share
             dlogits *= dlogits.dtype.type(share)
         grads = {"head_w": rows.T @ dlogits, "head_b": dlogits.sum(axis=0)}
-        dhidden = _head_rows_backward(
-            kind, cfg, dlogits @ params["head_w"].T, hidden, pad_mask, break_mask, cols
-        )
-        grads.update(_backward(params, cfg, dhidden, cache))
+        grads.update(backward(dlogits @ params["head_w"].T))
         for k, g in grads.items():
             grad_slots[s][k][...] = g
         return loss
@@ -353,9 +339,7 @@ def _predict_logits(params, kind, cfg, seqs: list[tuple]):
     out = [None] * len(seqs)
     for batch in _token_batches(seqs):
         ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch])
-        cols = _head_cols(kind, cfg, break_mask)
-        hidden, _ = _forward(params, cfg, ids, pad_mask, cols=cols)
-        rows = _head_rows(kind, cfg, hidden, pad_mask, break_mask, cols)
+        rows = _head_rows(params, kind, cfg, ids, pad_mask, break_mask)[0]
         logits = rows @ params["head_w"] + params["head_b"]
         if kind == "fine":
             logits = np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1])
@@ -399,7 +383,9 @@ def pretrain_rbtd(
     logits = _predict_logits(params, "rbtd", enc_cfg,
                              [(dataset[i].ids, dataset[i].break_mask) for i in held])
     pairs = zip((targets[i] for i in held), (int(np.argmax(row)) for row in logits), strict=True)
-    held_metrics = metrics.compute_metrics(metrics.confusion(pairs, N_CLASSES["rbtd"]))
+    counts = metrics.confusion(pairs, N_CLASSES["rbtd"])
+    metrics.warn_if_one_class(counts, ("original", "corrupted"), "held-out discriminator")
+    held_metrics = metrics.compute_metrics(counts)
     report = {
         "held_out": len(held),
         "accuracy": held_metrics["accuracy"],
@@ -481,9 +467,4 @@ def predict_overall(ckpt: Checkpoint, seqs: list[tuple]) -> tuple[list[Rank], np
 
 def predict_finegrained(ckpt: Checkpoint, seqs: list[tuple]) -> list[list[Rank]]:
     """For each (ids, break_mask), one rank per break position, in position order."""
-    logits = _checked_logits(ckpt, "fine", seqs)
-    if not logits:
-        return []
-    ranks = _ranks(np.concatenate(logits))
-    ends = np.cumsum([len(rows) for rows in logits]).tolist()
-    return [ranks[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    return [_ranks(rows) for rows in _checked_logits(ckpt, "fine", seqs)]

@@ -172,11 +172,11 @@ def test_gradient_correctness():
 
     worst["bilstm"] = grad_check(bilstm_loss, bparams, n_coords=15, seed=3)
 
-    # The heads through the task plumbing, so the encoder computes its last
-    # layer only at the columns the head reads: [CLS] for the sequence head
-    # (the discriminator/overall path: CLS pool + linear + CE), the break
-    # columns for the token head (fine-grained path: per-break-position
-    # linear + CE).
+    # The heads through `tasks._head_rows`, the train step's path, so the
+    # encoder computes its last layer only at the columns the head reads:
+    # [CLS] for the sequence head (the discriminator/overall path: CLS pool +
+    # linear + CE), the break columns for the token head (fine-grained path:
+    # per-break-position linear + CE).
     cfg, _, _ = _encoder_case(200)
     case_rng = make_rng(200, "batch")
     hids = np.concatenate(
@@ -186,18 +186,21 @@ def test_gradient_correctness():
     hmask[1, -1] = hmask[3, -2:] = False
 
     def head_loss(kind, break_mask, targets):
+        n_cols = int(break_mask.any(axis=0).sum()) if kind == "fine" else 1
+
+        def cut_forward(*args, **kwargs):
+            h, cache = encoder_forward(*args, **kwargs)
+            assert h.shape[1] == n_cols   # only the columns the head reads
+            return h, cache
+
         def loss_fn(p):
-            core = {k: v for k, v in p.items() if not k.startswith("head_")}
-            cols = tasks._head_cols(kind, cfg, break_mask)
-            h, cache = tasks._forward(core, cfg, hids, hmask, cols=cols)
-            assert h.shape[1] == len(cols)
-            states = tasks._head_rows(kind, cfg, h, hmask, break_mask, cols)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(tasks, "encoder_forward", cut_forward)
+                states, backward = tasks._head_rows(p, kind, cfg, hids, hmask, break_mask)
             logits = states @ p["head_w"] + p["head_b"]
             loss, dlogits = batched_cross_entropy(logits, targets)
             grads = {"head_w": states.T @ dlogits, "head_b": dlogits.sum(axis=0)}
-            dh = tasks._head_rows_backward(kind, cfg, dlogits @ p["head_w"].T, h, hmask,
-                                           break_mask, cols)
-            grads.update(tasks._backward(core, cfg, dh, cache))
+            grads.update(backward(dlogits @ p["head_w"].T))
             return loss, grads
 
         return loss_fn

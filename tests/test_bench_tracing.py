@@ -3,6 +3,9 @@ calls what it wraps the way the package does."""
 import json
 import os
 import sys
+from collections import Counter
+
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
@@ -88,3 +91,21 @@ def test_traced_score_times_each_head(tmp_path):
     assert all(len(ids) == 1 for ids in heads.values()), heads
     forwards = [names[s[4]] for s in tracer.spans if s[1] == "nn.encoder.forward"]
     assert sorted(forwards) == sorted(heads)
+
+
+@pytest.mark.parametrize("model, net", [("encoder", "nn.encoder"), ("bilstm", "nn.bilstm")])
+def test_traced_finetune_pairs_each_forward_with_its_backward(tmp_path, monkeypatch, model, net):
+    # A train step's backward runs in the closure `tasks._head_rows` returns,
+    # so the tracer sees it only if the closure looks the network's backward
+    # up in `tasks` when it runs, and passes (dhidden, cache) positionally as
+    # the tracer reads them. Shard 1's spans would die with the shard worker,
+    # so both shards run here.
+    monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+    config, data = tiny_corpus(tmp_path)
+    code, tracer = traced_main(["finetune", "--task", "overall", "--model", model,
+                                "--config", config, "--in", str(data / "esl.jsonl"),
+                                "--vocab", str(data / "vocab.tsv"),
+                                "--out", str(tmp_path / "overall.pbrk")])
+    assert code == 0
+    spans = Counter(s[1] for s in tracer.spans)
+    assert spans[f"{net}.forward"] == spans[f"{net}.backward"] >= spans["nn.adam.step"] > 0

@@ -899,9 +899,9 @@ class TestShardWorkerFaults:
 
     @pytest.fixture()
     def fault_in_worker(self, monkeypatch):
-        """Make `_forward` run `fault()` in the worker only, that is on shard 1."""
+        """Make `encoder_forward` run `fault()` in the worker only, that is on shard 1."""
         monkeypatch.setattr(shards, "SHARD_TOKENS", 1)
-        parent, forward = os.getpid(), tasks._forward
+        parent, forward = os.getpid(), tasks.encoder_forward
 
         def install(fault):
             def faulty(*args, **kwargs):
@@ -909,7 +909,7 @@ class TestShardWorkerFaults:
                     fault()
                 return forward(*args, **kwargs)
 
-            monkeypatch.setattr(tasks, "_forward", faulty)
+            monkeypatch.setattr(tasks, "encoder_forward", faulty)
 
         return install
 
@@ -1006,6 +1006,19 @@ class TestFoldWorker:
         assert "fold worker exited with code 7" in caplog.text
 
 
+def test_default_eval_warns_that_it_predicts_one_class(tmp_path, caplog):
+    # At the default config every fold's model predicts Great at every break,
+    # so its macro-F1 is a constant predictor's; the report's values stay.
+    data = tmp_path / "data"
+    assert run("synth", "--seed", "11", "--out-dir", str(data)) == 0
+    caplog.clear()
+    assert run("eval", "--seed", "11", "--task", "fine", "--in", str(data / "esl.jsonl"),
+               "--vocab", str(data / "vocab.tsv"), "--model", "scratch") == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["every cross-validation prediction is Great: the model scores as a "
+                        "constant predictor"]
+
+
 _OVERALL_LINE = re.compile(r"  overall: (\w+)  \(Poor=([0-9.]+) Fair=([0-9.]+) Great=([0-9.]+)\)")
 
 
@@ -1062,13 +1075,12 @@ class TestBatchedScore:
 
     def assert_equivalent(self, argv, utts, tmp_path, capsys, monkeypatch):
         forwards = []
-        real_forward = tasks._forward
+        for name in ("encoder_forward", "bilstm_forward"):
+            def counting_forward(ids, *args, real_forward=getattr(tasks, name), **kwargs):
+                forwards.append(ids.shape[0])
+                return real_forward(ids, *args, **kwargs)
 
-        def counting_forward(params, cfg, ids, pad_mask, **kwargs):
-            forwards.append(ids.shape[0])
-            return real_forward(params, cfg, ids, pad_mask, **kwargs)
-
-        monkeypatch.setattr(tasks, "_forward", counting_forward)
+            monkeypatch.setattr(tasks, name, counting_forward)
         whole = tmp_path / "all.ctm"
         _write_ctm(whole, utts)
         batched = self.score(argv, whole, capsys).splitlines()

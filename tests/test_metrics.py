@@ -217,6 +217,18 @@ class TestCrossValidate:
             with pytest.raises(DataError, match="^fold 2: its 2 test items give nothing to score$"):
                 cross_validate(items, labels, train_fn, k=5)
 
+    @pytest.mark.parametrize("predicted, warned", [((2,), True), ((0, 2), False)])
+    def test_warns_once_when_every_fold_predicts_one_class(self, caplog, predicted, warned):
+        items = list(range(12))
+
+        def train_fn(train_items, fold_seed):
+            return lambda item: [(item % 3, predicted[item % len(predicted)])]
+
+        cross_validate(items, [i % 3 for i in items], train_fn, k=3)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == warned * ["every cross-validation prediction is Great: the model "
+                                     "scores as a constant predictor"]
+
     def test_fold_programming_fault_is_not_a_data_error(self):
         # Any other exception is a bug, not bad input: it leaves unwrapped.
         items = list(range(6))

@@ -24,7 +24,7 @@ from breakscore.corruption import (
 )
 from breakscore.exceptions import DataError
 from breakscore.nn.bilstm import BiLstmConfig
-from breakscore.nn.encoder import EncoderConfig
+from breakscore.nn.encoder import EncoderConfig, encoder_forward
 from breakscore.nn.functional import batched_cross_entropy, init_params
 from breakscore.ranks import Rank, rank_to_class
 from breakscore.rngs import make_rng
@@ -35,6 +35,7 @@ from breakscore.tasks import (
     TrainConfig,
     _pad_batch,
     _predict_logits,
+    _token_batches,
     finetune,
     predict_finegrained,
     predict_overall,
@@ -292,6 +293,19 @@ class TestPretrainRbtd:
         assert "head_w" in ckpt.params
         assert 0.0 <= report["accuracy"] <= 1.0
         assert len(report["epoch_losses"]) == 1
+
+    @pytest.mark.parametrize("one_class", [True, False])
+    def test_warns_when_every_held_out_prediction_is_one_class(self, monkeypatch, caplog,
+                                                              one_class):
+        def logits(params, kind, cfg, seqs):
+            return [np.array([i % 2 and not one_class, 0.5]) for i in range(len(seqs))]
+
+        monkeypatch.setattr(tasks, "_predict_logits", logits)
+        pretrain_rbtd(self._dataset(), TrainConfig(batch_size=16, epochs=1), small_cfg(12),
+                      toy_vocab())
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == one_class * ["every held-out discriminator prediction is corrupted: "
+                                        "the model scores as a constant predictor"]
 
     def test_deterministic(self):
         data = self._dataset()
@@ -583,9 +597,9 @@ class TestBatchedPrediction:
 
 
 class TestHeadColumns:
-    """The encoder computes its last layer only at the columns the head reads:
-    [CLS], or the break columns of the batch for the fine head. Forcing every
-    column (`_head_cols` patched to all) must give the same head rows."""
+    """`_head_rows` runs the encoder's last layer only at the columns the head
+    reads: [CLS], or the break columns of the batch for the fine head. The
+    encoder run at every column must give the same head rows."""
 
     @pytest.fixture(scope="class")
     def esl(self, tmp_path_factory):
@@ -598,8 +612,7 @@ class TestHeadColumns:
             return read_rated(f), vocab
 
     @pytest.mark.parametrize("n_layers, max_len", [(2, 128), (0, 128), (2, 16)])
-    def test_fine_cut_matches_all_rows_on_a_synthesized_file(self, esl, monkeypatch,
-                                                              n_layers, max_len):
+    def test_fine_cut_matches_all_rows_on_a_synthesized_file(self, esl, n_layers, max_len):
         # Scaled-up weights and a centred head make the ranks differ. At
         # max_len 16 most records are cut, so their breaks past it get no rank.
         samples, vocab = esl
@@ -615,9 +628,17 @@ class TestHeadColumns:
         ckpt = Checkpoint(kind="fine", model_cfg=cfg, vocab=vocab, seed=11, params=params)
         cut = _predict_logits(params, "fine", cfg, seqs)
         cut_ranks = predict_finegrained(ckpt, seqs)
-        monkeypatch.setattr(tasks, "_head_cols", lambda kind, cfg, break_mask: slice(None))
-        full = _predict_logits(params, "fine", cfg, seqs)
-        full_ranks = predict_finegrained(ckpt, seqs)
+        # The reference: the same batches, every column computed.
+        seqs_read = [(ids[:max_len], mask[:max_len]) for ids, mask in seqs]
+        full = [None] * len(seqs)
+        for batch in _token_batches(seqs_read):
+            ids, pad_mask, break_mask = _pad_batch([seqs_read[i] for i in batch])
+            hidden, _ = encoder_forward(ids, pad_mask, params, cfg, positions=slice(None))
+            logits = hidden[break_mask] @ params["head_w"] + params["head_b"]
+            for i, rows in zip(batch, np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1]),
+                               strict=True):
+                full[i] = rows
+        full_ranks = [tasks._ranks(rows) for rows in full]
 
         assert [len(r) for r in cut_ranks] == [sum(mask[:max_len]) for _, mask in seqs]
         for got, want in zip(cut, full, strict=True):
@@ -633,29 +654,31 @@ class TestHeadColumns:
                           params=params, init_from=None)
         assert predict_finegrained(ckpt, [encoded([8], []), encoded([9], [])]) == [[], []]
 
-    @pytest.mark.parametrize("n_layers", [2, 0])
+    @pytest.mark.parametrize("net", [2, 0, "bilstm"])   # encoder layers, or the Bi-LSTM
     @pytest.mark.parametrize("kind", ["fine", "overall"])
-    def test_gradients_against_finite_differences(self, kind, n_layers):
-        # The train step's path, from the padded batch through the head
-        # columns, the head rows and the head to the loss, and back.
-        cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=n_layers,
-                            ffn_dim=16, max_len=16)
+    def test_gradients_against_finite_differences(self, kind, net):
+        # The train step's path, from the padded batch through `_head_rows`
+        # and the head to the loss, and back. The Bi-LSTM's overall head reads
+        # the masked mean, over rows of three lengths.
+        if net == "bilstm":
+            cfg = BiLstmConfig(vocab_size=12, embed_dim=6, hidden_size=5)
+        else:
+            cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=net,
+                                ffn_dim=16, max_len=16)
         params = init_params(param_shapes(kind, cfg), make_rng(0, "init"))
-        params = {k: v * 20 if k.startswith("layer") and v.ndim == 2 else v
-                  for k, v in params.items()}   # away from linear
+        # Away from linear, and for the Bi-LSTM's small init, from gradients
+        # as small as the finite differences' rounding.
+        params = {k: v * 20 if net == "bilstm" or k.startswith("layer") and v.ndim == 2 else v
+                  for k, v in params.items()}
         ids, pad_mask, break_mask = _pad_batch(
             [encoded([8, 9, 10, 11], [0, 3, 1]), encoded([9, 8], [2]), encoded([10], [])])
         targets = np.arange(3 if kind == "overall" else 4) % 3
 
         def loss_fn(p):
-            cols = tasks._head_cols(kind, cfg, break_mask)
-            hidden, cache = tasks._forward(p, cfg, ids, pad_mask, cols=cols)
-            rows = tasks._head_rows(kind, cfg, hidden, pad_mask, break_mask, cols)
+            rows, backward = tasks._head_rows(p, kind, cfg, ids, pad_mask, break_mask)
             loss, dlogits = batched_cross_entropy(rows @ p["head_w"] + p["head_b"], targets)
             grads = {"head_w": rows.T @ dlogits, "head_b": dlogits.sum(axis=0)}
-            dhidden = tasks._head_rows_backward(kind, cfg, dlogits @ p["head_w"].T, hidden,
-                                                pad_mask, break_mask, cols)
-            grads.update(tasks._backward(p, cfg, dhidden, cache))
+            grads.update(backward(dlogits @ p["head_w"].T))
             return loss, grads
 
         assert grad_check(loss_fn, params, n_coords=40) < 1e-4
