@@ -12,9 +12,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 import re
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jsonl
 from .exceptions import DataError, ParseError
@@ -26,38 +29,47 @@ class BreakClass(enum.IntEnum):
     BR2 = 2
     BR3 = 3
 
-    @property
-    def token(self) -> str:
-        return f"br{int(self)}"
+    def __init__(self, value):
+        self.token = f"br{value}"
 
 
-# Upper-inclusive duration bounds, in seconds.
+# Upper-inclusive duration bounds, in seconds; class i holds the gaps up to
+# bound i, and BR3 the rest.
 _QUANT_BOUNDS = (0.010, 0.050, 0.200)
+_BREAK_CLASSES = tuple(BreakClass)
+_INF = math.inf
 
 
 def quantize(gap: float) -> BreakClass:
     """Map a non-negative inter-word gap in seconds to its break class."""
-    if gap < 0:
-        raise DataError(f"negative gap: {gap}")
-    for cls, bound in zip(BreakClass, _QUANT_BOUNDS):
-        if gap <= bound:
-            return cls
-    return BreakClass.BR3
+    if not gap >= 0:
+        raise DataError(f"{'negative' if gap < 0 else 'non-finite'} gap: {gap}")
+    return _BREAK_CLASSES[bisect_left(_QUANT_BOUNDS, gap)]
 
 
-@dataclass(frozen=True)
-class AlignedWord:
+class _Word(NamedTuple):
     surface: str
     start: float
     end: float
 
-    def __post_init__(self):
-        if not self.surface or any(c.isspace() for c in self.surface):
-            raise DataError(f"bad word surface: {self.surface!r}")
-        if self.start < 0 or self.end < self.start:
-            raise DataError(
-                f"bad word times for {self.surface!r}: start={self.start} end={self.end}"
-            )
+
+class AlignedWord(_Word):
+    """One aligned word: a non-empty surface without whitespace, and finite
+    times with 0 <= start <= end."""
+
+    __slots__ = ()
+
+    def __new__(cls, surface: str, start: float, end: float):
+        if surface.split() != [surface]:
+            raise DataError(f"bad word surface: {surface!r}")
+        if not 0 <= start <= end < _INF:
+            raise DataError(f"bad word times for {surface!r}: start={start} end={end}")
+        return tuple.__new__(cls, (surface, start, end))
+
+    @classmethod
+    def _make(cls, iterable):
+        """What `_replace` builds through, so it is checked too."""
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,7 @@ class AlignedUtterance:
         if not self.words:
             raise DataError(f"utterance {self.id!r} has no words")
         starts = [w.start for w in self.words]
-        if any(b < a for a, b in zip(starts, starts[1:])):
+        if any(map(operator.gt, starts, starts[1:])):
             raise DataError(f"utterance {self.id!r} has non-monotone word starts")
 
 
@@ -95,7 +107,8 @@ class TokenSequence:
 
 def inter_word_gaps(words: Sequence[AlignedWord]) -> list[float]:
     """Silence between consecutive words; overlaps clamp to 0."""
-    return [max(0.0, b.start - a.end) for a, b in zip(words, words[1:])]
+    gaps = [b.start - a.end for a, b in zip(words, words[1:])]
+    return [g if g > 0 else 0.0 for g in gaps]
 
 
 _WORD_KEEP = re.compile(r"[^a-z0-9']+")
@@ -103,7 +116,10 @@ _WORD_KEEP = re.compile(r"[^a-z0-9']+")
 
 def normalize_word(surface: str) -> str:
     """Lowercase and strip punctuation; may return '' for pure punctuation."""
-    return _WORD_KEEP.sub("", surface.lower())
+    lowered = surface.lower()
+    if lowered.isascii() and lowered.isalnum():   # already only [a-z0-9]
+        return lowered
+    return _WORD_KEEP.sub("", lowered)
 
 
 def build_sequence(utt: AlignedUtterance) -> TokenSequence:
@@ -112,12 +128,15 @@ def build_sequence(utt: AlignedUtterance) -> TokenSequence:
     Pure-punctuation words are dropped; the gap then spans from the previous
     kept word's end to the next kept word's start.
     """
-    kept = [(surf, w) for w in utt.words if (surf := normalize_word(w.surface))]
+    words, kept = [], []
+    for w in utt.words:
+        if surf := normalize_word(w.surface):
+            words.append(surf)
+            kept.append(w)
     if not kept:
         raise DataError(f"utterance {utt.id!r} has no words after normalization")
-    words = tuple(surf for surf, _ in kept)
-    breaks = tuple(quantize(g) for g in inter_word_gaps([w for _, w in kept]))
-    return TokenSequence(id=utt.id, words=words, breaks=breaks)
+    breaks = tuple(map(quantize, inter_word_gaps(kept)))
+    return TokenSequence(id=utt.id, words=tuple(words), breaks=breaks)
 
 
 def _parse_rows(rows, source: str) -> list[AlignedUtterance]:
@@ -141,12 +160,12 @@ def _parse_rows(rows, source: str) -> list[AlignedUtterance]:
                     line=line_no,
                 )
             cur_id, cur_words = utt_id, []
-        if cur_words and start < cur_words[-1].start:
+        elif start < cur_words[-1].start:
             raise ParseError(
                 f"non-monotone start times in utterance {utt_id!r}", line=line_no
             )
         try:
-            cur_words.append(AlignedWord(surface=surface, start=start, end=end))
+            cur_words.append(AlignedWord(surface, start, end))
         except DataError as e:
             raise ParseError(str(e), line=line_no) from e
     flush()
@@ -171,22 +190,28 @@ def parse_ctm(stream) -> list[AlignedUtterance]:
     """
     rows = []
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";;"):
+        fields = raw.split()
+        if not fields or fields[0].startswith(("#", ";;")):
             continue
-        fields = line.split()
         if len(fields) != 5:
             raise ParseError(
-                f"expected 5 fields, got {len(fields)}: {line!r}", line=line_no
+                f"expected 5 fields, got {len(fields)}: {raw.strip()!r}", line=line_no
             )
         utt_id, _channel, start_s, dur_s, word = fields
-        start = _num(start_s, "start time", line_no)
-        dur = _num(dur_s, "duration", line_no)
-        if dur < 0:
-            raise ParseError(f"negative duration {dur}", line=line_no)
-        if not math.isfinite(start + dur):
+        try:
+            start, dur = float(start_s), float(dur_s)
+        except ValueError:
+            start = dur = math.nan
+        end = start + dur
+        # A finite end needs a finite start and duration; NaN fails both tests.
+        # A line that fails is checked field by field to name its first fault.
+        if not (dur >= 0 and -_INF < end < _INF):
+            start = _num(start_s, "start time", line_no)
+            dur = _num(dur_s, "duration", line_no)
+            if dur < 0:
+                raise ParseError(f"negative duration {dur}", line=line_no)
             raise ParseError(f"end time {start} + {dur} overflows", line=line_no)
-        rows.append((line_no, utt_id, word, start, start + dur))
+        rows.append((line_no, utt_id, word, start, end))
     return _parse_rows(rows, "CTM input")
 
 
@@ -194,18 +219,21 @@ def parse_tsv(stream) -> list[AlignedUtterance]:
     """Parse the 4-column TSV fallback: `<utt-id>\\t<word>\\t<start-sec>\\t<end-sec>`."""
     rows = []
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
+        if not raw.strip() or raw.startswith("#"):
             continue
-        fields = line.split("\t")
+        fields = raw.rstrip("\n").split("\t")
         if len(fields) != 4:
             raise ParseError(
                 f"expected 4 tab-separated fields, got {len(fields)}", line=line_no
             )
         utt_id, word, start_s, end_s = fields
-        start = _num(start_s, "start time", line_no)
-        end = _num(end_s, "end time", line_no)
-        if end < start:
+        try:
+            start, end = float(start_s), float(end_s)
+        except ValueError:
+            start = end = math.nan
+        if not -_INF < start <= end < _INF:   # as in parse_ctm
+            start = _num(start_s, "start time", line_no)
+            end = _num(end_s, "end time", line_no)
             raise ParseError(f"end {end} before start {start}", line=line_no)
         rows.append((line_no, utt_id, word, start, end))
     return _parse_rows(rows, "TSV input")

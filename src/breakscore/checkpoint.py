@@ -149,7 +149,13 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
         if meta["n_classes"] != ckpt.n_classes or meta["params"] != table:
             raise DataError(f"{path}: n_classes or parameter table does not match a "
                             f"{ckpt.kind} {ckpt.model} checkpoint of its model_cfg")
+        # One read into one writable array; each parameter is a view of it.
+        flat = np.empty(count, dtype="<f4")
+        if f.readinto(flat) != 4 * count:
+            raise DataError(f"{path}: truncated parameter blob: the file shrank while it was read")
+        offset = 0
         for name, shape in table:
-            n_bytes = 4 * math.prod(shape)
-            ckpt.params[name] = np.frombuffer(f.read(n_bytes), dtype="<f4").reshape(shape).copy()
+            size = math.prod(shape)
+            ckpt.params[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
     return ckpt

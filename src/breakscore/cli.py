@@ -310,7 +310,7 @@ def cmd_score(args) -> int:
                         fine_ckpt.model_cfg.max_len, len(seq.breaks) - len(fine[u]))
         lines.append(f"utterance {seq.id}:")
         if overall_ckpt is not None:
-            probs_text = " ".join(f"{r.label}={probs[u, rank_to_class(r)]:.3f}" for r in Rank)
+            probs_text = " ".join(f"{r.label}={p:.3f}" for r, p in zip(Rank, probs[u].tolist()))
             lines.append(f"  overall: {overall[u].label}  ({probs_text})")
         if fine_ckpt is not None:
             sites = zip(seq.words, seq.breaks, seq.words[1:], fine[u])

@@ -53,9 +53,15 @@ def per_class_prf(counts: list[list[int]]) -> list[dict]:
     return out
 
 
+def predicted_counts(counts: list[list[int]]) -> list[int]:
+    """How many predictions fell in each class: the column sums of a
+    `confusion` count matrix."""
+    return [sum(column) for column in zip(*counts)]
+
+
 def compute_metrics(counts: list[list[int]]) -> dict:
-    """Accuracy, weighted/macro F1, and the per-class table of one `confusion`
-    count matrix."""
+    """Accuracy, weighted/macro F1, the per-class table and the predicted-class
+    counts of one `confusion` count matrix."""
     total = sum(map(sum, counts))
     if total == 0:
         raise DataError("empty confusion matrix")
@@ -69,6 +75,7 @@ def compute_metrics(counts: list[list[int]]) -> dict:
         "macro_f1": macro_f1,
         "per_class": per_class,
         "confusion": [list(row) for row in counts],
+        "predicted": predicted_counts(counts),
         "total": total,
     }
 
@@ -81,7 +88,7 @@ def pooled_confusion(fold_metrics: list[dict]) -> list[list[int]]:
 def warn_if_one_class(counts: list[list[int]], names, what: str) -> None:
     """Log one WARNING naming the class when every prediction counted in a
     `confusion` matrix fell in it: such scores are a constant predictor's."""
-    predicted = [c for c, column in enumerate(zip(*counts)) if any(column)]
+    predicted = [c for c, n in enumerate(predicted_counts(counts)) if n]
     if len(predicted) == 1:
         log.warning("every %s prediction is %s: the model scores as a constant predictor",
                     what, names[predicted[0]])
@@ -166,7 +173,8 @@ def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0) -> dict:
 
 
 def format_report(agg: dict, title: str = "evaluation") -> str:
-    """Human-readable mean(std) table plus per-category precision/recall."""
+    """Human-readable mean(std) table plus per-category precision/recall, and
+    how many predictions fell in each category."""
     lines = [f"== {title} ({agg['k']}-fold) =="]
     lines.append(f"{'metric':<18}{'avg.(std)':>16}")
     for key, name in (
@@ -181,4 +189,6 @@ def format_report(agg: dict, title: str = "evaluation") -> str:
     lines.append(f"{'Category':<10}{'Precision':>10}{'Recall':>10}")
     for rank, pc in zip(Rank, per_class_prf(pooled), strict=True):
         lines.append(f"{rank.label:<10}{100 * pc['precision']:>9.1f}%{100 * pc['recall']:>9.1f}%")
+    counts = zip(Rank, predicted_counts(pooled), strict=True)
+    lines.append("Predicted: " + ", ".join(f"{rank.label} {n}" for rank, n in counts))
     return "\n".join(lines)

@@ -9,9 +9,8 @@ class Rank(enum.IntEnum):
     FAIR = 2
     GREAT = 3
 
-    @property
-    def label(self) -> str:
-        return self.name.capitalize()
+    def __init__(self, value):
+        self.label = self._name_.capitalize()
 
 
 def rank_to_class(r: Rank) -> int:
@@ -19,5 +18,11 @@ def rank_to_class(r: Rank) -> int:
     return int(r) - 1
 
 
+_RANK_OF_CLASS = dict(enumerate(Rank))
+
+
 def class_to_rank(c: int) -> Rank:
-    return Rank(c + 1)
+    rank = _RANK_OF_CLASS.get(c)
+    if rank is None:
+        raise ValueError(f"{c!r} is not a rank class (0..{len(Rank) - 1})")
+    return rank

@@ -456,7 +456,7 @@ def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.n
 
 def _ranks(logits: np.ndarray) -> list[Rank]:
     """The rank of each row's largest logit; ties break toward the lower rank."""
-    return [class_to_rank(c) for c in np.argmax(logits, axis=-1).tolist()]
+    return list(map(class_to_rank, np.argmax(logits, axis=-1).tolist()))
 
 
 def predict_overall(ckpt: Checkpoint, seqs: list[tuple]) -> tuple[list[Rank], np.ndarray]:

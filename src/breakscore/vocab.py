@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .alignment import BreakClass, TokenSequence
+from .alignment import TokenSequence
 from .exceptions import DataError, ParseError
 
 PAD_ID = 0
@@ -19,10 +19,6 @@ BR_BASE_ID = 4  # BR0..BR3 occupy 4..7
 FIRST_WORD_ID = 8
 
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "br0", "br1", "br2", "br3")
-
-
-def break_id(cls: BreakClass) -> int:
-    return BR_BASE_ID + int(cls)
 
 
 def is_break_id(token_id: int) -> bool:
@@ -126,11 +122,9 @@ def encode(seq: TokenSequence, vocab: Vocabulary) -> tuple[list[int], list[bool]
 
     Returns (ids, break_mask); the mask is True exactly at break positions.
     """
-    ids = [CLS_ID, vocab.id_of(seq.words[0])]
-    mask = [False, False]
-    for br, word in zip(seq.breaks, seq.words[1:]):
-        ids.append(break_id(br))
-        mask.append(True)
-        ids.append(vocab.id_of(word))
-        mask.append(False)
-    return ids, mask
+    n = len(seq.words)
+    ids = [CLS_ID] * (2 * n)
+    get = vocab.word_to_id.get
+    ids[1::2] = [get(w, UNK_ID) for w in seq.words]     # vocab.id_of
+    ids[2::2] = [BR_BASE_ID + b for b in seq.breaks]
+    return ids, [False, False] + [True, False] * (n - 1)

@@ -291,7 +291,7 @@ def test_pretraining_transfer(pretrain_bundle):
     tcfg = TrainConfig(
         batch_size=TRANSFER_BATCH, epochs=TRANSFER_EPOCHS, lr=TRANSFER_LR, seed=SEED
     )
-    scores = {}
+    scores, predicted = {}, {}
     for name, mcfg, init in (
         ("rbtd", b["enc_cfg"], b["ckpt"]),
         ("scratch", b["enc_cfg"], None),
@@ -300,6 +300,10 @@ def test_pretraining_transfer(pretrain_bundle):
         fn = make_trained_predictor("fine", mcfg, b["vocab"], tcfg, init)
         agg = metrics.cross_validate(rated, labels, fn, k=5, seed=SEED)
         scores[name] = agg["macro_f1"]["mean"]
+        # Poor/Fair/Great predictions pooled over the folds: a model that
+        # predicts one class scores what a constant predictor would.
+        predicted[name] = "/".join(
+            str(n) for n in metrics.predicted_counts(metrics.pooled_confusion(agg["folds"])))
     elapsed = time.time() - t0
     gap = scores["rbtd"] - scores["scratch"]
     ok = gap >= 0.02 and scores["rbtd"] > scores["bilstm"] and elapsed < 1800
@@ -307,7 +311,8 @@ def test_pretraining_transfer(pretrain_bundle):
         "pretraining-transfer",
         ok,
         f"fine macro-F1 rbtd {scores['rbtd']:.3f} vs scratch {scores['scratch']:.3f} "
-        f"(gap {gap * 100:+.1f} pts) vs bilstm {scores['bilstm']:.3f}, {elapsed:.0f}s",
+        f"(gap {gap * 100:+.1f} pts) vs bilstm {scores['bilstm']:.3f}, {elapsed:.0f}s; "
+        "predicted Poor/Fair/Great " + ", ".join(f"{k} {v}" for k, v in predicted.items()),
     )
 
 

@@ -91,6 +91,9 @@ def test_traced_score_times_each_head(tmp_path):
     assert all(len(ids) == 1 for ids in heads.values()), heads
     forwards = [names[s[4]] for s in tracer.spans if s[1] == "nn.encoder.forward"]
     assert sorted(forwards) == sorted(heads)
+    # Each utterance is tokenized and encoded once, each call under its id.
+    for name in ("alignment.build_sequence", "vocab.encode"):
+        assert sorted(s[5] for s in tracer.spans if s[1] == name) == ["u0", "u1", "u2"], name
 
 
 @pytest.mark.parametrize("model, net", [("encoder", "nn.encoder"), ("bilstm", "nn.bilstm")])

@@ -76,12 +76,24 @@ class TestRoundTrip:
             np.testing.assert_array_equal(got.params[name], ckpt.params[name])
 
     def test_byte_identical_resave(self, tmp_path):
-        ckpt = make_ckpt(model="bilstm")
-        p1, p2 = str(tmp_path / "a.pbrk"), str(tmp_path / "b.pbrk")
-        save_checkpoint(ckpt, p1)
-        save_checkpoint(load_checkpoint(p1), p2)
-        with open(p1, "rb") as f1, open(p2, "rb") as f2:
-            assert f1.read() == f2.read()
+        for model in ("encoder", "bilstm"):
+            p1, p2 = str(tmp_path / f"{model}1.pbrk"), str(tmp_path / f"{model}2.pbrk")
+            save_checkpoint(make_ckpt(model=model), p1)
+            save_checkpoint(load_checkpoint(p1), p2)
+            with open(p1, "rb") as f1, open(p2, "rb") as f2:
+                assert f1.read() == f2.read(), model
+
+    def test_loaded_params_are_writable_and_separate(self, tmp_path):
+        # The blob is read into one array and each parameter is a view of it.
+        path = str(tmp_path / "m.pbrk")
+        save_checkpoint(make_ckpt(), path)
+        params = load_checkpoint(path).params
+        before = {name: p.copy() for name, p in params.items()}
+        for p in params.values():
+            assert p.flags.writeable
+        params["head_b"] += 1.0
+        for name, p in params.items():
+            np.testing.assert_array_equal(p, before[name] + (name == "head_b"))
 
     def test_magic_line_leads_the_file(self, tmp_path):
         path = str(tmp_path / "m.pbrk")
@@ -102,10 +114,11 @@ class TestCorruptionDetection:
         path = str(tmp_path / "m.pbrk")
         save_checkpoint(make_ckpt(), path)
         size = os.path.getsize(path)
-        with open(path, "r+b") as f:
-            f.truncate(size - 5)
-        with pytest.raises(DataError, match="truncated"):
-            load_checkpoint(path)
+        for short in (1, 5):
+            with open(path, "r+b") as f:
+                f.truncate(size - short)
+            with pytest.raises(DataError, match="truncated"):
+                load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = str(tmp_path / "m.pbrk")

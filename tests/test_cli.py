@@ -210,6 +210,12 @@ class TestPipeline:
         report = json.loads(open(out).read())
         assert report["k"] == 3 and "macro_f1" in report
         assert os.path.exists(out + ".txt")
+        # Each fold counts its predictions per class; the text pools them.
+        for fold in report["folds"]:
+            assert fold["predicted"] == [sum(column) for column in zip(*fold["confusion"])]
+        pooled = [sum(fold["predicted"][c] for fold in report["folds"]) for c in range(3)]
+        assert open(out + ".txt").read().splitlines()[-1] == \
+            "Predicted: Poor {}, Fair {}, Great {}".format(*pooled)
 
     def test_eval_k_is_echoed_and_reruns_identically(self, pipeline, tmp_path):
         # --k lands in the echoed config, so a run from that file alone repeats it.

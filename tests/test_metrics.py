@@ -17,6 +17,7 @@ from breakscore.metrics import (
     kfold_split,
     per_class_prf,
 )
+from breakscore.ranks import Rank, class_to_rank, rank_to_class
 from breakscore.rngs import make_rng
 
 # Whether cross_validate can run folds on a forked worker here.
@@ -50,6 +51,7 @@ class TestComputeMetrics:
         # per-class F1: c0 2/3*2/3 -> 2/3; c1 3/4,1 -> 6/7; c2 1,3/4 -> 6/7
         assert m["macro_f1"] == pytest.approx((2 / 3 + 6 / 7 + 6 / 7) / 3)
         assert m["weighted_f1"] == pytest.approx((2 / 3 * 3 + 6 / 7 * 3 + 6 / 7 * 4) / 10)
+        assert m["predicted"] == [3, 4, 3]
 
     def test_zero_denominators_define_zero(self):
         # Class 2 never predicted and never true: P=R=F1=0, still in macro.
@@ -117,11 +119,13 @@ class TestAggregate:
         text = format_report(aggregate_folds([compute_metrics(cm) for cm in folds]), title="t")
         assert "Accuracy" in text and "Precision" in text and "Recall" in text
         # Pooled [[2, 1, 1], [2, 4, 0], [1, 0, 7]]: precision and recall are
-        # Poor 2/5 and 2/4, Fair 4/5 and 4/6, Great 7/8 and 7/8.
-        assert text.splitlines()[-3:] == [
+        # Poor 2/5 and 2/4, Fair 4/5 and 4/6, Great 7/8 and 7/8; the column
+        # sums are the predicted counts.
+        assert text.splitlines()[-4:] == [
             "Poor           40.0%     50.0%",
             "Fair           80.0%     66.7%",
             "Great          87.5%     87.5%",
+            "Predicted: Poor 5, Fair 5, Great 8",
         ]
 
 
@@ -238,3 +242,12 @@ class TestCrossValidate:
 
         with pytest.raises(ValueError, match="^boom$"):
             cross_validate(items, [i % 2 for i in items], train_fn, k=2)
+
+
+def test_rank_tables():
+    assert [r.label for r in Rank] == ["Poor", "Fair", "Great"]
+    assert [class_to_rank(c) for c in range(3)] == [Rank.POOR, Rank.FAIR, Rank.GREAT]
+    assert all(class_to_rank(rank_to_class(r)) is r for r in Rank)
+    for c in (3, -1):
+        with pytest.raises(ValueError, match="not a rank class"):
+            class_to_rank(c)

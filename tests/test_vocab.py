@@ -12,7 +12,6 @@ from breakscore.vocab import (
     SEP_ID,
     UNK_ID,
     Vocabulary,
-    break_id,
     build_vocab,
     encode,
     is_break_id,
@@ -29,7 +28,8 @@ class TestReservedIds:
         assert RESERVED_TOKENS == ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "br0", "br1", "br2", "br3")
 
     def test_break_ids(self):
-        assert [break_id(c) for c in BreakClass] == [4, 5, 6, 7]
+        ids, _ = encode(seq(["a"] * 5, [0, 1, 2, 3]), Vocabulary(word_to_id={}))
+        assert ids[2::2] == [4, 5, 6, 7]
         assert [i for i in range(10) if is_break_id(i)] == [4, 5, 6, 7]
 
 
