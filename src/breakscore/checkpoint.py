@@ -12,6 +12,7 @@ as is the vocabulary's size; a mismatch is a `DataError` naming the file.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -41,6 +42,14 @@ def param_shapes(kind: str, model_cfg) -> dict[str, tuple[int, ...]]:
     holds: the network's own, then its head's."""
     n = N_CLASSES[kind]
     return {**model_cfg.param_shapes(), "head_w": (model_cfg.hidden_dim, n), "head_b": (n,)}
+
+
+def named_views(flat: np.ndarray, shapes: dict) -> dict:
+    """Name -> view into `flat` of each entry of a name -> shape table, laid
+    out in table order."""
+    ends = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
+    return {name: flat[lo:hi].reshape(shape)
+            for (name, shape), lo, hi in zip(shapes.items(), ends, ends[1:])}
 
 
 def param_count(kind: str, model_cfg) -> int:
@@ -145,7 +154,8 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
                             f"give {count} parameters, {4 * count} bytes, but {blob} bytes "
                             "follow the metadata")
         shapes = param_shapes(ckpt.kind, ckpt.model_cfg)
-        table = [[name, list(shapes[name])] for name in sorted(shapes)]
+        shapes = {name: shapes[name] for name in sorted(shapes)}
+        table = [[name, list(shape)] for name, shape in shapes.items()]
         if meta["n_classes"] != ckpt.n_classes or meta["params"] != table:
             raise DataError(f"{path}: n_classes or parameter table does not match a "
                             f"{ckpt.kind} {ckpt.model} checkpoint of its model_cfg")
@@ -153,9 +163,5 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
         flat = np.empty(count, dtype="<f4")
         if f.readinto(flat) != 4 * count:
             raise DataError(f"{path}: truncated parameter blob: the file shrank while it was read")
-        offset = 0
-        for name, shape in table:
-            size = math.prod(shape)
-            ckpt.params[name] = flat[offset:offset + size].reshape(shape)
-            offset += size
+        ckpt.params = named_views(flat, shapes)
     return ckpt

@@ -1,9 +1,10 @@
 """Run configuration: sectioned YAML with strict key checking.
 
 Sections map onto the module configs (synth, corruption, encoder, bilstm,
-train, eval) plus a global seed. Unknown sections or keys are rejected;
-command-line flags override file values; every command echoes the resolved
-configuration next to its outputs.
+train, eval) plus the global seed, the only seed. Unknown sections or keys, a
+section `seed` among them, are rejected at load time, and so is a value that
+`jsonl.check_fields` rejects; command-line flags override file values; every
+command echoes the resolved configuration next to its outputs.
 """
 from __future__ import annotations
 
@@ -14,21 +15,24 @@ import yaml
 
 from .corruption import CorruptionConfig
 from .exceptions import DataError
+from .jsonl import check_fields
 from .metrics import EvalConfig
 from .nn.bilstm import BiLstmConfig
 from .nn.encoder import EncoderConfig
 from .synth import SynthConfig
 from .tasks import TrainConfig
 
-# vocab_size is resolved from data at run time, never configured.
 _SECTION_TYPES = {
-    "synth": (SynthConfig, ()),
-    "corruption": (CorruptionConfig, ()),
-    "encoder": (EncoderConfig, ("vocab_size",)),
-    "bilstm": (BiLstmConfig, ("vocab_size",)),
-    "train": (TrainConfig, ()),
-    "eval": (EvalConfig, ()),
+    "synth": SynthConfig,
+    "corruption": CorruptionConfig,
+    "encoder": EncoderConfig,
+    "bilstm": BiLstmConfig,
+    "train": TrainConfig,
+    "eval": EvalConfig,
 }
+# Fields no section sets: the global seed and the vocabulary's size, which the
+# data decides.
+_RUNTIME = ("seed", "vocab_size")
 
 
 @dataclass
@@ -43,38 +47,22 @@ class RunConfig:
 
     def build(self, section: str, **runtime):
         """Instantiate the section's config dataclass, seeded from the global seed."""
-        cls, _ = _SECTION_TYPES[section]
-        kwargs = dict(getattr(self, section))
-        kwargs.update(runtime)
-        fields = {f.name for f in dataclasses.fields(cls)}
-        if "seed" in fields and "seed" not in kwargs:
+        cls = _SECTION_TYPES[section]
+        # YAML has no tuples, and only a tuple field takes a list.
+        kwargs = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in getattr(self, section).items()}
+        if "seed" in {f.name for f in dataclasses.fields(cls)}:
             kwargs["seed"] = self.seed
-        # YAML has no tuples; coerce list-valued fields.
-        for f in dataclasses.fields(cls):
-            if f.name in kwargs and isinstance(kwargs[f.name], list) and f.type.startswith("tuple"):
-                kwargs[f.name] = tuple(kwargs[f.name])
-        return cls(**kwargs)
+        return cls(**kwargs, **runtime)
 
 
-# The YAML values each annotated field type takes; an int is a valid float,
-# a bool is no number.
-_ACCEPTED = {"int": (int,), "float": (int, float), "bool": (bool,), "tuple": (list, tuple)}
-
-
-def _check_section(section: str, given: dict, cls, excluded: tuple) -> None:
-    fields = [f for f in dataclasses.fields(cls) if f.name not in excluded]
-    unknown = set(given) - {f.name for f in fields}
+def _check_section(section: str, given: dict) -> None:
+    cls = _SECTION_TYPES[section]
+    allowed = sorted(f.name for f in dataclasses.fields(cls) if f.name not in _RUNTIME)
+    unknown = set(given) - set(allowed)
     if unknown:
-        raise DataError(
-            f"unknown key(s) in [{section}]: {sorted(unknown)}; "
-            f"allowed: {sorted(f.name for f in fields)}"
-        )
-    for f in fields:
-        if f.name not in given:
-            continue
-        value, accepted = given[f.name], _ACCEPTED[f.type.split("[")[0]]
-        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
-            raise DataError(f"[{section}] {f.name} must be {f.type}, got {value!r}")
+        raise DataError(f"unknown key(s) in [{section}]: {sorted(unknown)}; allowed: {allowed}")
+    check_fields(cls, given, f"[{section}] ")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -97,17 +85,14 @@ def _from_mapping(raw) -> RunConfig:
     cfg = RunConfig()
     for section, value in raw.items():
         if section == "seed":
-            try:
-                cfg.seed = int(value)
-            except (TypeError, ValueError, OverflowError):
-                raise DataError(f"seed must be an integer, got {value!r}") from None
+            check_fields(RunConfig, {section: value})
+            cfg.seed = value
             continue
         if section not in _SECTION_TYPES:
             raise DataError(f"unknown config section [{section}]")
         if not isinstance(value, dict):
             raise DataError(f"section [{section}] must be a mapping")
-        cls, excluded = _SECTION_TYPES[section]
-        _check_section(section, value, cls, excluded)
+        _check_section(section, value)
         setattr(cfg, section, dict(value))
     return cfg
 

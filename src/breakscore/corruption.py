@@ -30,6 +30,7 @@ class CorruptionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        jsonl.check_fields(type(self), vars(self))
         if not 0.0 <= self.replace_prob <= 1.0:
             raise DataError(f"replace_prob out of [0,1]: {self.replace_prob}")
         if self.copies_per_original < 0:

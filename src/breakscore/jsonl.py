@@ -1,8 +1,10 @@
 """JSON Lines framing of the token-sequence, pretraining, rated and truth
 files: one compact, key-sorted JSON object per line. Each record type
-supplies only its codec."""
+supplies only its codec. Also the one rule for the values a config field
+takes, from YAML, a checkpoint or a Python caller."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .exceptions import DataError, ParseError
@@ -15,6 +17,23 @@ def array(obj: dict, key: str, kind: type) -> tuple:
     if not isinstance(values, list) or not all(isinstance(v, kind) for v in values):
         raise DataError(f"{key!r} must be an array of {kind.__name__} values, got {values!r}")
     return tuple(values)
+
+
+# What a field of each annotated type takes: an int is a valid float, a list
+# a valid tuple (YAML and JSON have none), and a bool is no number.
+_FIELD_VALUES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                 "tuple": ((list, tuple), "a list")}
+
+
+def check_fields(cls, values: dict, where: str = "") -> None:
+    """Reject an entry of `values` that the same-named field of dataclass `cls`
+    does not take; `where` prefixes the message. No coercion."""
+    for f in dataclasses.fields(cls):
+        if f.name in values:
+            value = values[f.name]
+            kinds, what = _FIELD_VALUES[f.type.split("[")[0]]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise DataError(f"{where}{f.name} must be {what}, got {value!r}")
 
 
 def dumps(obj) -> str:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from . import shards
 from .exceptions import BreakscoreError, DataError
+from .jsonl import check_fields
 from .ranks import Rank
 from .rngs import make_rng
 
@@ -22,6 +23,7 @@ class EvalConfig:
     k: int = 5   # cross-validation folds
 
     def __post_init__(self):
+        check_fields(type(self), vars(self))
         if self.k < 2:
             raise DataError(f"k must be >= 2, got {self.k}")
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DataError
-from .functional import check_sizes, embedding_backward
+from ..jsonl import check_fields
+from .functional import embedding_backward
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class BiLstmConfig:
     hidden_size: int = 128
 
     def __post_init__(self):
-        check_sizes(self, ("vocab_size", "embed_dim", "hidden_size"))
+        check_fields(type(self), vars(self))
         for name in ("vocab_size", "embed_dim", "hidden_size"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DataError
+from ..jsonl import check_fields
 from .functional import (
-    check_sizes,
     dropout,
     dropout_backward,
     embedding_backward,
@@ -41,7 +41,7 @@ class EncoderConfig:
     dropout_prob: float = 0.1
 
     def __post_init__(self):
-        check_sizes(self, ("vocab_size", "d_model", "n_heads", "n_layers", "ffn_dim", "max_len"))
+        check_fields(type(self), vars(self))
         for name in ("vocab_size", "d_model", "n_heads", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -103,7 +103,6 @@ def encoder_forward(
     pad_mask,
     params: dict,
     cfg: EncoderConfig,
-    train: bool = False,
     dropout_rng: np.random.Generator | None = None,
     positions=slice(None),
 ):
@@ -117,7 +116,7 @@ def encoder_forward(
     computes its query side (attention output, FFN, final layer norm) at those
     positions only; its layer norm, keys and values still cover every row,
     which the queries attend to. With no layers only the final layer norm is
-    cut.
+    cut. Dropout runs exactly when a `dropout_rng` is given (train mode).
     """
     ids = np.asarray(ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
@@ -126,11 +125,9 @@ def encoder_forward(
         raise DataError(f"sequence length {l} exceeds max_len {cfg.max_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise DataError("token id out of vocabulary range")
-    if train and cfg.dropout_prob > 0 and dropout_rng is None:
-        raise DataError("train mode with dropout needs an explicit rng")
 
     dtype = params["tok_emb"].dtype
-    drop_p = cfg.dropout_prob if train else 0.0
+    drop_p = cfg.dropout_prob if dropout_rng is not None else 0.0
     scale = np.asarray(1.0 / math.sqrt(cfg.d_model // cfg.n_heads), dtype=dtype)
     # Attention scores are laid out keys-major, [B, H, keys, queries], so the
     # softmax and its backward reduce over axis -2, which numpy does several
@@ -139,7 +136,7 @@ def encoder_forward(
 
     x = params["tok_emb"][ids]
     x += params["pos_emb"][:l]
-    x, emb_drop = dropout(x, drop_p, dropout_rng) if drop_p else (x, None)
+    x, emb_drop = dropout(x, drop_p, dropout_rng)
 
     layer_caches = []
     for i in range(cfg.n_layers):
@@ -159,7 +156,7 @@ def encoder_forward(
         del scores
         ctx = _matmul_merged(probs.transpose(0, 1, 3, 2), vh)
         attn_out, o_cache = linear(ctx, params[pre + "wo"], params[pre + "bo"])
-        attn_out, attn_drop = dropout(attn_out, drop_p, dropout_rng) if drop_p else (attn_out, None)
+        attn_out, attn_drop = dropout(attn_out, drop_p, dropout_rng)
         x = x[:, cols]
         x += attn_out
 
@@ -167,7 +164,7 @@ def encoder_forward(
         f1, f1_cache = linear(h2, params[pre + "ffn_w1"], params[pre + "ffn_b1"])
         a, gelu_cache = gelu(f1)
         f2, f2_cache = linear(a, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
-        f2, ffn_drop = dropout(f2, drop_p, dropout_rng) if drop_p else (f2, None)
+        f2, ffn_drop = dropout(f2, drop_p, dropout_rng)
         x += f2
 
         layer_caches.append(

@@ -26,17 +26,6 @@ def init_params(shapes: dict, rng: np.random.Generator) -> dict:
     }
 
 
-def check_sizes(cfg, names) -> None:
-    """Reject a model config whose size fields are not all ints: a float such
-    as 64.0 or a bool would pass the range checks and fail later, inside the
-    shapes, reads and slices it sizes. YAML and checkpoints both build the
-    config, so both meet this rule."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DataError(f"{name} must be an integer, got {value!r}")
-
-
 # -- linear ------------------------------------------------------------------
 
 # Leading axes are flattened so each matmul is one [rows, d] @ [d, k] GEMM;

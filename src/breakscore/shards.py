@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import mmap
 import multiprocessing
 import os
@@ -124,14 +123,6 @@ def shared_rows(n: int, size: int) -> np.ndarray:
     cannot be made."""
     buf = np.frombuffer(mmap.mmap(-1, 4 * max(1, n * size)), dtype=np.float32)
     return buf[: n * size].reshape(n, size)
-
-
-def named_views(row: np.ndarray, shapes: dict) -> dict:
-    """Name -> view into `row` of each entry of a name -> shape table, laid
-    out in table order."""
-    ends = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
-    return {name: row[lo:hi].reshape(shape)
-            for (name, shape), lo, hi in zip(shapes.items(), ends, ends[1:])}
 
 
 class _RemoteTraceback(Exception):

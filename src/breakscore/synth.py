@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .alignment import BreakClass, TokenSequence
 from .exceptions import DataError
+from .jsonl import check_fields
 from .ranks import Rank
 from .rngs import make_rng
 from .tasks import RatedSample
@@ -91,6 +92,7 @@ class SynthConfig:
     class_shape: tuple = (0.1, 0.2, 0.7)  # Poor/Fair/Great overall fractions
 
     def __post_init__(self):
+        check_fields(type(self), vars(self))
         if self.max_conjuncts not in (1, 2):
             raise DataError(f"max_conjuncts must be 1 or 2, got {self.max_conjuncts}")
         shape = self.class_shape

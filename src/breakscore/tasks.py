@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import jsonl, metrics, shards
-from .checkpoint import N_CLASSES, Checkpoint, param_count, param_shapes
+from .checkpoint import N_CLASSES, Checkpoint, named_views, param_count, param_shapes
 from .corruption import LABEL_CORRUPTED, LabeledSequence
 from .exceptions import DataError, NumericError
 from .nn.adam import adam_step
@@ -38,6 +38,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        jsonl.check_fields(type(self), vars(self))
         if self.batch_size < 1 or self.epochs < 1:
             raise DataError("batch_size and epochs must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -186,8 +187,8 @@ def _head_rows(params, kind, cfg, ids, pad_mask, break_mask, dropout_rng=None):
     encoder = isinstance(cfg, EncoderConfig)
     if encoder:
         cols = np.flatnonzero(break_mask.any(axis=0)) if kind == "fine" else [0]
-        hidden, cache = encoder_forward(ids, pad_mask, params, cfg, train=dropout_rng is not None,
-                                        dropout_rng=dropout_rng, positions=cols)
+        hidden, cache = encoder_forward(ids, pad_mask, params, cfg, dropout_rng=dropout_rng,
+                                        positions=cols)
     else:
         cols = slice(None)
         hidden, cache = bilstm_forward(ids, pad_mask, params, cfg)
@@ -246,7 +247,7 @@ def _train(
         raise DataError(f"cannot map {12 * size} bytes for the parameters and gradients of "
                         f"{cfg}: {e}") from e
     shapes = param_shapes(kind, cfg)
-    params, *grad_slots = (shards.named_views(row, shapes) for row in flat)
+    params, *grad_slots = (named_views(row, shapes) for row in flat)
     # What init_core does not give is drawn in table order: network, then head.
     init_core = init_core or {}
     drawn = init_params({k: s for k, s in shapes.items() if k not in init_core},

@@ -41,9 +41,6 @@ class Vocabulary:
     def size(self) -> int:
         return FIRST_WORD_ID + len(self.word_to_id)
 
-    def id_of(self, word: str) -> int:
-        return self.word_to_id.get(word, UNK_ID)
-
     def to_lines(self) -> list[str]:
         """Serialize as `<id>\\t<token>\\t<count>` lines, reserved tokens first."""
         lines = [f"{i}\t{tok}\t0" for i, tok in enumerate(RESERVED_TOKENS)]
@@ -125,6 +122,6 @@ def encode(seq: TokenSequence, vocab: Vocabulary) -> tuple[list[int], list[bool]
     n = len(seq.words)
     ids = [CLS_ID] * (2 * n)
     get = vocab.word_to_id.get
-    ids[1::2] = [get(w, UNK_ID) for w in seq.words]     # vocab.id_of
+    ids[1::2] = [get(w, UNK_ID) for w in seq.words]
     ids[2::2] = [BR_BASE_ID + b for b in seq.breaks]
     return ids, [False, False] + [True, False] * (n - 1)

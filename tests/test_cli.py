@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, outputs, determinism."""
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -13,10 +14,12 @@ import pytest
 import yaml
 from conftest import blas_threads, run_capped
 
-from breakscore import corruption, shards, synth, tasks
+from breakscore import corruption, metrics, shards, synth, tasks
 from breakscore.cli import main
 from breakscore.checkpoint import load_checkpoint
+from breakscore.config import _SECTION_TYPES, RunConfig
 from breakscore.exceptions import DataError, NumericError
+from breakscore.jsonl import check_fields
 from breakscore.rngs import make_rng
 from breakscore.vocab import CLS_ID
 
@@ -95,10 +98,12 @@ class TestSynth:
     @pytest.mark.parametrize(
         "text", ["seed: [1\n", "eval: 5\n", "seed: abc\n", "eval:\n  k: abc\n",
                  "eval:\n  k: true\n", "encoder:\n  d_model: true\n",
-                 "synth:\n  class_shape: 0.5\n"])
+                 "synth:\n  class_shape: 0.5\n", "seed: 5.9\n", "seed: true\n",
+                 'seed: "7"\n', "synth: {seed: 3}\n", "train: {seed: 9}\n"])
     def test_bad_config_exits_2_naming_file(self, tmp_path, caplog, text):
-        # Malformed YAML, a non-mapping section, a non-integer seed and k, and
-        # section values of the wrong type.
+        # Malformed YAML, a non-mapping section, a non-integer seed and k,
+        # section values of the wrong type, and a section seed: the global seed
+        # is the only one, and it is not coerced.
         cfg = tmp_path / "c.yaml"
         cfg.write_text(text)
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 2
@@ -418,6 +423,27 @@ class TestConfigValueTypes:
         cfg.write_text(
             "train:\n  lr: 1\nsynth:\n  n_sentences: 5\n  class_shape: [0.2, 0.3, 0.5]\n")
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: tasks.TrainConfig(batch_size=2.5),
+        lambda: metrics.EvalConfig(k=2.5),
+        lambda: corruption.CorruptionConfig(copies_per_original=1.5),
+        lambda: synth.SynthConfig(n_sentences=True),
+    ], ids=["train-batch_size", "eval-k", "corruption-copies", "synth-n_sentences"])
+    def test_python_callers_meet_the_same_rule(self, make):
+        with pytest.raises(DataError, match="must be an integer"):
+            make()
+
+    @pytest.mark.parametrize("cls", [RunConfig, *_SECTION_TYPES.values()],
+                             ids=lambda cls: cls.__name__)
+    def test_rule_covers_every_field_type(self, cls):
+        # A field of a type the rule does not know (a bool or str, say) fails
+        # here with a KeyError, not in a user's YAML. RunConfig's sections are
+        # mappings checked key by key; its seed is the one value.
+        names = ["seed"] if cls is RunConfig else [f.name for f in dataclasses.fields(cls)]
+        for name in names:
+            with pytest.raises(DataError, match=f"^{name} must be"):
+                check_fields(cls, {name: None})
 
 
 # Tiny synth -> corrupt -> pretrain runs at edge values: (config sections over

@@ -198,7 +198,7 @@ yaml_leaf = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=5),
     st.lists(st.integers(-1, 5) | st.floats(0, 1) | st.text(max_size=2), max_size=4),
 )
-_KEYS = sorted({f.name for cls, _ in _SECTION_TYPES.values() for f in dataclasses.fields(cls)}
+_KEYS = sorted({f.name for cls in _SECTION_TYPES.values() for f in dataclasses.fields(cls)}
                | {"bogus"})
 config_mapping = st.dictionaries(
     st.sampled_from(sorted(_SECTION_TYPES) + ["seed", "bogus"]),

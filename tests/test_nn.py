@@ -249,8 +249,7 @@ class TestInPlaceOps:
         ids_saved, dh_saved = ids.copy(), dhidden.copy()
 
         def forward():
-            return encoder_forward(ids, mask, params, cfg, train=True,
-                                   dropout_rng=make_rng(0, "drop"))
+            return encoder_forward(ids, mask, params, cfg, dropout_rng=make_rng(0, "drop"))
 
         h, cache = forward()
         h_saved = h.copy()
@@ -354,12 +353,6 @@ class TestEncoder:
         h64, _ = encoder_forward(ids, ids != 0, p64, cfg)
         assert h64.dtype == np.float64
 
-    def test_dropout_needs_rng_in_train_mode(self):
-        cfg, params = tiny_encoder(dropout=0.1)
-        ids = np.array([[2, 8]])
-        with pytest.raises(DataError):
-            encoder_forward(ids, ids != 0, params, cfg, train=True)
-
     def test_out_of_vocab_id(self):
         cfg, params = tiny_encoder()
         with pytest.raises(DataError):
@@ -427,8 +420,8 @@ class TestEncoder:
         positions = {"cls": [0], "breaks": np.arange(1, length, 2), "all": slice(None)}[head]
         tracemalloc.start()
         try:
-            h, cache = encoder_forward(ids, mask, params, cfg, train=True,
-                                       dropout_rng=make_rng(5, "drop"), positions=positions)
+            h, cache = encoder_forward(ids, mask, params, cfg, dropout_rng=make_rng(5, "drop"),
+                                       positions=positions)
             dhidden = np.ones_like(h)
             tracemalloc.reset_peak()
             entry = tracemalloc.get_traced_memory()[0]
