@@ -250,8 +250,8 @@ def sequence_from_json(line: str) -> TokenSequence:
     obj = json.loads(line)
     return TokenSequence(
         id=obj["id"],
-        words=jsonl.array(obj, "words", str),
-        breaks=tuple(BreakClass(b) for b in obj["breaks"]),
+        words=jsonl.array(obj, "words", "str"),
+        breaks=tuple(map(BreakClass, jsonl.array(obj, "breaks", "int"))),
     )
 
 

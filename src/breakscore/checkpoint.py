@@ -30,10 +30,10 @@ MAGIC = b"PBRK1\n"
 
 N_CLASSES = {"rbtd": 2, "overall": 3, "fine": 3}
 _MODEL_CONFIGS = {"encoder": EncoderConfig, "bilstm": BiLstmConfig}
-# Metadata field -> accepted JSON types.
+# Metadata field -> the name of its type under `jsonl`'s rule.
 _META_TYPES = {
-    "kind": str, "model": str, "model_cfg": dict, "vocab": list, "seed": int,
-    "n_classes": int, "init_from": (str, type(None)), "extra": dict, "params": list,
+    "kind": "str", "model": "str", "model_cfg": "dict", "vocab": "list", "seed": "int",
+    "n_classes": "int", "init_from": "str | None", "extra": "dict", "params": "list",
 }
 
 
@@ -68,8 +68,11 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        jsonl.check_fields(Checkpoint, {"seed": self.seed})
         if self.kind not in N_CLASSES:
             raise DataError(f"unknown checkpoint kind {self.kind!r}")
+        if self.init_from not in (None, *N_CLASSES):
+            raise DataError(f"init_from must be None or a checkpoint kind, got {self.init_from!r}")
 
     @property
     def model(self) -> str:
@@ -119,8 +122,8 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
         fmt = meta.get("format") if isinstance(meta, dict) else None
         if fmt != 1:
             raise DataError(f"{path}: unsupported checkpoint format {fmt!r}")
-        for key, types in _META_TYPES.items():
-            if not isinstance(meta.get(key, ...), types):
+        for key, kind in _META_TYPES.items():
+            if key not in meta or not jsonl.takes(kind, (meta[key],)):
                 raise DataError(f"{path}: metadata field {key!r} is missing or mistyped")
         if expect_kind is not None and meta["kind"] != expect_kind:
             raise DataError(

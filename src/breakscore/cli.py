@@ -404,7 +404,15 @@ def main(argv=None) -> int:
     log.debug("freed heap memory kept for reuse: %s", shards.keep_freed_memory())
     try:
         # Looked up per call, so a patched cmd_x takes effect.
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (`breakscore score ... | head -1`): exit quietly
+        # with the code a shell shows for `cat` there. stdout points at devnull,
+        # so its flush at exit cannot fail again (Python `signal` docs, SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except NumericError as e:
         log.error("numeric failure: %s", e)
         return 3

@@ -84,16 +84,13 @@ def _from_mapping(raw) -> RunConfig:
         raise DataError("config must be a mapping of sections")
     cfg = RunConfig()
     for section, value in raw.items():
-        if section == "seed":
-            check_fields(RunConfig, {section: value})
-            cfg.seed = value
-            continue
-        if section not in _SECTION_TYPES:
+        if section not in _SECTION_TYPES and section != "seed":
             raise DataError(f"unknown config section [{section}]")
-        if not isinstance(value, dict):
-            raise DataError(f"section [{section}] must be a mapping")
-        _check_section(section, value)
-        setattr(cfg, section, dict(value))
+        check_fields(RunConfig, {section: value})   # an integer seed, a mapping per section
+        if section != "seed":
+            _check_section(section, value)
+            value = dict(value)
+        setattr(cfg, section, value)
     return cfg
 
 

@@ -127,20 +127,17 @@ def labeled_to_json(s: LabeledSequence) -> str:
 
 def labeled_from_json(line: str) -> LabeledSequence:
     obj = json.loads(line)
-    edits = jsonl.array(obj, "edits", list)
-    # JSON integers only: no strings, fractions or true/false.
-    if not all(len(e) == 3 and all(type(v) is int for v in e) for e in edits):
-        raise DataError(f"'edits' must be [position, old, new] integer triples, "
-                        f"got {obj['edits']!r}")
-    if type(obj["label"]) is not int:
-        raise DataError(f"'label' must be an integer, got {obj['label']!r}")
+    edits = jsonl.array(obj, "edits", "list")
+    if not all(len(e) == 3 and jsonl.takes("int", e) for e in edits):
+        raise DataError(f"edits must be [position, old, new] integer triples, got {obj['edits']!r}")
+    label = jsonl.value(obj, "label", "int")
     s = LabeledSequence(
-        id=obj["id"],
+        id=jsonl.value(obj, "id", "str"),
         ids=tuple(obj["ids"]),
-        break_mask=jsonl.array(obj, "break_mask", bool),
+        break_mask=jsonl.array(obj, "break_mask", "bool"),
         edits=tuple((pos, BreakClass(old), BreakClass(new)) for pos, old, new in edits),
     )
-    if obj["label"] != s.label:
+    if label != s.label:
         raise DataError(f"sample {s.id!r}: label inconsistent with edit list")
     return s
 

@@ -1,7 +1,7 @@
 """JSON Lines framing of the token-sequence, pretraining, rated and truth
 files: one compact, key-sorted JSON object per line. Each record type
-supplies only its codec. Also the one rule for the values a config field
-takes, from YAML, a checkpoint or a Python caller."""
+supplies only its codec. Also the one rule for what a value read from outside
+may be: a record field, checkpoint metadata, or a config field."""
 from __future__ import annotations
 
 import dataclasses
@@ -10,30 +10,42 @@ import json
 from .exceptions import DataError, ParseError
 
 
-def array(obj: dict, key: str, kind: type) -> tuple:
-    """`obj[key]` as a tuple; it must be a JSON array of `kind` values. No
-    coercion: `bool` admits only true/false, `str` only strings."""
-    values = obj[key]
-    if not isinstance(values, list) or not all(isinstance(v, kind) for v in values):
-        raise DataError(f"{key!r} must be an array of {kind.__name__} values, got {values!r}")
+# Type name -> the Python types its values may have (JSON, YAML or a Python
+# caller's), and what to call them. An int is a valid float and a list a valid
+# tuple (YAML and JSON have neither); a bool is never a number. No coercion.
+_FIELD_VALUES = {"int": ({int}, "an integer"), "float": ({int, float}, "a number"),
+                 "bool": ({bool}, "true or false"), "str": ({str}, "a string"),
+                 "str | None": ({str, type(None)}, "a string or null"), "list": ({list}, "a list"),
+                 "tuple": ({list, tuple}, "a list"), "dict": ({dict}, "a mapping")}
+
+
+def takes(kind: str, values) -> bool:
+    """Whether each of `values` is a value of the type named `kind`."""
+    return set(map(type, values)) <= _FIELD_VALUES[kind][0]
+
+
+def value(obj: dict, key: str, kind: str, where: str = ""):
+    """`obj[key]`, a value of the type named `kind`; `where` prefixes an error."""
+    v = obj[key]
+    if not takes(kind, (v,)):
+        raise DataError(f"{where}{key} must be {_FIELD_VALUES[kind][1]}, got {v!r}")
+    return v
+
+
+def array(obj: dict, key: str, kind: str) -> tuple:
+    """`obj[key]` as a tuple; it must be a list of values of the type named `kind`."""
+    values = value(obj, key, "list")
+    if not takes(kind, values):
+        raise DataError(f"{key} must be a list of {kind} values, got {values!r}")
     return tuple(values)
-
-
-# What a field of each annotated type takes: an int is a valid float, a list
-# a valid tuple (YAML and JSON have none), and a bool is no number.
-_FIELD_VALUES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                 "tuple": ((list, tuple), "a list")}
 
 
 def check_fields(cls, values: dict, where: str = "") -> None:
     """Reject an entry of `values` that the same-named field of dataclass `cls`
-    does not take; `where` prefixes the message. No coercion."""
+    does not take; `where` prefixes the message."""
     for f in dataclasses.fields(cls):
         if f.name in values:
-            value = values[f.name]
-            kinds, what = _FIELD_VALUES[f.type.split("[")[0]]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise DataError(f"{where}{f.name} must be {what}, got {value!r}")
+            value(values, f.name, f.type.split("[")[0], where)
 
 
 def dumps(obj) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .alignment import BreakClass, TokenSequence
 from .exceptions import DataError
-from .jsonl import check_fields
+from .jsonl import check_fields, takes
 from .ranks import Rank
 from .rngs import make_rng
 from .tasks import RatedSample
@@ -96,8 +96,8 @@ class SynthConfig:
         if self.max_conjuncts not in (1, 2):
             raise DataError(f"max_conjuncts must be 1 or 2, got {self.max_conjuncts}")
         shape = self.class_shape
-        if (len(shape) != 3 or not all(type(f) in (int, float) and 0.0 <= f <= 1.0 for f in shape)
-                or abs(sum(shape) - 1.0) > 1e-6):
+        if (len(shape) != 3 or not takes("float", shape)
+                or not all(0.0 <= f <= 1.0 for f in shape) or abs(sum(shape) - 1.0) > 1e-6):
             raise DataError(f"class_shape must be three Poor/Fair/Great fractions in [0, 1] "
                             f"that sum to 1, got {shape}")
         for name, rate in (

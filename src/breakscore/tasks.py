@@ -83,11 +83,11 @@ def rated_to_json(s: RatedSample) -> str:
 def rated_from_json(line: str) -> RatedSample:
     obj = json.loads(line)
     return RatedSample(
-        id=obj["id"],
+        id=jsonl.value(obj, "id", "str"),
         ids=tuple(obj["ids"]),
-        break_mask=jsonl.array(obj, "break_mask", bool),
-        overall=Rank(obj["overall"]) if "overall" in obj else None,
-        fine=tuple(Rank(r) for r in obj["fine"]) if "fine" in obj else None,
+        break_mask=jsonl.array(obj, "break_mask", "bool"),
+        overall=Rank(jsonl.value(obj, "overall", "int")) if "overall" in obj else None,
+        fine=tuple(map(Rank, jsonl.array(obj, "fine", "int"))) if "fine" in obj else None,
     )
 
 
@@ -331,24 +331,6 @@ def _train(
     return {k: v.copy() for k, v in params.items()}, epoch_losses
 
 
-def _predict_logits(params, kind, cfg, seqs: list[tuple]):
-    """Head logits of each (ids, break_mask), in input order: one [n_classes]
-    array per sample, or one [n_breaks, n_classes] array for the "fine" head.
-    Each sample is cut to the model's max_len, then samples run in
-    length-sorted padded batches (`_token_batches`)."""
-    seqs = [(ids[: cfg.max_len], mask[: cfg.max_len]) for ids, mask in seqs]
-    out = [None] * len(seqs)
-    for batch in _token_batches(seqs):
-        ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch])
-        rows = _head_rows(params, kind, cfg, ids, pad_mask, break_mask)[0]
-        logits = rows @ params["head_w"] + params["head_b"]
-        if kind == "fine":
-            logits = np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1])
-        for i, row in zip(batch, logits, strict=True):
-            out[i] = row
-    return out
-
-
 # -- task entry points -------------------------------------------------------
 
 # Share of the pretraining set held out to score the discriminator.
@@ -380,9 +362,9 @@ def pretrain_rbtd(
 
     samples = [(dataset[i].ids, dataset[i].break_mask, [targets[i]]) for i in train]
     params, epoch_losses = _train(samples, "rbtd", enc_cfg, tcfg)
+    ckpt = Checkpoint(kind="rbtd", model_cfg=enc_cfg, vocab=vocab, seed=tcfg.seed, params=params)
 
-    logits = _predict_logits(params, "rbtd", enc_cfg,
-                             [(dataset[i].ids, dataset[i].break_mask) for i in held])
+    logits = _checked_logits(ckpt, "rbtd", [(dataset[i].ids, dataset[i].break_mask) for i in held])
     pairs = zip((targets[i] for i in held), (int(np.argmax(row)) for row in logits), strict=True)
     counts = metrics.confusion(pairs, N_CLASSES["rbtd"])
     metrics.warn_if_one_class(counts, ("original", "corrupted"), "held-out discriminator")
@@ -393,15 +375,7 @@ def pretrain_rbtd(
         "f_score": held_metrics["per_class"][LABEL_CORRUPTED]["f1"],
         "epoch_losses": epoch_losses,
     }
-    ckpt = Checkpoint(
-        kind="rbtd",
-        model_cfg=enc_cfg,
-        vocab=vocab,
-        seed=tcfg.seed,
-        params=params,
-        init_from=None,
-        extra={"report": report},
-    )
+    ckpt.extra["report"] = report
     return ckpt, report
 
 
@@ -443,16 +417,28 @@ def finetune(
 # -- prediction --------------------------------------------------------------
 
 def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.ndarray]:
-    """`_predict_logits` of each (ids, break_mask) under a checkpoint of the
-    given kind, in token-budgeted batches. Parameters so large that the forward
-    overflows make the checkpoint bad data, not a numpy warning."""
+    """Head logits of each (ids, break_mask) under a checkpoint of the given
+    kind, in input order: one [n_classes] array per sample, or one [n_breaks,
+    n_classes] array for the "fine" head. Each sample is cut to the model's
+    max_len, then samples run in length-sorted padded batches (`_token_batches`).
+    Parameters so large that the forward overflows make bad data, not a warning."""
     if ckpt.kind != kind:
         raise DataError(f"expected a {kind!r} checkpoint, got {ckpt.kind!r}")
+    params, cfg = ckpt.params, ckpt.model_cfg
+    seqs = [(ids[: cfg.max_len], mask[: cfg.max_len]) for ids, mask in seqs]
+    out = [None] * len(seqs)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = _predict_logits(ckpt.params, kind, ckpt.model_cfg, seqs)
-    if logits and not np.isfinite(np.concatenate(logits)).all():
+        for batch in _token_batches(seqs):
+            ids, pad_mask, break_mask = _pad_batch([seqs[i] for i in batch])
+            rows = _head_rows(params, kind, cfg, ids, pad_mask, break_mask)[0]
+            logits = rows @ params["head_w"] + params["head_b"]
+            if kind == "fine":
+                logits = np.split(logits, np.cumsum(break_mask.sum(axis=1))[:-1])
+            for i, row in zip(batch, logits, strict=True):
+                out[i] = row
+    if out and not np.isfinite(np.concatenate(out)).all():
         raise DataError(f"the {kind} checkpoint gives non-finite logits")
-    return logits
+    return out
 
 
 def _ranks(logits: np.ndarray) -> list[Rank]:

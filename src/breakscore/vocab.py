@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 from .alignment import TokenSequence
 from .exceptions import DataError, ParseError
+from .jsonl import takes
 
 PAD_ID = 0
 UNK_ID = 1
@@ -104,13 +105,13 @@ def build_vocab(corpus: list[TokenSequence]) -> Vocabulary:
 
 
 def check_encoded(sample_id, ids, break_mask) -> None:
-    """A dataset record's tokens: at least one, each a non-negative int (not
-    a bool) id with a mask flag."""
+    """A dataset record's tokens: at least one, each a non-negative integer id
+    with a mask flag."""
     if not ids:
         raise DataError(f"sample {sample_id!r}: ids holds no token")
     if len(ids) != len(break_mask):
         raise DataError(f"sample {sample_id!r}: ids/break_mask length mismatch")
-    if not all(type(i) is int and i >= 0 for i in ids):
+    if not takes("int", ids) or min(ids) < 0:
         raise DataError(f"sample {sample_id!r}: token ids must be non-negative integers")
 
 

@@ -146,9 +146,13 @@ class TestCorruptionDetection:
             lambda m: m.update(params=[["a"]]),
             lambda m: m.update(params=[["a", [-5]]]),
             lambda m: m.update(params=[["a", [2**40, 2**40]]]),
+            lambda m: m.update(seed=True),
+            lambda m: m.update(init_from="anything"),
+            lambda m: m.update(n_classes=float(m["n_classes"])),
         ],
         ids=["no-kind", "no-init_from", "str-seed", "list-model_cfg", "unknown-cfg-key",
-             "int-vocab-line", "short-param-entry", "negative-dim", "huge-shape"],
+             "int-vocab-line", "short-param-entry", "negative-dim", "huge-shape", "bool-seed",
+             "unknown-init_from", "float-n_classes"],
     )
     def test_bad_metadata_field_names_path(self, tmp_path, edit):
         path = str(tmp_path / "m.pbrk")

@@ -437,9 +437,10 @@ class TestConfigValueTypes:
     @pytest.mark.parametrize("cls", [RunConfig, *_SECTION_TYPES.values()],
                              ids=lambda cls: cls.__name__)
     def test_rule_covers_every_field_type(self, cls):
-        # A field of a type the rule does not know (a bool or str, say) fails
-        # here with a KeyError, not in a user's YAML. RunConfig's sections are
-        # mappings checked key by key; its seed is the one value.
+        # A field of a type the rule does not know (a set, say; bool and str
+        # are known) fails here with a KeyError, not in a user's YAML.
+        # RunConfig's sections are mappings checked key by key; its seed is
+        # the one value.
         names = ["seed"] if cls is RunConfig else [f.name for f in dataclasses.fields(cls)]
         for name in names:
             with pytest.raises(DataError, match=f"^{name} must be"):
@@ -561,6 +562,15 @@ _BAD_LINE_2 = {
     "rated-ids-type": (lambda p, bad: ("eval", "--task", "overall", "--in", bad,
                                        "--vocab", p["vocab"], "--model", "bilstm"),
                        "esl", '{"id":"b","ids":[2,true],"break_mask":[false,false],"overall":1}\n'),
+    "rated-overall-type": (lambda p, bad: ("finetune", "--config", p["cfg"], "--task", "overall",
+                                           "--in", bad, "--vocab", p["vocab"],
+                                           "--out", str(p["root"] / "x.pbrk")),
+                           "esl", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,false,true,'
+                                  'false],"overall":true,"fine":[3]}\n'),
+    "rated-fine-type": (lambda p, bad: ("eval", "--task", "fine", "--k", "2", "--in", bad,
+                                        "--vocab", p["vocab"], "--model", "bilstm"),
+                        "esl", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,false,true,'
+                               'false],"overall":3,"fine":[2.0]}\n'),
     "labeled": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
                                 "--out", str(p["root"] / "x.pbrk")),
                 "pretrain",
@@ -586,6 +596,12 @@ _BAD_LINE_2 = {
     "sequence-word-type": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
                                            "--out", str(p["root"] / "x.jsonl")),
                            "native", '{"id":"b","words":["a",null],"breaks":[0]}\n'),
+    "sequence-break-bool": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
+                                            "--out", str(p["root"] / "x.jsonl")),
+                            "native", '{"id":"b","words":["a","b"],"breaks":[true]}\n'),
+    "sequence-break-float": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
+                                             "--out", str(p["root"] / "x.jsonl")),
+                             "native", '{"id":"b","words":["a","b"],"breaks":[0.0]}\n'),
     "truth": (lambda p, bad: ("eval", "--task", "overall", "--in", p["esl"], "--vocab", p["vocab"],
                               "--model", "against-ref", "--refs", p["native"], "--truth", bad),
               "truth", '{"id":"b","words":["a"],"breaks":[1],"overall":0}\n'),
@@ -857,6 +873,37 @@ class TestScoreChecks:
                    score_ckpts["encoder-fine"], "--align", str(ctm)) == 2
         assert capsys.readouterr().out == ""
         assert str(bad) in caplog.text
+
+    @pytest.mark.parametrize("key, value", [("seed", True), ("init_from", "anything")])
+    def test_checkpoint_with_a_bad_top_level_value_exits_2_naming_the_key(
+            self, score_ckpts, tmp_path, capsys, caplog, rewrite_checkpoint, key, value):
+        # A bool seed is no integer, and init_from names the kind of the
+        # checkpoint a model was fine-tuned from, or is null.
+        bad = tmp_path / "overall.pbrk"
+        shutil.copy(score_ckpts["encoder-overall"], bad)
+        rewrite_checkpoint(str(bad), lambda meta, params: meta.update({key: value}))
+        ctm = tmp_path / "a.ctm"
+        ctm.write_text(CTM)
+        capsys.readouterr()
+        assert run("score", "--overall-ckpt", str(bad), "--align", str(ctm)) == 2
+        assert capsys.readouterr().out == ""
+        assert re.search(f"{re.escape(str(bad))}: .*{key}", caplog.text), caplog.text
+
+    def test_closed_stdout_exits_141_without_an_error(self, score_ckpts, tmp_path):
+        # `score ... | head -1`: stdout's reader is gone before anything is
+        # written. That is no data error, so nothing is logged.
+        ctm = tmp_path / "a.ctm"
+        ctm.write_text(CTM)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "breakscore.cli", "score", "--overall-ckpt",
+             score_ckpts["encoder-overall"], "--fine-ckpt", score_ckpts["encoder-fine"],
+             "--align", str(ctm)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 141, stderr
+        assert "ERROR" not in stderr and "Error" not in stderr, stderr
 
     @pytest.mark.parametrize("ckpt", ["encoder-overall", "bilstm-fine"])
     def test_checkpoint_with_a_non_int_size_exits_2_naming_the_key(

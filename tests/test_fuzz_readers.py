@@ -6,10 +6,12 @@ The property is the exit-code contract: any input either parses or raises a
 finite word times; a JSONL reader raises a
 `ParseError` that names the line, and each line it accepts holds the JSON
 types its record declares: no `bool(x)` coercion of a break mask, no
-string id or word that is not a JSON string, and no dataset record without a
-token or with a token id that is not a JSON integer. Inputs mix raw text with
-records close to valid ones, so both the tokenizer and the field checks are
-reached.
+record id or word that is not a JSON string, no dataset record without a
+token or with a token id that is not a JSON integer, and no break class or
+rank that is not one either (`true` and `2.0` equal one). A checkpoint that
+loads has an integer seed and an `init_from` that is null or a kind. Inputs
+mix raw text with records close to valid ones, so both the tokenizer and the
+field checks are reached.
 
 `TestCliContract` then drives `cli.main` itself on such inputs: `finetune`
 and `eval` on fuzzed rated JSONL, `ingest` and `score` on fuzzed CTM and TSV
@@ -57,7 +59,9 @@ json_any = st.recursive(
 )
 small_ints = st.lists(st.integers(-2, 12), max_size=6)
 flags = st.lists(st.booleans() | st.integers(0, 1), max_size=6)
-classes = st.lists(st.integers(-1, 4), max_size=5)
+# A rank or break class, or a value equal to one that is no JSON integer.
+a_class = st.integers(-1, 4) | st.sampled_from([True, 2.0])
+classes = st.lists(a_class, max_size=5)
 
 
 def lines(line):
@@ -133,9 +137,12 @@ class TestTextReaders:
     @example('{"id":7,"words":["a","b"],"breaks":[0]}')
     @example('{"id":"a","words":[1,null],"breaks":[0]}')
     @example('{"id":"a","words":"ab","breaks":[0]}')
+    @example('{"id":"a","words":["a","b"],"breaks":[true]}')
+    @example('{"id":"a","words":["a","b"],"breaks":[2.0]}')
     def test_sequence_jsonl(self, text):
         for obj in parses_or_rejects_a_line(alignment.read_sequences, text):
             assert isinstance(obj["id"], str) and is_array_of(obj["words"], str), obj
+            assert is_array_of(obj["breaks"], int), obj
 
     @fuzz
     @given(records({
@@ -157,8 +164,10 @@ class TestTextReaders:
              '"edits":[[2,0,1]]}')
     @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":1,'
              '"edits":[[2,true,2]]}')
+    @example('{"id":null,"ids":[2,8],"break_mask":[false,false],"label":0,"edits":[]}')
     def test_labeled_jsonl(self, text):
         for obj in parses_or_rejects_a_line(corruption.read_labeled, text):
+            assert isinstance(obj["id"], str), obj
             assert is_array_of(obj["break_mask"], bool), obj
             assert obj["ids"] and is_array_of(obj["ids"], int), obj
             assert all(is_array_of(edit, int) for edit in obj["edits"]), obj
@@ -169,16 +178,24 @@ class TestTextReaders:
         "id": st.text(max_size=4),
         "ids": small_ints,
         "break_mask": flags,
-        "overall": st.integers(-1, 4),
+        "overall": a_class,
         "fine": classes,
     }))
     @example('{"id":"a","ids":[2,8,4,9],"break_mask":[0,"no",1,0]}')
     @example('{"id":"a","ids":[],"break_mask":[],"fine":[]}')
     @example('{"id":"a","ids":[2,true],"break_mask":[false,false]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"overall":true}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"overall":2.0}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"fine":[true]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"fine":[2.0]}')
+    @example('{"id":7,"ids":[2,8],"break_mask":[false,false],"overall":1}')
     def test_rated_jsonl(self, text):
         for obj in parses_or_rejects_a_line(tasks.read_rated, text):
+            assert isinstance(obj["id"], str), obj
             assert is_array_of(obj["break_mask"], bool), obj
             assert obj["ids"] and is_array_of(obj["ids"], int), obj
+            assert "overall" not in obj or type(obj["overall"]) is int, obj
+            assert "fine" not in obj or is_array_of(obj["fine"], int), obj
 
     @fuzz
     @given(lines(st.tuples(
@@ -260,13 +277,18 @@ def _valid_checkpoint_bytes(path, kind="fine", cfg=_TINY_ENCODER) -> bytes:
         return f.read()
 
 
+# A value of each of these top-level metadata keys that equals a valid one, or
+# passes for one, but has another JSON type, or names no checkpoint kind.
+_MISTYPED_META = {"seed": True, "init_from": "anything", "n_classes": 3.0}
+
+
 @st.composite
 def checkpoint_bytes(draw, valid: bytes):
-    """Bytes around a valid checkpoint: random, spliced, truncated, or with
-    fuzzed metadata fields."""
+    """Bytes around a valid checkpoint: random, spliced, truncated, with
+    fuzzed metadata fields, or with one mistyped top-level key."""
     head, _, blob = valid[len(MAGIC):].partition(b"\n")
     meta = json.loads(head)
-    kind = draw(st.sampled_from(["random", "magic", "splice", "truncate", "meta"]))
+    kind = draw(st.sampled_from(["random", "magic", "splice", "truncate", "meta", "mistyped"]))
     if kind == "random":
         return draw(st.binary(max_size=60))
     if kind == "magic":
@@ -276,6 +298,9 @@ def checkpoint_bytes(draw, valid: bytes):
         return valid[:at] + draw(st.binary(min_size=1, max_size=8)) + valid[at + 1:]
     if kind == "truncate":
         return valid[: draw(st.integers(0, len(valid) - 1))]
+    if kind == "mistyped":
+        key = draw(st.sampled_from(sorted(_MISTYPED_META)))
+        return MAGIC + json.dumps({**meta, key: _MISTYPED_META[key]}).encode() + b"\n" + blob
     for key in draw(st.lists(st.sampled_from(sorted(meta)), max_size=3, unique=True)):
         if draw(st.booleans()):
             meta.pop(key)
@@ -329,7 +354,8 @@ class TestCheckpointBytes:
     @given(data=st.data())
     def test_pbrk1(self, workdir, valid, data):
         path = _write(workdir / "fuzz.pbrk", data.draw(checkpoint_bytes(valid)))
-        parses_or_raises(load_checkpoint, path)
+        ckpt = parses_or_raises(load_checkpoint, path)
+        assert ckpt is None or type(ckpt.seed) is int and ckpt.init_from in (None, *N_CLASSES)
 
     def test_score_on_one_huge_size_under_a_memory_cap(self, workdir):
         code, err = run_capped("from test_fuzz_readers import score_with_one_huge_size; "
@@ -375,7 +401,7 @@ def rated_record(draw):
 rated_files = st.one_of(
     st.lists(rated_record(), max_size=7).map("\n".join),
     records({"id": st.text(max_size=4), "ids": small_ints, "break_mask": flags,
-             "overall": st.integers(-1, 4), "fine": classes}),
+             "overall": a_class, "fine": classes}),
 )
 train_commands = st.sampled_from([
     ("finetune", "--model", model) for model in ("encoder", "bilstm")

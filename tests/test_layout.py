@@ -65,3 +65,26 @@ def test_every_top_level_import_is_read():
                 continue
             stale += [f"{module}: {name}" for name in bound if name not in read]
     assert not stale, f"imported but never read: {stale}"
+
+
+def _is_call_of(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def test_only_jsonl_states_the_value_rule():
+    # What a value read from outside may be (no coercion, a bool is no number)
+    # is `jsonl`'s rule; a module that tests a value's type itself writes a
+    # second copy of it.
+    copies = []
+    for module, path, tree in _trees():
+        if module == "jsonl":
+            continue
+        for node in ast.walk(tree):
+            type_test = (isinstance(node, ast.Compare) and _is_call_of(node.left, "type")
+                         and isinstance(node.ops[0], (ast.Is, ast.IsNot, ast.In, ast.NotIn,
+                                                      ast.Eq, ast.NotEq)))
+            bool_test = _is_call_of(node, "isinstance") and any(
+                isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+            if type_test or bool_test:
+                copies.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert not copies, f"a type rule outside jsonl: {copies}"

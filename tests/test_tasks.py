@@ -33,8 +33,8 @@ from breakscore.cli import main
 from breakscore.tasks import (
     RatedSample,
     TrainConfig,
+    _checked_logits,
     _pad_batch,
-    _predict_logits,
     _token_batches,
     finetune,
     predict_finegrained,
@@ -58,11 +58,18 @@ def toy_vocab(n_words=4):
     return Vocabulary(word_to_id={f"w{i}": 8 + i for i in range(n_words)})
 
 
+def logits_of(params, kind, cfg, seqs):
+    """`_checked_logits` of each (ids, break_mask) under `params` as a `kind`
+    checkpoint of model `cfg`."""
+    ckpt = Checkpoint(kind=kind, model_cfg=cfg, vocab=toy_vocab(), seed=0, params=params)
+    return _checked_logits(ckpt, kind, seqs)
+
+
 def one_row_batches(params, kind, cfg, seqs):
-    """`_predict_logits` with a budget of one token, so each sample is a batch of its own."""
+    """`logits_of` with a budget of one token, so each sample is a batch of its own."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tasks, "PREDICT_TOKENS", 1)
-        return _predict_logits(params, kind, cfg, seqs)
+        return logits_of(params, kind, cfg, seqs)
 
 
 def seqs_of(samples):
@@ -297,10 +304,10 @@ class TestPretrainRbtd:
     @pytest.mark.parametrize("one_class", [True, False])
     def test_warns_when_every_held_out_prediction_is_one_class(self, monkeypatch, caplog,
                                                               one_class):
-        def logits(params, kind, cfg, seqs):
+        def logits(ckpt, kind, seqs):
             return [np.array([i % 2 and not one_class, 0.5]) for i in range(len(seqs))]
 
-        monkeypatch.setattr(tasks, "_predict_logits", logits)
+        monkeypatch.setattr(tasks, "_checked_logits", logits)
         pretrain_rbtd(self._dataset(), TrainConfig(batch_size=16, epochs=1), small_cfg(12),
                       toy_vocab())
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
@@ -345,7 +352,7 @@ class TestPretrainRbtd:
             first = one_row_batches(params, kind, cfg, seqs)
             params["head_b"] = -np.concatenate([np.atleast_2d(l) for l in first]).mean(axis=0)
             single = one_row_batches(params, kind, cfg, seqs)
-            batched = _predict_logits(params, kind, cfg, seqs)
+            batched = logits_of(params, kind, cfg, seqs)
             assert [len(np.atleast_2d(l)) for l in single] == rows_per_seq
             for a, b in zip(single, batched, strict=True):
                 np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-5)
@@ -376,16 +383,16 @@ class TestPretrainRbtd:
         assert relabeled >= 10
 
         trained, held = [], []
-        real_train, real_predict = tasks._train, tasks._predict_logits
+        real_train, real_predict = tasks._train, tasks._checked_logits
         real_confusion = metrics.confusion
 
         def train(samples, *args, **kwargs):
             trained.extend((ids, target) for ids, _, (target,) in samples)
             return real_train(samples, *args, **kwargs)
 
-        def predict(params, kind, cfg, seqs):
+        def predict(ckpt, kind, seqs):
             held.append([read[ids] for ids, _ in seqs])
-            return real_predict(params, kind, cfg, seqs)
+            return real_predict(ckpt, kind, seqs)
 
         def confusion(pairs, n_classes):
             pairs = list(pairs)
@@ -393,7 +400,7 @@ class TestPretrainRbtd:
             return real_confusion(pairs, n_classes)
 
         monkeypatch.setattr(tasks, "_train", train)
-        monkeypatch.setattr(tasks, "_predict_logits", predict)
+        monkeypatch.setattr(tasks, "_checked_logits", predict)
         monkeypatch.setattr(metrics, "confusion", confusion)
         tcfg = TrainConfig(batch_size=16, epochs=1, lr=1e-3, seed=0)
         cfg = dataclasses.replace(small_cfg(12), max_len=16)
@@ -623,10 +630,9 @@ class TestHeadColumns:
                   for k, v in init_params(cfg.param_shapes(), make_rng(11, "init")).items()}
         params["head_w"] = make_rng(11, "head").normal(size=(32, 3)).astype(np.float32)
         params["head_b"] = np.zeros(3, dtype=np.float32)
-        cut = _predict_logits(params, "fine", cfg, seqs)
-        params["head_b"] = -np.concatenate(cut).mean(axis=0)
         ckpt = Checkpoint(kind="fine", model_cfg=cfg, vocab=vocab, seed=11, params=params)
-        cut = _predict_logits(params, "fine", cfg, seqs)
+        params["head_b"] = -np.concatenate(_checked_logits(ckpt, "fine", seqs)).mean(axis=0)
+        cut = _checked_logits(ckpt, "fine", seqs)
         cut_ranks = predict_finegrained(ckpt, seqs)
         # The reference: the same batches, every column computed.
         seqs_read = [(ids[:max_len], mask[:max_len]) for ids, mask in seqs]
