@@ -136,7 +136,7 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
             ckpt = Checkpoint(
                 kind=meta["kind"],
                 model_cfg=cfg_type(**meta["model_cfg"]),
-                vocab=Vocabulary.from_lines(meta["vocab"]),
+                vocab=Vocabulary.from_lines(jsonl.array(meta, "vocab", "str")),
                 seed=meta["seed"],
                 params={},
                 init_from=meta["init_from"],

@@ -144,7 +144,7 @@ def cmd_corrupt(args) -> int:
     ccfg = cfg.build("corruption")
     vocab = _read(args.vocab, Vocabulary.from_lines)
     seqs = _read(args.infile, alignment.read_sequences)
-    corpus = [(s.id, *encode(s, vocab)) for s in seqs]
+    corpus = [(s.id, encode(s, vocab)) for s in seqs]
     dataset = corruption.build_pretrain_dataset(corpus, ccfg)
     write_atomic(args.out, "\n".join(corruption.labeled_to_json(s) for s in dataset) + "\n")
     _echo_config(cfg, args.out)
@@ -216,7 +216,7 @@ def make_trained_predictor(task, model_cfg, vocab, tcfg, init_ckpt):
         ckpt = tasks.finetune(train_items, init_ckpt, fold_tcfg, task, model_cfg, vocab)
 
         def predictor(item: tasks.RatedSample):
-            seqs = [(item.ids, item.break_mask)]
+            seqs = [item.ids]
             if task == "overall":
                 preds, _ = tasks.predict_overall(ckpt, seqs)
             else:
@@ -299,7 +299,7 @@ def cmd_score(args) -> int:
         fine = tasks.predict_finegrained(fine_ckpt, encoded)
     lines = []
     for u, seq in enumerate(seqs):
-        n_tokens = len(encoded[u][0])
+        n_tokens = len(encoded[u])
         if overall_ckpt is not None and n_tokens > overall_ckpt.model_cfg.max_len:
             log.warning("utterance %s: %d tokens exceed the overall checkpoint's max_len %d; "
                         "its overall rank reads only the first %d of them", seq.id, n_tokens,

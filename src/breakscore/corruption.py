@@ -1,9 +1,9 @@
 """Replaced-break-token corruption for discriminator pretraining.
 
-Each break token in an encoded sequence is independently replaced, with
+Each break id in an encoded sequence is independently replaced, with
 probability `replace_prob`, by one of the three other break classes. A sample's
 label follows from its edit list: one whose list is empty is original, even if
-it came from a corruption attempt.
+it came from a corruption attempt. Each edit names what its break id now holds.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from . import jsonl
 from .alignment import BreakClass
 from .exceptions import DataError
 from .rngs import make_rng
-from .vocab import BR_BASE_ID, check_encoded, is_break_id
+from .vocab import BR_BASE_ID, break_flags, check_break_flags, check_encoded, is_break_id
 
 LABEL_ORIGINAL = 0
 LABEL_CORRUPTED = 1
@@ -41,14 +41,14 @@ class CorruptionConfig:
 class LabeledSequence:
     id: str
     ids: tuple[int, ...]
-    break_mask: tuple[bool, ...]
     edits: tuple[tuple[int, BreakClass, BreakClass], ...] = ()
 
     def __post_init__(self):
-        check_encoded(self.id, self.ids, self.break_mask)
-        for pos, _, _ in self.edits:
-            if not 0 <= pos < len(self.break_mask) or not self.break_mask[pos]:
-                raise DataError(f"sample {self.id!r}: edit at non-break position {pos}")
+        check_encoded(self.id, self.ids)
+        for pos, old, new in self.edits:
+            if not 0 <= pos < len(self.ids) or self.ids[pos] != BR_BASE_ID + new or old == new:
+                raise DataError(f"sample {self.id!r}: edit {[pos, int(old), int(new)]} must "
+                                "sit on a break id that holds its new class, not its old one")
 
     @property
     def label(self) -> int:
@@ -57,57 +57,45 @@ class LabeledSequence:
     def cut(self, n: int) -> LabeledSequence:
         """The first n tokens and the edits among them: a sample counts as
         corrupted only if the model can see an edit (Clark et al. 2020, ELECTRA)."""
-        return dataclasses.replace(self, ids=self.ids[:n], break_mask=self.break_mask[:n],
+        return dataclasses.replace(self, ids=self.ids[:n],
                                    edits=tuple(e for e in self.edits if e[0] < n))
 
 
 def corrupt_once(
     sample_id: str,
     ids: list[int],
-    break_mask: list[bool],
     cfg: CorruptionConfig,
     rng: np.random.Generator,
 ) -> LabeledSequence:
-    """One corruption attempt. Word positions are never touched."""
-    if len(ids) != len(break_mask):
-        raise DataError("ids and break_mask length mismatch")
+    """One corruption attempt over the break ids. Word positions are never touched."""
     out = list(ids)
     edits = []
-    for pos, is_break in enumerate(break_mask):
-        if not is_break:
-            continue
-        if not is_break_id(ids[pos]):
-            raise DataError(f"break mask set at non-break id {ids[pos]} (position {pos})")
-        if rng.random() < cfg.replace_prob:
-            old = BreakClass(ids[pos] - BR_BASE_ID)
+    for pos, token_id in enumerate(ids):
+        if is_break_id(token_id) and rng.random() < cfg.replace_prob:
+            old = BreakClass(token_id - BR_BASE_ID)
             alternatives = [c for c in BreakClass if c != old]
             new = alternatives[rng.integers(len(alternatives))]
             out[pos] = BR_BASE_ID + int(new)
             edits.append((pos, old, new))
-    return LabeledSequence(
-        id=sample_id,
-        ids=tuple(out),
-        break_mask=tuple(break_mask),
-        edits=tuple(edits),
-    )
+    return LabeledSequence(id=sample_id, ids=tuple(out), edits=tuple(edits))
 
 
 def build_pretrain_dataset(
-    corpus: list[tuple[str, list[int], list[bool]]],
+    corpus: list[tuple[str, list[int]]],
     cfg: CorruptionConfig,
 ) -> list[LabeledSequence]:
     """Originals plus `copies_per_original` corruption attempts each, seed-shuffled.
 
-    `corpus` holds (id, encoded ids, break mask) triples.
+    `corpus` holds (id, encoded ids) pairs.
     """
     if not corpus:
         raise DataError("empty corpus")
     rng = make_rng(cfg.seed, "corruption")
     out: list[LabeledSequence] = []
-    for sample_id, ids, break_mask in corpus:
-        out.append(LabeledSequence(id=sample_id, ids=tuple(ids), break_mask=tuple(break_mask)))
+    for sample_id, ids in corpus:
+        out.append(LabeledSequence(id=sample_id, ids=tuple(ids)))
         for k in range(cfg.copies_per_original):
-            out.append(corrupt_once(f"{sample_id}#c{k}", ids, break_mask, cfg, rng))
+            out.append(corrupt_once(f"{sample_id}#c{k}", ids, cfg, rng))
     shuffle_rng = make_rng(cfg.seed, "corruption-shuffle")
     order = shuffle_rng.permutation(len(out))
     return [out[i] for i in order]
@@ -118,7 +106,7 @@ def labeled_to_json(s: LabeledSequence) -> str:
         {
             "id": s.id,
             "ids": list(s.ids),
-            "break_mask": [bool(b) for b in s.break_mask],
+            "break_mask": break_flags(s.ids),
             "label": s.label,
             "edits": [[pos, int(old), int(new)] for pos, old, new in s.edits],
         }
@@ -134,9 +122,9 @@ def labeled_from_json(line: str) -> LabeledSequence:
     s = LabeledSequence(
         id=jsonl.value(obj, "id", "str"),
         ids=tuple(obj["ids"]),
-        break_mask=jsonl.array(obj, "break_mask", "bool"),
         edits=tuple((pos, BreakClass(old), BreakClass(new)) for pos, old, new in edits),
     )
+    check_break_flags(s.id, s.ids, jsonl.array(obj, "break_mask", "bool"))
     if label != s.label:
         raise DataError(f"sample {s.id!r}: label inconsistent with edit list")
     return s

@@ -33,10 +33,12 @@ def value(obj: dict, key: str, kind: str, where: str = ""):
 
 
 def array(obj: dict, key: str, kind: str) -> tuple:
-    """`obj[key]` as a tuple; it must be a list of values of the type named `kind`."""
+    """`obj[key]` as a tuple; it must be a list of values of the type named
+    `kind`. An error names the first value that is not, not the whole list."""
     values = value(obj, key, "list")
     if not takes(kind, values):
-        raise DataError(f"{key} must be a list of {kind} values, got {values!r}")
+        i = next(i for i, v in enumerate(values) if not takes(kind, (v,)))
+        raise DataError(f"{key}[{i}] must be {_FIELD_VALUES[kind][1]}, got {values[i]!r}")
     return tuple(values)
 
 

@@ -294,11 +294,9 @@ def generate_esl(cfg: SynthConfig, native: list[TokenSequence]) -> list[EslSampl
 
 def encode_rated(sample: EslSample, vocab: Vocabulary) -> RatedSample:
     """Encode an ESL sample into the model's id space with aligned fine labels."""
-    ids, break_mask = encode(sample.seq, vocab)
     return RatedSample(
         id=sample.seq.id,
-        ids=tuple(ids),
-        break_mask=tuple(break_mask),
+        ids=tuple(encode(sample.seq, vocab)),
         overall=sample.overall,
         fine=sample.fine,
     )

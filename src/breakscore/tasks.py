@@ -3,7 +3,8 @@ fine-grained fine-tuning, and the prediction entry points.
 
 Sequence-level heads read the CLS hidden state (encoder) or a masked mean over
 positions (BiLSTM, which has no CLS convention). The fine-grained head scores
-every break position; word/CLS/pad positions never contribute loss.
+every break position; word/CLS/pad positions never contribute loss. A sample
+or a predict input is its token ids: the break ids are its break positions.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .nn.encoder import EncoderConfig, encoder_backward, encoder_forward
 from .nn.functional import batched_cross_entropy, init_params, softmax
 from .rngs import make_rng
 from .ranks import Rank, class_to_rank, rank_to_class
-from .vocab import PAD_ID, check_encoded
+from .vocab import PAD_ID, break_flags, check_break_flags, check_encoded, is_break_id
 
 log = logging.getLogger(__name__)
 
@@ -49,29 +50,27 @@ class TrainConfig:
 class RatedSample:
     id: str
     ids: tuple[int, ...]
-    break_mask: tuple[bool, ...]
     overall: Rank | None = None
     fine: tuple[Rank, ...] | None = None
 
     def __post_init__(self):
-        check_encoded(self.id, self.ids, self.break_mask)
-        if self.fine is not None and len(self.fine) != sum(self.break_mask):
-            raise DataError(
-                f"sample {self.id!r}: {len(self.fine)} fine labels for "
-                f"{sum(self.break_mask)} break positions"
-            )
+        check_encoded(self.id, self.ids)
+        n_breaks = sum(break_flags(self.ids))
+        if self.fine is not None and len(self.fine) != n_breaks:
+            raise DataError(f"sample {self.id!r}: {len(self.fine)} fine labels for "
+                            f"{n_breaks} break positions")
 
     def cut(self, n: int) -> RatedSample:
         """The first n tokens, with the fine labels of the breaks among them."""
-        fine = None if self.fine is None else self.fine[: sum(self.break_mask[:n])]
-        return replace(self, ids=self.ids[:n], break_mask=self.break_mask[:n], fine=fine)
+        fine = None if self.fine is None else self.fine[: sum(break_flags(self.ids[:n]))]
+        return replace(self, ids=self.ids[:n], fine=fine)
 
 
 def rated_to_json(s: RatedSample) -> str:
     obj = {
         "id": s.id,
         "ids": list(s.ids),
-        "break_mask": [bool(b) for b in s.break_mask],
+        "break_mask": break_flags(s.ids),
     }
     if s.overall is not None:
         obj["overall"] = int(s.overall)
@@ -82,13 +81,14 @@ def rated_to_json(s: RatedSample) -> str:
 
 def rated_from_json(line: str) -> RatedSample:
     obj = json.loads(line)
-    return RatedSample(
+    s = RatedSample(
         id=jsonl.value(obj, "id", "str"),
         ids=tuple(obj["ids"]),
-        break_mask=jsonl.array(obj, "break_mask", "bool"),
         overall=Rank(jsonl.value(obj, "overall", "int")) if "overall" in obj else None,
         fine=tuple(map(Rank, jsonl.array(obj, "fine", "int"))) if "fine" in obj else None,
     )
+    check_break_flags(s.id, s.ids, jsonl.array(obj, "break_mask", "bool"))
+    return s
 
 
 def read_rated(stream) -> list[RatedSample]:
@@ -117,19 +117,15 @@ def cut_to_max_len(dataset: list, kind: str, cfg) -> list:
     return cut
 
 
-def _pad_batch(seqs: list[tuple]):
-    """(ids, break_mask) tuples -> padded id matrix, pad mask, break mask."""
-    length = max(len(ids) for ids, _ in seqs)
-    n = len(seqs)
-    ids = np.full((n, length), PAD_ID, dtype=np.int64)
-    pad_mask = np.zeros((n, length), dtype=bool)
-    break_mask = np.zeros((n, length), dtype=bool)
-    for row, (sample_ids, sample_break) in enumerate(seqs):
-        l = len(sample_ids)
-        ids[row, :l] = sample_ids
-        pad_mask[row, :l] = True
-        break_mask[row, :l] = sample_break
-    return ids, pad_mask, break_mask
+def _pad_batch(seqs: list):
+    """Id sequences -> padded id matrix, pad mask, break mask. PAD_ID is not a
+    break id, so the break mask follows from the matrix."""
+    lengths = np.array([len(s) for s in seqs])
+    pad_mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(pad_mask.shape, PAD_ID, dtype=np.int64)
+    for row, sample_ids in enumerate(seqs):
+        ids[row, : len(sample_ids)] = sample_ids
+    return ids, pad_mask, is_break_id(ids)
 
 
 def _length_batches(lengths: np.ndarray, order: np.ndarray, batch_size: int):
@@ -152,11 +148,11 @@ def _length_batches(lengths: np.ndarray, order: np.ndarray, batch_size: int):
 PREDICT_TOKENS = 512
 
 
-def _token_batches(seqs: list[tuple]):
+def _token_batches(seqs: list):
     """Indices into `seqs`, stable-sorted by length and cut so that rows x
     padded length stays within PREDICT_TOKENS; a sequence longer than that is
     a batch of its own."""
-    lengths = [len(s[0]) for s in seqs]
+    lengths = [len(s) for s in seqs]
     batches, batch = [], []
     for i in np.argsort(lengths, kind="stable").tolist():
         if batch and (len(batch) + 1) * lengths[i] > PREDICT_TOKENS:
@@ -222,7 +218,7 @@ def _check_init_compat(init: Checkpoint, cfg, vocab) -> None:
 # -- training ----------------------------------------------------------------
 
 def _train(
-    samples: list[tuple],          # (ids, break_mask, target classes)
+    samples: list[tuple],          # (ids, target classes)
     kind: str,
     cfg,
     tcfg: TrainConfig,
@@ -256,7 +252,7 @@ def _train(
         params[k][...] = a
 
     lengths = np.array([len(s[0]) for s in samples], dtype=np.int64)
-    targets = [np.asarray(s[2], dtype=np.int64) for s in samples]   # one class per head row
+    targets = [np.asarray(s[1], dtype=np.int64) for s in samples]   # one class per head row
     if not any(len(t) for t in targets):
         raise DataError(f"no sample has a {kind} target to train on")
     # Every epoch's batches in training order, drawn up front: whether any
@@ -280,7 +276,7 @@ def _train(
         if not len(shard_targets):
             flat[1 + s].fill(0.0)
             return 0.0
-        ids, pad_mask, break_mask = _pad_batch([(samples[i][0], samples[i][1]) for i in rows_idx])
+        ids, pad_mask, break_mask = _pad_batch([samples[i][0] for i in rows_idx])
         rows, backward = _head_rows(params, kind, cfg, ids, pad_mask, break_mask, drop_rngs[s])
         if len(rows) != len(shard_targets):
             raise DataError(
@@ -360,11 +356,11 @@ def pretrain_rbtd(
     train = [i for i in range(len(dataset)) if i not in hold_idx]
     held = sorted(hold_idx)
 
-    samples = [(dataset[i].ids, dataset[i].break_mask, [targets[i]]) for i in train]
+    samples = [(dataset[i].ids, [targets[i]]) for i in train]
     params, epoch_losses = _train(samples, "rbtd", enc_cfg, tcfg)
     ckpt = Checkpoint(kind="rbtd", model_cfg=enc_cfg, vocab=vocab, seed=tcfg.seed, params=params)
 
-    logits = _checked_logits(ckpt, "rbtd", [(dataset[i].ids, dataset[i].break_mask) for i in held])
+    logits = _checked_logits(ckpt, "rbtd", [dataset[i].ids for i in held])
     pairs = zip((targets[i] for i in held), (int(np.argmax(row)) for row in logits), strict=True)
     counts = metrics.confusion(pairs, N_CLASSES["rbtd"])
     metrics.warn_if_one_class(counts, ("original", "corrupted"), "held-out discriminator")
@@ -399,7 +395,7 @@ def finetune(
     else:
         init_core = None
     samples = [
-        (s.ids, s.break_mask, [rank_to_class(r) for r in (s.fine if task == "fine" else [s.overall])])
+        (s.ids, [rank_to_class(r) for r in (s.fine if task == "fine" else [s.overall])])
         for s in cut_to_max_len(dataset, task, model_cfg)
     ]
     params, epoch_losses = _train(samples, task, model_cfg, tcfg, init_core)
@@ -416,8 +412,8 @@ def finetune(
 
 # -- prediction --------------------------------------------------------------
 
-def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.ndarray]:
-    """Head logits of each (ids, break_mask) under a checkpoint of the given
+def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list) -> list[np.ndarray]:
+    """Head logits of each id sequence under a checkpoint of the given
     kind, in input order: one [n_classes] array per sample, or one [n_breaks,
     n_classes] array for the "fine" head. Each sample is cut to the model's
     max_len, then samples run in length-sorted padded batches (`_token_batches`).
@@ -425,7 +421,7 @@ def _checked_logits(ckpt: Checkpoint, kind: str, seqs: list[tuple]) -> list[np.n
     if ckpt.kind != kind:
         raise DataError(f"expected a {kind!r} checkpoint, got {ckpt.kind!r}")
     params, cfg = ckpt.params, ckpt.model_cfg
-    seqs = [(ids[: cfg.max_len], mask[: cfg.max_len]) for ids, mask in seqs]
+    seqs = [ids[: cfg.max_len] for ids in seqs]
     out = [None] * len(seqs)
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in _token_batches(seqs):
@@ -446,12 +442,12 @@ def _ranks(logits: np.ndarray) -> list[Rank]:
     return list(map(class_to_rank, np.argmax(logits, axis=-1).tolist()))
 
 
-def predict_overall(ckpt: Checkpoint, seqs: list[tuple]) -> tuple[list[Rank], np.ndarray]:
-    """The rank of each (ids, break_mask) and its class probabilities, one row each."""
+def predict_overall(ckpt: Checkpoint, seqs: list) -> tuple[list[Rank], np.ndarray]:
+    """The rank of each id sequence and its class probabilities, one row each."""
     logits = np.reshape(_checked_logits(ckpt, "overall", seqs), (len(seqs), ckpt.n_classes))
     return _ranks(logits), softmax(logits)
 
 
-def predict_finegrained(ckpt: Checkpoint, seqs: list[tuple]) -> list[list[Rank]]:
-    """For each (ids, break_mask), one rank per break position, in position order."""
+def predict_finegrained(ckpt: Checkpoint, seqs: list) -> list[list[Rank]]:
+    """For each id sequence, one rank per break id, in position order."""
     return [_ranks(rows) for rows in _checked_logits(ckpt, "fine", seqs)]

@@ -2,13 +2,14 @@
 
 Reserved ids are fixed: PAD=0, UNK=1, CLS=2, SEP=3, BR0..BR3=4..7.
 Word ids start at 8, assigned by descending frequency (ties lexicographic).
+An encoded sequence is its ids alone: the break ids are where its breaks are.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .alignment import TokenSequence
+from .alignment import BreakClass, TokenSequence
 from .exceptions import DataError, ParseError
 from .jsonl import takes
 
@@ -16,14 +17,31 @@ PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
 SEP_ID = 3
-BR_BASE_ID = 4  # BR0..BR3 occupy 4..7
+BR_BASE_ID = 4
+BREAK_IDS = range(BR_BASE_ID, BR_BASE_ID + len(BreakClass))   # br0..br3: BR_BASE_ID + class
 FIRST_WORD_ID = 8
 
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "br0", "br1", "br2", "br3")
 
 
-def is_break_id(token_id: int) -> bool:
-    return BR_BASE_ID <= token_id < BR_BASE_ID + 4
+def is_break_id(ids):
+    """Whether a token id is a break id; elementwise for an id array."""
+    return (ids >= BREAK_IDS.start) & (ids < BREAK_IDS.stop)
+
+
+_IS_BREAK_ID = frozenset(BREAK_IDS).__contains__   # a C call per id: readers check every token
+
+
+def break_flags(ids) -> list[bool]:
+    """Whether each token id of a sequence is a break id: its break mask."""
+    return list(map(_IS_BREAK_ID, ids))
+
+
+def check_break_flags(sample_id, ids, flags) -> None:
+    """A file's break flags for `ids`, its `break_mask`, must be their break_flags."""
+    if list(flags) != break_flags(ids):
+        raise DataError(f"sample {sample_id!r}: break_mask must be true exactly at the break "
+                        f"ids {BREAK_IDS[0]}..{BREAK_IDS[-1]}, one flag per id")
 
 
 @dataclass(frozen=True)
@@ -104,25 +122,20 @@ def build_vocab(corpus: list[TokenSequence]) -> Vocabulary:
     return Vocabulary(word_to_id=word_to_id, counts={w: freq[w] for w in kept})
 
 
-def check_encoded(sample_id, ids, break_mask) -> None:
-    """A dataset record's tokens: at least one, each a non-negative integer id
-    with a mask flag."""
+def check_encoded(sample_id, ids) -> None:
+    """A dataset record's tokens: at least one, each a non-negative integer id."""
     if not ids:
         raise DataError(f"sample {sample_id!r}: ids holds no token")
-    if len(ids) != len(break_mask):
-        raise DataError(f"sample {sample_id!r}: ids/break_mask length mismatch")
     if not takes("int", ids) or min(ids) < 0:
         raise DataError(f"sample {sample_id!r}: token ids must be non-negative integers")
 
 
-def encode(seq: TokenSequence, vocab: Vocabulary) -> tuple[list[int], list[bool]]:
-    """Encode the whole sequence to `[CLS] w0 b0 w1 ...` ids.
-
-    Returns (ids, break_mask); the mask is True exactly at break positions.
-    """
+def encode(seq: TokenSequence, vocab: Vocabulary) -> list[int]:
+    """Encode the whole sequence to `[CLS] w0 b0 w1 ...` ids; the break ids
+    alone say where its breaks are."""
     n = len(seq.words)
     ids = [CLS_ID] * (2 * n)
     get = vocab.word_to_id.get
     ids[1::2] = [get(w, UNK_ID) for w in seq.words]
     ids[2::2] = [BR_BASE_ID + b for b in seq.breaks]
-    return ids, [False, False] + [True, False] * (n - 1)
+    return ids

@@ -53,7 +53,7 @@ def pretrain_bundle():
         vocab_size=vocab.size, d_model=64, n_heads=4, n_layers=2, ffn_dim=128
     )
     dataset = corruption.build_pretrain_dataset(
-        [(s.id, *encode(s, vocab)) for s in native],
+        [(s.id, encode(s, vocab)) for s in native],
         corruption.CorruptionConfig(seed=SEED),
     )
     t0 = time.time()
@@ -96,8 +96,7 @@ def test_corruption_statistics():
     t0 = time.time()
     n_breaks = 50
     ids = [2, 8] + [4, 8] * n_breaks
-    mask = [False, False] + [True, False] * n_breaks
-    corpus = [(f"u{i}", ids, mask) for i in range(700)]
+    corpus = [(f"u{i}", ids) for i in range(700)]
     cfg = corruption.CorruptionConfig(seed=SEED)
     data = corruption.build_pretrain_dataset(corpus, cfg)
 
@@ -359,14 +358,14 @@ def test_diverse_pattern_failure_mode():
 
     enc_cfg = EncoderConfig(vocab_size=vocab.size, d_model=64, n_heads=4, n_layers=2, ffn_dim=128)
     pre = corruption.build_pretrain_dataset(
-        [(s.id, *encode(s, vocab)) for s in native], corruption.CorruptionConfig(seed=SEED)
+        [(s.id, encode(s, vocab)) for s in native], corruption.CorruptionConfig(seed=SEED)
     )
     ckpt, _ = tasks.pretrain_rbtd(pre, TrainConfig(epochs=3, seed=SEED), enc_cfg, vocab)
     ov = tasks.finetune(
         train, ckpt, TrainConfig(batch_size=16, epochs=10, lr=1e-4, seed=SEED), "overall",
         model_cfg=enc_cfg, vocab=vocab,
     )
-    model_ranks, _ = tasks.predict_overall(ov, [(item.ids, item.break_mask) for item in test])
+    model_ranks, _ = tasks.predict_overall(ov, [item.ids for item in test])
     model_pairs = [(esl_by_id[item.id].overall, rank) for item, rank in zip(test, model_ranks)]
     model_prec, model_rec = great_prf(model_pairs)
 

@@ -149,12 +149,19 @@ class TestCorruptionDetection:
             lambda m: m.update(seed=True),
             lambda m: m.update(init_from="anything"),
             lambda m: m.update(n_classes=float(m["n_classes"])),
+            lambda m: m["vocab"].__setitem__(9, 7),
         ],
         ids=["no-kind", "no-init_from", "str-seed", "list-model_cfg", "unknown-cfg-key",
              "int-vocab-line", "short-param-entry", "negative-dim", "huge-shape", "bool-seed",
-             "unknown-init_from", "float-n_classes"],
+             "unknown-init_from", "float-n_classes", "int-vocab-line-9"],
     )
     def test_bad_metadata_field_names_path(self, tmp_path, edit):
+        path = self._edited(tmp_path, edit)
+        with pytest.raises(DataError, match="m.pbrk"):
+            load_checkpoint(path, expect_kind="rbtd")
+
+    @staticmethod
+    def _edited(tmp_path, edit) -> str:
         path = str(tmp_path / "m.pbrk")
         save_checkpoint(make_ckpt(), path)
         with open(path, "rb") as f:
@@ -163,8 +170,14 @@ class TestCorruptionDetection:
         edit(meta)
         with open(path, "wb") as f:
             f.write(MAGIC + json.dumps(meta).encode() + b"\n" + blob)
-        with pytest.raises(DataError, match="m.pbrk"):
-            load_checkpoint(path, expect_kind="rbtd")
+        return path
+
+    def test_non_string_vocab_line_named_by_index(self, tmp_path):
+        # The message names the one bad line, not the whole vocabulary.
+        path = self._edited(tmp_path, lambda m: m["vocab"].__setitem__(9, 7))
+        with pytest.raises(DataError) as e:
+            load_checkpoint(path)
+        assert str(e.value) == f"{path}: bad metadata: vocab[9] must be a string, got 7"
 
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(DataError):

@@ -571,6 +571,12 @@ _BAD_LINE_2 = {
                                         "--vocab", p["vocab"], "--model", "bilstm"),
                         "esl", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,false,true,'
                                'false],"overall":3,"fine":[2.0]}\n'),
+    # The ids say where the breaks are; a mask that flags a word is bad data.
+    "rated-mask-on-word": (lambda p, bad: ("finetune", "--config", p["cfg"], "--task", "overall",
+                                           "--in", bad, "--vocab", p["vocab"],
+                                           "--out", str(p["root"] / "x.pbrk")),
+                           "esl", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,true,false,'
+                                  'false],"overall":1}\n'),
     "labeled": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
                                 "--out", str(p["root"] / "x.pbrk")),
                 "pretrain",
@@ -581,12 +587,25 @@ _BAD_LINE_2 = {
                           '{"id":"b","ids":[2,8,4],"break_mask":[0,"no",0],"label":0,"edits":[]}\n'),
     "labeled-label-type": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
                                            "--out", str(p["root"] / "x.pbrk")),
-                           "pretrain", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,false,true,'
+                           "pretrain", '{"id":"b","ids":[2,8,5,9],"break_mask":[false,false,true,'
                                        'false],"label":"1","edits":[[2,0,1]]}\n'),
     "labeled-edit-type": (lambda p, bad: ("pretrain", "--in", bad, "--vocab", p["vocab"],
                                           "--out", str(p["root"] / "x.pbrk")),
-                          "pretrain", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,false,true,'
+                          "pretrain", '{"id":"b","ids":[2,8,6,9],"break_mask":[false,false,true,'
                                       'false],"label":1,"edits":[[2,true,2]]}\n'),
+    "labeled-mask-on-word": (lambda p, bad: ("pretrain", "--config", p["cfg"], "--in", bad,
+                                             "--vocab", p["vocab"], "--out", str(p["root"] / "x.pbrk")),
+                             "pretrain", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,true,false,'
+                                         'false],"label":0,"edits":[]}\n'),
+    # Id 4 is br0, so no edit can have made it br1. An original follows, so
+    # that the file would train if line 2 were read.
+    "labeled-edit-disagrees": (lambda p, bad: ("pretrain", "--config", p["cfg"], "--in", bad,
+                                               "--vocab", p["vocab"],
+                                               "--out", str(p["root"] / "x.pbrk")),
+                               "pretrain", '{"id":"b","ids":[2,8,4,9],"break_mask":[false,false,'
+                                           'true,false],"label":1,"edits":[[2,0,1]]}\n'
+                                           '{"id":"c","ids":[2,8,4,9],"break_mask":[false,false,'
+                                           'true,false],"label":0,"edits":[]}\n'),
     "sequence": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
                                  "--out", str(p["root"] / "x.jsonl")),
                  "native", '{"id":"b","words":["a","b"],"breaks":[]}\n'),

@@ -6,6 +6,8 @@ The property is the exit-code contract: any input either parses or raises a
 finite word times; a JSONL reader raises a
 `ParseError` that names the line, and each line it accepts holds the JSON
 types its record declares: no `bool(x)` coercion of a break mask, no
+break mask that flags other than the break ids, no edit that disagrees with
+the ids, no
 record id or word that is not a JSON string, no dataset record without a
 token or with a token id that is not a JSON integer, and no break class or
 rank that is not one either (`true` and `2.0` equal one). A checkpoint that
@@ -39,7 +41,7 @@ from breakscore.nn.bilstm import BiLstmConfig
 from breakscore.nn.encoder import EncoderConfig
 from breakscore.nn.functional import init_params
 from breakscore.rngs import make_rng
-from breakscore.vocab import RESERVED_TOKENS, Vocabulary
+from breakscore.vocab import BR_BASE_ID, RESERVED_TOKENS, Vocabulary, break_flags
 
 fuzz = settings(max_examples=200, deadline=None)
 
@@ -158,19 +160,31 @@ class TestTextReaders:
     @example('{"id":"a","ids":[2,8,4,9],"break_mask":[0,"no",1,0],"label":0,"edits":[]}')
     @example('{"id":"a","ids":[],"break_mask":[],"label":0,"edits":[]}')
     @example('{"id":"a","ids":[true,8],"break_mask":[false,false],"label":0,"edits":[]}')
-    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":"1",'
+    @example('{"id":"a","ids":[2,8,5,9],"break_mask":[false,false,true,false],"label":"1",'
              '"edits":[[2,0,1]]}')
-    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":true,'
+    @example('{"id":"a","ids":[2,8,5,9],"break_mask":[false,false,true,false],"label":true,'
              '"edits":[[2,0,1]]}')
-    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":1,'
+    @example('{"id":"a","ids":[2,8,6,9],"break_mask":[false,false,true,false],"label":1,'
              '"edits":[[2,true,2]]}')
     @example('{"id":null,"ids":[2,8],"break_mask":[false,false],"label":0,"edits":[]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,true,true,false],"label":0,"edits":[]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,false,false],"label":0,'
+             '"edits":[]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":1,'
+             '"edits":[[2,0,1]]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"label":1,'
+             '"edits":[[2,0,0]]}')
     def test_labeled_jsonl(self, text):
         for obj in parses_or_rejects_a_line(corruption.read_labeled, text):
+            ids = obj["ids"]
             assert isinstance(obj["id"], str), obj
             assert is_array_of(obj["break_mask"], bool), obj
-            assert obj["ids"] and is_array_of(obj["ids"], int), obj
+            assert ids and is_array_of(ids, int), obj
+            assert obj["break_mask"] == break_flags(ids), obj
             assert all(is_array_of(edit, int) for edit in obj["edits"]), obj
+            # An edit sits on a break id that holds its new class, not its old one.
+            assert all(0 <= pos < len(ids) and ids[pos] == BR_BASE_ID + new and old != new
+                       for pos, old, new in obj["edits"]), obj
             assert obj["label"] == int(bool(obj["edits"])) and type(obj["label"]) is int, obj
 
     @fuzz
@@ -189,11 +203,14 @@ class TestTextReaders:
     @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"fine":[true]}')
     @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,true,false],"fine":[2.0]}')
     @example('{"id":7,"ids":[2,8],"break_mask":[false,false],"overall":1}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,true,false,false],"fine":[1]}')
+    @example('{"id":"a","ids":[2,8,4,9],"break_mask":[false,false,false,false],"overall":1}')
     def test_rated_jsonl(self, text):
         for obj in parses_or_rejects_a_line(tasks.read_rated, text):
             assert isinstance(obj["id"], str), obj
             assert is_array_of(obj["break_mask"], bool), obj
             assert obj["ids"] and is_array_of(obj["ids"], int), obj
+            assert obj["break_mask"] == break_flags(obj["ids"]), obj
             assert "overall" not in obj or type(obj["overall"]) is int, obj
             assert "fine" not in obj or is_array_of(obj["fine"], int), obj
 
@@ -278,8 +295,10 @@ def _valid_checkpoint_bytes(path, kind="fine", cfg=_TINY_ENCODER) -> bytes:
 
 
 # A value of each of these top-level metadata keys that equals a valid one, or
-# passes for one, but has another JSON type, or names no checkpoint kind.
-_MISTYPED_META = {"seed": True, "init_from": "anything", "n_classes": 3.0}
+# passes for one, but has another JSON type, or names no checkpoint kind; for
+# `vocab`, the valid list with an integer for its line 9.
+_MISTYPED_META = {"seed": lambda v: True, "init_from": lambda v: "anything",
+                  "n_classes": lambda v: 3.0, "vocab": lambda v: v[:9] + [7] + v[10:]}
 
 
 @st.composite
@@ -300,7 +319,8 @@ def checkpoint_bytes(draw, valid: bytes):
         return valid[: draw(st.integers(0, len(valid) - 1))]
     if kind == "mistyped":
         key = draw(st.sampled_from(sorted(_MISTYPED_META)))
-        return MAGIC + json.dumps({**meta, key: _MISTYPED_META[key]}).encode() + b"\n" + blob
+        meta[key] = _MISTYPED_META[key](meta[key])
+        return MAGIC + json.dumps(meta).encode() + b"\n" + blob
     for key in draw(st.lists(st.sampled_from(sorted(meta)), max_size=3, unique=True)):
         if draw(st.booleans()):
             meta.pop(key)
@@ -383,15 +403,16 @@ _VOCAB = [f"{i}\t{tok}\t0" for i, tok in enumerate(RESERVED_TOKENS)] + ["8\tfox\
 
 @st.composite
 def rated_record(draw):
-    """One rated JSONL line whose fields agree with each other. Its ids may
-    be empty or run past the encoder's 16 tokens; they stay inside the 10-id
-    vocabulary in most records and reach past it in about one in ten."""
-    n = draw(st.integers(0, 24))
-    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    """One rated JSONL line whose fields agree with each other: its mask and
+    fine labels follow from its break ids. Its ids may be empty or run past
+    the encoder's 16 tokens; they stay inside the 10-id vocabulary in most
+    records and reach past it in about one in ten."""
     top_id = 10 if draw(st.integers(0, 9)) == 9 else 9
+    ids = draw(st.lists(st.integers(0, top_id), max_size=24))
+    mask = break_flags(ids)
     return json.dumps({
         "id": draw(st.text(max_size=3)),
-        "ids": draw(st.lists(st.integers(0, top_id), min_size=n, max_size=n)),
+        "ids": ids,
         "break_mask": mask,
         "overall": draw(st.integers(1, 3)),
         "fine": draw(st.lists(st.integers(1, 3), min_size=sum(mask), max_size=sum(mask))),

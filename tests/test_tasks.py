@@ -44,7 +44,7 @@ from breakscore.tasks import (
     rated_to_json,
     read_rated,
 )
-from breakscore.vocab import BR_BASE_ID, CLS_ID, Vocabulary
+from breakscore.vocab import BR_BASE_ID, CLS_ID, Vocabulary, break_flags
 
 
 def small_cfg(vocab_size):
@@ -59,7 +59,7 @@ def toy_vocab(n_words=4):
 
 
 def logits_of(params, kind, cfg, seqs):
-    """`_checked_logits` of each (ids, break_mask) under `params` as a `kind`
+    """`_checked_logits` of each id sequence under `params` as a `kind`
     checkpoint of model `cfg`."""
     ckpt = Checkpoint(kind=kind, model_cfg=cfg, vocab=toy_vocab(), seed=0, params=params)
     return _checked_logits(ckpt, kind, seqs)
@@ -72,46 +72,39 @@ def one_row_batches(params, kind, cfg, seqs):
         return logits_of(params, kind, cfg, seqs)
 
 
-def seqs_of(samples):
-    """The (ids, break_mask) of each sample, as the predict entry points take them."""
-    return [(s.ids, s.break_mask) for s in samples]
-
-
 def encoded(word_ids, breaks):
-    """[CLS] w b w b w ... as (ids, break_mask)."""
+    """[CLS] w b w b w ... as a tuple of ids."""
     ids = [CLS_ID, word_ids[0]]
-    mask = [False, False]
     for b, w in zip(breaks, word_ids[1:]):
         ids += [BR_BASE_ID + b, w]
-        mask += [True, False]
-    return tuple(ids), tuple(mask)
+    return tuple(ids)
 
 
 class TestRatedSample:
     def test_fine_length_invariant(self):
-        ids, mask = encoded([8, 9], [0])
-        RatedSample(id="a", ids=ids, break_mask=mask, fine=(Rank.GREAT,))
+        ids = encoded([8, 9], [0])
+        RatedSample(id="a", ids=ids, fine=(Rank.GREAT,))
         with pytest.raises(DataError):
-            RatedSample(id="a", ids=ids, break_mask=mask, fine=(Rank.GREAT, Rank.POOR))
+            RatedSample(id="a", ids=ids, fine=(Rank.GREAT, Rank.POOR))
 
     @pytest.mark.parametrize("bad_ids", [(2, "x"), (2, -1), (2, 1.5), (2, None), (2, True)])
     @pytest.mark.parametrize("cls", [RatedSample, LabeledSequence])
     def test_token_ids_are_non_negative_ints(self, cls, bad_ids):
         # Checked when a record is read, not as a traceback from batch padding.
         with pytest.raises(DataError, match="token ids"):
-            cls(id="a", ids=bad_ids, break_mask=(False, False))
+            cls(id="a", ids=bad_ids)
 
     def test_json_round_trip(self):
-        ids, mask = encoded([8, 9, 10], [1, 3])
+        ids = encoded([8, 9, 10], [1, 3])
         s = RatedSample(
-            id="a", ids=ids, break_mask=mask, overall=Rank.FAIR,
+            id="a", ids=ids, overall=Rank.FAIR,
             fine=(Rank.GREAT, Rank.POOR),
         )
         assert rated_from_json(rated_to_json(s)) == s
 
     def test_optional_labels_survive(self):
-        ids, mask = encoded([8, 9], [0])
-        s = RatedSample(id="a", ids=ids, break_mask=mask)
+        ids = encoded([8, 9], [0])
+        s = RatedSample(id="a", ids=ids)
         got = rated_from_json(rated_to_json(s))
         assert got.overall is None and got.fine is None
 
@@ -127,19 +120,22 @@ class TestCut:
     @settings(max_examples=200, deadline=None)
     @given(breaks=st.lists(st.integers(0, 3), max_size=14), n=st.integers(2, 32), data=st.data())
     def test_cut_keeps_the_prefix_and_its_labels(self, breaks, n, data):
-        ids, mask = encoded([8 + i % 4 for i in range(len(breaks) + 1)], breaks)
-        positions = [i for i, b in enumerate(mask) if b]
+        ids = encoded([8 + i % 4 for i in range(len(breaks) + 1)], breaks)
+        positions = [i for i, b in enumerate(break_flags(ids)) if b]
         fine = tuple(data.draw(st.lists(st.sampled_from(list(Rank)), min_size=len(positions),
                                         max_size=len(positions))))
-        rated = RatedSample(id="a", ids=ids, break_mask=mask, fine=fine).cut(n)
-        assert rated.ids == ids[:n] and rated.break_mask == mask[:n]
-        assert len(rated.fine) == sum(mask[:n]) and rated.fine == fine[: len(rated.fine)]
+        rated = RatedSample(id="a", ids=ids, fine=fine).cut(n)
+        assert rated.ids == ids[:n]
+        assert len(rated.fine) == sum(break_flags(ids[:n]))
+        assert rated.fine == fine[: len(rated.fine)]
 
         edited = data.draw(st.lists(st.sampled_from(positions), unique=True) if positions
                            else st.just([]))
-        edits = tuple((pos, BreakClass.BR0, BreakClass.BR3) for pos in sorted(edited))
-        labeled = LabeledSequence(id="a", ids=ids, break_mask=mask, edits=edits).cut(n)
-        assert labeled.ids == ids[:n] and labeled.break_mask == mask[:n]
+        # Each edit names the class its break id holds, and another one it replaced.
+        held = {pos: BreakClass(ids[pos] - BR_BASE_ID) for pos in edited}
+        edits = tuple((pos, BreakClass((held[pos] + 1) % 4), held[pos]) for pos in sorted(edited))
+        labeled = LabeledSequence(id="a", ids=ids, edits=edits).cut(n)
+        assert labeled.ids == ids[:n]
         assert labeled.edits == tuple(e for e in edits if e[0] < n)
         assert (labeled.label == LABEL_CORRUPTED) == bool(labeled.edits)
 
@@ -152,14 +148,15 @@ class TestPadBatch:
         assert ids.shape == (2, 6)
         assert pad_mask[0].tolist() == [True] * 4 + [False] * 2
         assert ids[0, 4:].tolist() == [0, 0]
+        assert break_mask[0].tolist() == [False, False, True, False, False, False]   # pads are not
         assert break_mask[1].tolist() == [False, False, True, False, True, False]
 
     def test_max_len_truncates(self):
         # The task cuts a record to max_len; the batch pads what is left.
-        ids, mask = encoded([8] * 10, [0] * 9)
-        [s] = tasks.cut_to_max_len([RatedSample(id="a", ids=ids, break_mask=mask)], "overall",
+        ids = encoded([8] * 10, [0] * 9)
+        [s] = tasks.cut_to_max_len([RatedSample(id="a", ids=ids)], "overall",
                                    dataclasses.replace(small_cfg(12), max_len=7))
-        ids, pad_mask, _ = _pad_batch([(s.ids, s.break_mask)])
+        ids, pad_mask, _ = _pad_batch([s.ids])
         assert ids.shape == (1, 7) and pad_mask.all()
 
 
@@ -174,8 +171,8 @@ class TestTrainBatches:
             n_words = 2 + (i * 7) % 29
             word_ids = [8 + i % 50, 8 + i // 50]
             word_ids += [8 + int(rng.integers(50)) for _ in range(n_words - 2)]
-            ids, mask = encoded(word_ids, [int(rng.integers(4)) for _ in range(n_words - 1)])
-            out.append(RatedSample(id=f"m{i}", ids=ids, break_mask=mask, overall=list(Rank)[i % 3]))
+            ids = encoded(word_ids, [int(rng.integers(4)) for _ in range(n_words - 1)])
+            out.append(RatedSample(id=f"m{i}", ids=ids, overall=list(Rank)[i % 3]))
         return out
 
     def _recorded_batches(self, monkeypatch, dataset, seed):
@@ -183,7 +180,7 @@ class TestTrainBatches:
 
         def recording(seqs):
             out = _pad_batch(seqs)
-            batches.append([ids for ids, _ in seqs])
+            batches.append(list(seqs))
             pad.append(out[1])
             return out
 
@@ -227,20 +224,20 @@ class TestTrainBatches:
 
         monkeypatch.setattr(tasks, "_pad_batch", recording)
         monkeypatch.setattr(shards, "SHARD_TOKENS", 10**9)
-        ids, mask = encoded([8 + i % 4 for i in range(75)], [i % 4 for i in range(74)])
-        sample = RatedSample(id="long", ids=ids, break_mask=mask,
+        ids = encoded([8 + i % 4 for i in range(75)], [i % 4 for i in range(74)])
+        sample = RatedSample(id="long", ids=ids,
                              fine=tuple(list(Rank)[i % 3] for i in range(74)))
         ckpt = finetune([sample], None, TrainConfig(batch_size=1, epochs=1, lr=1e-3), "fine",
                         model_cfg=BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8),
                         vocab=toy_vocab())
-        assert len(predict_finegrained(ckpt, [(ids, mask)])[0]) == 74
+        assert len(predict_finegrained(ckpt, [ids])[0]) == 74
         assert padded == [[150], [150]]   # one train step, one prediction
 
     @pytest.mark.parametrize("model", ["encoder", "bilstm"])
     def test_fine_batches_without_breaks_are_skipped(self, model):
         # Bucketing puts the one-word items (no break, so no fine row) in one
         # batch of their own; it has nothing to learn from and is skipped.
-        dataset = [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i), break_mask=(False, False),
+        dataset = [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i),
                                fine=()) for i in range(3)]
         dataset += TestFinetuneFinegrained()._dataset(6)
         cfg = small_cfg(12) if model == "encoder" else BiLstmConfig(vocab_size=12, embed_dim=8,
@@ -251,7 +248,7 @@ class TestTrainBatches:
         assert len(losses) == 3 and np.isfinite(losses).all()
 
     def test_no_fine_target_at_all_rejected(self):
-        dataset = [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i), break_mask=(False, False),
+        dataset = [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i),
                                fine=()) for i in range(3)]
         with pytest.raises(DataError, match="no sample"):
             finetune(dataset, None, TrainConfig(batch_size=2, epochs=1), "fine",
@@ -277,8 +274,7 @@ def separable_corpus(n=64):
     out = []
     for i in range(n):
         cls = i % 2
-        ids, mask = encoded([8, 9], [3 if cls else 0])
-        out.append((f"s{i}", ids, mask, cls))
+        out.append((f"s{i}", encoded([8, 9], [3 if cls else 0]), cls))
     return out
 
 
@@ -288,8 +284,7 @@ class TestPretrainRbtd:
         corpus = []
         for i in range(40):
             word_ids = [8 + int(rng.integers(4)) for _ in range(5)]
-            ids, mask = encoded(word_ids, [0, 0, 2, 3])
-            corpus.append((f"u{i}", list(ids), list(mask)))
+            corpus.append((f"u{i}", list(encoded(word_ids, [0, 0, 2, 3]))))
         return build_pretrain_dataset(corpus, CorruptionConfig(seed=0))
 
     def test_report_and_checkpoint_shape(self):
@@ -343,7 +338,7 @@ class TestPretrainRbtd:
         hdim = 16
         for kind, rows_per_seq in (
             ("rbtd", [1] * len(seqs)), ("overall", [1] * len(seqs)),
-            ("fine", [sum(m) for _, m in seqs]),
+            ("fine", [sum(break_flags(ids)) for ids in seqs]),
         ):
             n_classes = N_CLASSES[kind]
             params["head_w"] = rng.normal(size=(hdim, n_classes)).astype(np.float32)
@@ -374,8 +369,8 @@ class TestPretrainRbtd:
         corpus = []
         for i in range(40):
             word_ids = [8 + int(rng.integers(4)) for _ in range(12)]
-            ids, mask = encoded(word_ids, [int(rng.integers(4)) for _ in range(11)])
-            corpus.append((f"u{i}", list(ids), list(mask)))
+            breaks = [int(rng.integers(4)) for _ in range(11)]
+            corpus.append((f"u{i}", list(encoded(word_ids, breaks))))
         data = build_pretrain_dataset(corpus, CorruptionConfig(seed=0))
         # The first 16 tokens differ from the original's where an edit lies among them.
         read = {s.ids[:16]: int(any(pos < 16 for pos, _, _ in s.edits)) for s in data}
@@ -387,11 +382,11 @@ class TestPretrainRbtd:
         real_confusion = metrics.confusion
 
         def train(samples, *args, **kwargs):
-            trained.extend((ids, target) for ids, _, (target,) in samples)
+            trained.extend((ids, target) for ids, (target,) in samples)
             return real_train(samples, *args, **kwargs)
 
         def predict(ckpt, kind, seqs):
-            held.append([read[ids] for ids, _ in seqs])
+            held.append([read[ids] for ids in seqs])
             return real_predict(ckpt, kind, seqs)
 
         def confusion(pairs, n_classes):
@@ -419,12 +414,12 @@ class TestPretrainRbtd:
 class TestFinetuneOverall:
     def test_overfits_separable_data(self):
         dataset = [
-            RatedSample(id=i, ids=ids, break_mask=mask, overall=Rank.GREAT if c else Rank.POOR)
-            for i, ids, mask, c in separable_corpus(64)
+            RatedSample(id=i, ids=ids, overall=Rank.GREAT if c else Rank.POOR)
+            for i, ids, c in separable_corpus(64)
         ]
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=0)
         ckpt = finetune(dataset, None, tcfg, "overall", model_cfg=small_cfg(12), vocab=toy_vocab())
-        preds, _ = predict_overall(ckpt, seqs_of(dataset))
+        preds, _ = predict_overall(ckpt, [s.ids for s in dataset])
         acc = np.mean([p == s.overall for p, s in zip(preds, dataset)])
         assert acc == 1.0
         assert ckpt.extra["epoch_losses"][-1] < ckpt.extra["epoch_losses"][0]
@@ -432,43 +427,43 @@ class TestFinetuneOverall:
     def test_generalizes_to_held_out_separable_data(self):
         items = separable_corpus(80)
         dataset = [
-            RatedSample(id=i, ids=ids, break_mask=mask, overall=Rank.GREAT if c else Rank.POOR)
-            for i, ids, mask, c in items
+            RatedSample(id=i, ids=ids, overall=Rank.GREAT if c else Rank.POOR)
+            for i, ids, c in items
         ]
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=1)
         ckpt = finetune(dataset[:64], None, tcfg, "overall", model_cfg=small_cfg(12),
                         vocab=toy_vocab())
         held = dataset[64:]
-        preds, _ = predict_overall(ckpt, seqs_of(held))
+        preds, _ = predict_overall(ckpt, [s.ids for s in held])
         acc = np.mean([p == s.overall for p, s in zip(preds, held)])
         assert acc == 1.0
 
     def test_bilstm_model_trains(self):
         dataset = [
-            RatedSample(id=i, ids=ids, break_mask=mask, overall=Rank.GREAT if c else Rank.POOR)
-            for i, ids, mask, c in separable_corpus(32)
+            RatedSample(id=i, ids=ids, overall=Rank.GREAT if c else Rank.POOR)
+            for i, ids, c in separable_corpus(32)
         ]
         tcfg = TrainConfig(batch_size=8, epochs=60, lr=1e-2, seed=0)
         cfg = BiLstmConfig(vocab_size=12, embed_dim=8, hidden_size=8)
         ckpt = finetune(dataset, None, tcfg, "overall", model_cfg=cfg, vocab=toy_vocab())
-        preds, _ = predict_overall(ckpt, seqs_of(dataset))
+        preds, _ = predict_overall(ckpt, [s.ids for s in dataset])
         acc = np.mean([p == s.overall for p, s in zip(preds, dataset)])
         assert acc == 1.0
 
     def test_missing_labels_rejected(self):
-        ids, mask = encoded([8, 9], [0])
+        ids = encoded([8, 9], [0])
         with pytest.raises(DataError):
             finetune(
-                [RatedSample(id="a", ids=ids, break_mask=mask)], None, TrainConfig(), "overall",
+                [RatedSample(id="a", ids=ids)], None, TrainConfig(), "overall",
                 model_cfg=small_cfg(12), vocab=toy_vocab(),
             )
 
     def test_init_mismatch_rejected(self):
         data = [
-            RatedSample(id=i, ids=ids, break_mask=mask, overall=Rank.GREAT if c else Rank.POOR)
-            for i, ids, mask, c in separable_corpus(8)
+            RatedSample(id=i, ids=ids, overall=Rank.GREAT if c else Rank.POOR)
+            for i, ids, c in separable_corpus(8)
         ]
-        corpus = [(s.id, list(s.ids), list(s.break_mask)) for s in data]
+        corpus = [(s.id, list(s.ids)) for s in data]
         pre = build_pretrain_dataset(corpus, CorruptionConfig(seed=0))
         ckpt, _ = pretrain_rbtd(pre, TrainConfig(batch_size=8, epochs=1), small_cfg(12), toy_vocab())
         other_cfg = small_cfg(13)
@@ -486,10 +481,10 @@ class TestFinetuneFinegrained:
         for i in range(n):
             breaks = [int(rng.integers(4)) for _ in range(3)]
             word_ids = [8 + int(rng.integers(4)) for _ in range(4)]
-            ids, mask = encoded(word_ids, breaks)
+            ids = encoded(word_ids, breaks)
             out.append(
                 RatedSample(
-                    id=f"f{i}", ids=ids, break_mask=mask,
+                    id=f"f{i}", ids=ids,
                     fine=tuple(band[b] for b in breaks),
                 )
             )
@@ -500,7 +495,8 @@ class TestFinetuneFinegrained:
         tcfg = TrainConfig(batch_size=16, epochs=30, lr=3e-3, seed=0)
         ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         hits = total = 0
-        for s, preds in zip(dataset, predict_finegrained(ckpt, seqs_of(dataset)), strict=True):
+        preds_all = predict_finegrained(ckpt, [s.ids for s in dataset])
+        for s, preds in zip(dataset, preds_all, strict=True):
             assert len(preds) == len(s.fine)
             hits += sum(p == t for p, t in zip(preds, s.fine))
             total += len(s.fine)
@@ -509,10 +505,10 @@ class TestFinetuneFinegrained:
     def test_loss_only_at_break_positions(self):
         # Moving a word id at a non-break position must not change fine logits
         # ordering constraints; check the API refuses misaligned labels instead.
-        ids, mask = encoded([8, 9], [0])
+        ids = encoded([8, 9], [0])
         with pytest.raises(DataError):
             finetune(
-                [RatedSample(id="a", ids=ids, break_mask=mask)], None, TrainConfig(), "fine",
+                [RatedSample(id="a", ids=ids)], None, TrainConfig(), "fine",
                 model_cfg=small_cfg(12), vocab=toy_vocab(),
             )
 
@@ -521,7 +517,7 @@ class TestFinetuneFinegrained:
         tcfg = TrainConfig(batch_size=8, epochs=1, seed=0)
         ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         with pytest.raises(DataError):
-            predict_overall(ckpt, seqs_of(dataset[:1]))
+            predict_overall(ckpt, [dataset[0].ids])
 
     def test_out_of_vocab_sample_rejected_at_predict(self):
         dataset = self._dataset(8)
@@ -529,7 +525,7 @@ class TestFinetuneFinegrained:
         ckpt = finetune(dataset, None, tcfg, "fine", model_cfg=small_cfg(12), vocab=toy_vocab())
         bad_ids = tuple(list(dataset[0].ids[:-1]) + [99])
         with pytest.raises(DataError, match="vocabulary"):
-            predict_finegrained(ckpt, [(bad_ids, dataset[0].break_mask)])
+            predict_finegrained(ckpt, [bad_ids])
 
 
 class TestBatchedPrediction:
@@ -551,8 +547,8 @@ class TestBatchedPrediction:
         monkeypatch.setattr(tasks, "PREDICT_TOKENS", 64)
         batches = tasks._token_batches(seqs)
         assert sorted(i for b in batches for i in b) == list(range(len(seqs)))
-        lengths = [[len(seqs[i][0]) for i in b] for b in batches]
-        assert [l for b in lengths for l in b] == sorted(len(ids) for ids, _ in seqs)
+        lengths = [[len(seqs[i]) for i in b] for b in batches]
+        assert [l for b in lengths for l in b] == sorted(map(len, seqs))
         for b in lengths:
             assert len(b) == 1 or len(b) * max(b) <= 64
         assert lengths[-1] == [80]   # a sample over the budget is a batch of one
@@ -589,7 +585,7 @@ class TestBatchedPrediction:
 
         fine = predict_finegrained(ckpts["fine"], seqs)
         assert fine == [predict_finegrained(ckpts["fine"], [seq])[0] for seq in seqs]
-        assert [len(r) for r in fine] == [sum(mask) for _, mask in seqs]
+        assert [len(r) for r in fine] == [sum(break_flags(ids)) for ids in seqs]
         assert len({r for rs in fine for r in rs}) >= 2
 
     def test_empty_batch(self):
@@ -623,7 +619,7 @@ class TestHeadColumns:
         # Scaled-up weights and a centred head make the ranks differ. At
         # max_len 16 most records are cut, so their breaks past it get no rank.
         samples, vocab = esl
-        seqs = seqs_of(samples) + [encoded([8], [])]   # a one-word item has no break
+        seqs = [s.ids for s in samples] + [encoded([8], [])]   # a one-word item has no break
         cfg = EncoderConfig(vocab_size=vocab.size, d_model=32, n_heads=4, n_layers=n_layers,
                             ffn_dim=64, max_len=max_len)
         params = {k: v if k.endswith("_g") else v * 25
@@ -635,7 +631,7 @@ class TestHeadColumns:
         cut = _checked_logits(ckpt, "fine", seqs)
         cut_ranks = predict_finegrained(ckpt, seqs)
         # The reference: the same batches, every column computed.
-        seqs_read = [(ids[:max_len], mask[:max_len]) for ids, mask in seqs]
+        seqs_read = [ids[:max_len] for ids in seqs]
         full = [None] * len(seqs)
         for batch in _token_batches(seqs_read):
             ids, pad_mask, break_mask = _pad_batch([seqs_read[i] for i in batch])
@@ -646,7 +642,7 @@ class TestHeadColumns:
                 full[i] = rows
         full_ranks = [tasks._ranks(rows) for rows in full]
 
-        assert [len(r) for r in cut_ranks] == [sum(mask[:max_len]) for _, mask in seqs]
+        assert [len(r) for r in cut_ranks] == [sum(break_flags(ids[:max_len])) for ids in seqs]
         for got, want in zip(cut, full, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
         assert cut_ranks == full_ranks
@@ -753,7 +749,7 @@ class TestShardedTraining:
             ckpt = finetune(items, None, dataclasses.replace(tcfg, seed=int(fold_seed)), "overall",
                             model_cfg=self._model("encoder"), vocab=toy_vocab())
             return lambda s: [(rank_to_class(s.overall),
-                               rank_to_class(predict_overall(ckpt, seqs_of([s]))[0][0]))]
+                               rank_to_class(predict_overall(ckpt, [s.ids])[0][0]))]
 
         labels = [rank_to_class(s.overall) for s in data]
         parallel = metrics.cross_validate(data, labels, train_fn, k=3, seed=1)
@@ -768,7 +764,7 @@ class TestShardedTraining:
         one word long, so with no break to label."""
         out = [dataclasses.replace(s, overall=list(Rank)[i % 3])
                for i, s in enumerate(TestFinetuneFinegrained()._dataset(n))]
-        return [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i % 4), break_mask=(False, False),
+        return [RatedSample(id=f"one{i}", ids=(CLS_ID, 8 + i % 4),
                             overall=Rank.FAIR, fine=()) for i in range(one_word)] + out
 
     @staticmethod
@@ -798,7 +794,7 @@ class TestShardedTraining:
         padded = []
 
         def recording(seqs):
-            padded.append(sorted(ids for ids, _ in seqs))
+            padded.append(sorted(seqs))
             return _pad_batch(seqs)
 
         monkeypatch.setattr(tasks, "_pad_batch", recording)

@@ -1,4 +1,5 @@
 """Vocabulary construction and sequence encoding."""
+import numpy as np
 import pytest
 
 from breakscore.alignment import BreakClass, TokenSequence
@@ -12,7 +13,9 @@ from breakscore.vocab import (
     SEP_ID,
     UNK_ID,
     Vocabulary,
+    break_flags,
     build_vocab,
+    check_break_flags,
     encode,
     is_break_id,
 )
@@ -28,9 +31,22 @@ class TestReservedIds:
         assert RESERVED_TOKENS == ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "br0", "br1", "br2", "br3")
 
     def test_break_ids(self):
-        ids, _ = encode(seq(["a"] * 5, [0, 1, 2, 3]), Vocabulary(word_to_id={}))
+        ids = encode(seq(["a"] * 5, [0, 1, 2, 3]), Vocabulary(word_to_id={}))
         assert ids[2::2] == [4, 5, 6, 7]
         assert [i for i in range(10) if is_break_id(i)] == [4, 5, 6, 7]
+        assert break_flags(range(10)) == [i in (4, 5, 6, 7) for i in range(10)]
+        # Elementwise over an id matrix; PAD_ID, the padding, is never a break.
+        matrix = np.array([[0, 3, 4], [7, 8, 0]])
+        assert is_break_id(matrix).tolist() == [[False, False, True], [True, False, False]]
+
+    @pytest.mark.parametrize("flags", [
+        [False, True, True, False], [False, False, False, False], [False, False, True],
+    ], ids=["flag-on-word", "unflagged-break", "short"])
+    def test_break_flags_checked_against_the_ids(self, flags):
+        check_break_flags("t", [CLS_ID, 8, 6, 9], [False, False, True, False])
+        with pytest.raises(DataError, match="'t': break_mask must be true exactly at the break "
+                                            "ids 4..7, one flag per id"):
+            check_break_flags("t", [CLS_ID, 8, 6, 9], flags)
 
 
 class TestBuildVocab:
@@ -77,30 +93,32 @@ class TestBuildVocab:
 class TestEncode:
     def test_basic_layout(self):
         v = Vocabulary(word_to_id={"a": 8, "b": 9})
-        ids, mask = encode(seq(["a", "b"], [2]), v)
+        ids = encode(seq(["a", "b"], [2]), v)
         assert ids == [CLS_ID, 8, BR_BASE_ID + 2, 9]
-        assert mask == [False, False, True, False]
+        assert break_flags(ids) == [False, False, True, False]
 
     def test_unknown_word_maps_to_unk(self):
         v = Vocabulary(word_to_id={"a": 8})
-        ids, _ = encode(seq(["a", "zzz"], [0]), v)
+        ids = encode(seq(["a", "zzz"], [0]), v)
         assert ids == [CLS_ID, 8, BR_BASE_ID, UNK_ID]
 
     def test_word_spelled_like_break_token_stays_a_word(self):
         # A literal word "br2" must encode as a word id, not a break id.
         v = Vocabulary(word_to_id={"br2": 8, "a": 9})
-        ids, mask = encode(seq(["a", "br2"], [0]), v)
+        ids = encode(seq(["a", "br2"], [0]), v)
         assert ids == [CLS_ID, 9, BR_BASE_ID, 8]
-        assert mask == [False, False, True, False]
+        assert break_flags(ids) == [False, False, True, False]
 
     def test_truncation(self):
         # Encoding keeps the whole sequence; a model cuts it at its own max_len.
         v = Vocabulary(word_to_id={"w": 8})
-        ids, mask = encode(seq(["w"] * 100, [0] * 99), v)
-        assert len(ids) == len(mask) == 1 + 100 + 99
+        ids = encode(seq(["w"] * 100, [0] * 99), v)
+        assert len(ids) == 1 + 100 + 99
 
     def test_mask_marks_exactly_breaks(self):
         v = Vocabulary(word_to_id={"a": 8, "b": 9, "c": 10})
-        ids, mask = encode(seq(["a", "b", "c"], [1, 3]), v)
+        ids = encode(seq(["a", "b", "c"], [1, 3]), v)
+        mask = break_flags(ids)
+        assert mask == [False, False, True, False, True, False]
         assert [i for i, m in zip(ids, mask) if m] == [BR_BASE_ID + 1, BR_BASE_ID + 3]
         assert all(not is_break_id(i) for i, m in zip(ids, mask) if not m)
