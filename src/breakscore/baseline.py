@@ -1,30 +1,33 @@
 """Against-reference baseline: rank a break pattern by similarity to a template.
 
+The learner's record and each reference are encodings of the same words with
+one vocabulary, as `RatedSample`s without ranks do: an `.id` and token `.ids`.
 Similarity is the positionwise exact-match rate over break positions; the
 score is mapped to ranks with thresholds [0, 0.3) Poor, [0.3, 0.7) Fair,
 [0.7, 1.0] Great.
 """
 from __future__ import annotations
 
-from .alignment import TokenSequence
 from .exceptions import DataError
 from .ranks import Rank
+from .tasks import RatedSample
+from .vocab import break_flags
 
 
-def _check_same_words(test: TokenSequence, ref: TokenSequence) -> None:
-    if test.words != ref.words:
-        raise DataError(
-            f"word sequences differ between test {test.id!r} and reference {ref.id!r}"
-        )
+def _break_pairs(test: RatedSample, ref: RatedSample) -> list[tuple[int, int]]:
+    """(learner, reference) break-id pairs of two encodings of the same words,
+    whose ids differ only in the class each break id holds."""
+    flags = break_flags(test.ids)
+    if flags != break_flags(ref.ids) or any(
+            a != b for a, b, br in zip(test.ids, ref.ids, flags) if not br):
+        raise DataError(f"word sequences differ between test {test.id!r} and reference {ref.id!r}")
+    return [(a, b) for a, b, br in zip(test.ids, ref.ids, flags) if br]
 
 
-def break_similarity(test: TokenSequence, ref: TokenSequence) -> float:
+def break_similarity(test: RatedSample, ref: RatedSample) -> float:
     """Fraction of break positions with identical break class; 1.0 when there are none."""
-    _check_same_words(test, ref)
-    if not test.breaks:
-        return 1.0
-    same = sum(a == b for a, b in zip(test.breaks, ref.breaks))
-    return same / len(test.breaks)
+    pairs = _break_pairs(test, ref)
+    return sum(a == b for a, b in pairs) / len(pairs) if pairs else 1.0
 
 
 def rank_from_similarity(score: float) -> Rank:
@@ -37,17 +40,13 @@ def rank_from_similarity(score: float) -> Rank:
     return Rank.GREAT
 
 
-def fine_rank_against_reference(test: TokenSequence, ref: TokenSequence) -> list[Rank]:
+def fine_rank_against_reference(test: RatedSample, ref: RatedSample) -> list[Rank]:
     """Per-position ranks: exact class Great, adjacent class Fair, else Poor."""
-    _check_same_words(test, ref)
-    out = []
-    for a, b in zip(test.breaks, ref.breaks):
-        dist = abs(int(a) - int(b))
-        out.append(Rank.GREAT if dist == 0 else Rank.FAIR if dist == 1 else Rank.POOR)
-    return out
+    return [Rank.GREAT if a == b else Rank.FAIR if abs(a - b) == 1 else Rank.POOR
+            for a, b in _break_pairs(test, ref)]
 
 
-def best_of_references(test: TokenSequence, refs: list[TokenSequence]) -> float:
+def best_of_references(test: RatedSample, refs: list[RatedSample]) -> float:
     """Maximum similarity over the available reference renditions."""
     if not refs:
         raise DataError(f"no references supplied for {test.id!r}")

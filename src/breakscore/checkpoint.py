@@ -117,7 +117,7 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
         meta_line = f.readline()
         try:
             meta = json.loads(meta_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise DataError(f"{path}: corrupt metadata: {e}") from e
         fmt = meta.get("format") if isinstance(meta, dict) else None
         if fmt != 1:

@@ -190,19 +190,15 @@ def _class_pairs(item: tasks.RatedSample, task: str, preds) -> list[tuple[int, i
     return [(rank_to_class(t), rank_to_class(p)) for t, p in zip(labels, preds, strict=True)]
 
 
-def _against_ref_predictor(task, truth, refs_by_id):
+def _against_ref_predictor(task, refs_by_id):
     def predictor(item: tasks.RatedSample):
-        test_seq = truth.get(item.id)
-        if test_seq is None:
-            raise DataError(f"no truth record for {item.id!r}")
-        ref_id = item.id.removeprefix("esl-")
-        refs = refs_by_id.get(ref_id) or refs_by_id.get(item.id)
+        refs = refs_by_id.get(item.id.removeprefix("esl-")) or refs_by_id.get(item.id)
         if not refs:
             raise DataError(f"no reference sequence for {item.id!r}")
         if task == "overall":
-            preds = [baseline.rank_from_similarity(baseline.best_of_references(test_seq, refs))]
+            preds = [baseline.rank_from_similarity(baseline.best_of_references(item, refs))]
         else:
-            preds = baseline.fine_rank_against_reference(test_seq, refs[0])
+            preds = baseline.fine_rank_against_reference(item, refs[0])
         return _class_pairs(item, task, preds)
 
     return predictor
@@ -244,14 +240,19 @@ def cmd_eval(args) -> int:
         labels = [0] * len(dataset)
 
     if args.model == "against-ref":
-        if not args.refs or not args.truth:
-            raise DataError("--model against-ref needs --refs and --truth")
-        # A truth record is a token sequence with the ranks alongside.
-        truth = {s.id: s for s in _read(args.truth, alignment.read_sequences)}
+        if not args.refs:
+            raise DataError("--model against-ref needs --refs")
+        # Each reference is encoded with the run's vocabulary and compared id for
+        # id with the learner's record, so a word outside it is an error, not [UNK].
         refs_by_id: dict[str, list] = {}
         for seq in _read(args.refs, alignment.read_sequences):
-            refs_by_id.setdefault(seq.id, []).append(seq)
-        predictor = _against_ref_predictor(args.task, truth, refs_by_id)
+            unknown = next((w for w in seq.words if w not in vocab.word_to_id), None)
+            if unknown is not None:
+                raise DataError(f"{args.refs}: reference {seq.id!r}: word {unknown!r} is not "
+                                "in the vocabulary")
+            ref = tasks.RatedSample(seq.id, tuple(encode(seq, vocab)))
+            refs_by_id.setdefault(seq.id, []).append(ref)
+        predictor = _against_ref_predictor(args.task, refs_by_id)
         train_fn = lambda items, fold_seed: predictor
         name = "Against-Ref"
     else:
@@ -381,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'scratch', 'bilstm', 'against-ref', or a pretrained checkpoint path",
     )
     sp.add_argument("--refs", help="reference token-sequence JSONL (against-ref)")
-    sp.add_argument("--truth", help="ground-truth sidecar JSONL (against-ref)")
     sp.add_argument("--k", type=int)
     training(sp)
     sp.add_argument("--out")

@@ -71,7 +71,7 @@ def load_config(path: str | None) -> RunConfig:
     with open(path) as f:
         try:
             raw = yaml.safe_load(f) or {}
-        except (yaml.YAMLError, UnicodeDecodeError) as e:
+        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as e:
             raise DataError(f"{path}: malformed YAML: {e}") from e
     try:
         return _from_mapping(raw)

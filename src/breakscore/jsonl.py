@@ -55,14 +55,14 @@ def dumps(obj) -> str:
 
 
 def read(stream, from_json, what: str) -> list:
-    """`from_json` of every non-blank line. A line that is not JSON, or that
-    its record type rejects, raises ParseError with the line number."""
+    """`from_json` of every non-blank line. A line that is not JSON, nests too deep to decode,
+    or that its record type rejects, raises ParseError with the line number."""
     out = []
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
             out.append(from_json(line))
-        except (KeyError, TypeError, ValueError, DataError) as e:
+        except (KeyError, TypeError, ValueError, DataError, RecursionError) as e:
             raise ParseError(f"bad {what} record: {e!r}", line=line_no) from e
     return out

@@ -350,10 +350,10 @@ def test_diverse_pattern_failure_mode():
 
     base_pairs = []
     for item in test:
-        s = esl_by_id[item.id]
         ref = refs[item.id.removeprefix("esl-")]
-        pred = baseline.rank_from_similarity(baseline.break_similarity(s.seq, ref))
-        base_pairs.append((s.overall, pred))
+        ref = tasks.RatedSample(ref.id, tuple(encode(ref, vocab)))
+        pred = baseline.rank_from_similarity(baseline.break_similarity(item, ref))
+        base_pairs.append((item.overall, pred))
     base_prec, base_rec = great_prf(base_pairs)
 
     enc_cfg = EncoderConfig(vocab_size=vocab.size, d_model=64, n_heads=4, n_layers=2, ffn_dim=128)

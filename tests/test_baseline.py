@@ -11,12 +11,19 @@ from breakscore.baseline import (
 )
 from breakscore.exceptions import DataError
 from breakscore.ranks import Rank
+from breakscore.tasks import RatedSample
+from breakscore.vocab import FIRST_WORD_ID, Vocabulary, encode
+
+WORDS = ("x", "y", *(f"w{i}" for i in range(13)))
+VOCAB = Vocabulary(word_to_id={w: FIRST_WORD_ID + i for i, w in enumerate(WORDS)})
 
 
 def seq(breaks, words=None, id="s"):
+    """The encoded record of `words` (w0, w1, ... by default) with `breaks` between them."""
     n = len(breaks) + 1
     words = words or tuple(f"w{i}" for i in range(n))
-    return TokenSequence(id=id, words=tuple(words), breaks=tuple(BreakClass(b) for b in breaks))
+    s = TokenSequence(id=id, words=tuple(words), breaks=tuple(BreakClass(b) for b in breaks))
+    return RatedSample(id=id, ids=tuple(encode(s, VOCAB)))
 
 
 class TestSimilarity:
@@ -31,6 +38,12 @@ class TestSimilarity:
     def test_word_mismatch_rejected(self):
         with pytest.raises(DataError):
             break_similarity(seq([0]), seq([0], words=("x", "y")))
+
+    @pytest.mark.parametrize("score", [break_similarity, fine_rank_against_reference])
+    def test_one_word_more_rejected_naming_both_ids(self, score):
+        # A learner record one word and break longer than its reference.
+        with pytest.raises(DataError, match="between test 'learner' and reference 'ref'"):
+            score(seq([0, 1], id="learner"), seq([0], id="ref"))
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
     def test_self_similarity_is_one(self, breaks):

@@ -172,6 +172,18 @@ class TestCorruptionDetection:
             f.write(MAGIC + json.dumps(meta).encode() + b"\n" + blob)
         return path
 
+    def test_deeply_nested_metadata_is_corrupt(self, tmp_path):
+        # Nested past the recursion limit, json.loads raises RecursionError.
+        path = str(tmp_path / "m.pbrk")
+        save_checkpoint(make_ckpt(), path)
+        with open(path, "rb") as f:
+            magic, meta, blob = f.readline(), f.readline(), f.read()
+        deep = b"[" * 10_000 + b"]" * 10_000
+        with open(path, "wb") as f:
+            f.write(magic + meta.replace(b'{"note":1}', deep) + blob)
+        with pytest.raises(DataError, match="m.pbrk: corrupt metadata"):
+            load_checkpoint(path)
+
     def test_non_string_vocab_line_named_by_index(self, tmp_path):
         # The message names the one bad line, not the whole vocabulary.
         path = self._edited(tmp_path, lambda m: m["vocab"].__setitem__(9, 7))

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,13 +16,13 @@ import yaml
 from conftest import blas_threads, run_capped
 
 from breakscore import corruption, metrics, shards, synth, tasks
-from breakscore.cli import main
+from breakscore.cli import build_parser, main
 from breakscore.checkpoint import load_checkpoint
 from breakscore.config import _SECTION_TYPES, RunConfig
 from breakscore.exceptions import DataError, NumericError
 from breakscore.jsonl import check_fields
 from breakscore.rngs import make_rng
-from breakscore.vocab import CLS_ID
+from breakscore.vocab import CLS_ID, break_flags
 
 CTM = """\
 u1 1 0.00 0.40 Hello
@@ -40,6 +41,32 @@ def ctm_file(tmp_path):
     path = tmp_path / "a.ctm"
     path.write_text(CTM)
     return str(path)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each `breakscore ...` command in the README's sh blocks."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["breakscore"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # An option the parser no longer knows makes the README's walkthrough fail.
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "synth", "corrupt", "pretrain", "finetune", "eval", "ingest", "score"}
+    unknown = []
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            unknown.append(shlex.join(["breakscore", *argv]))
+    assert not unknown, f"README commands the parser rejects: {unknown}"
 
 
 class TestIngest:
@@ -99,11 +126,13 @@ class TestSynth:
         "text", ["seed: [1\n", "eval: 5\n", "seed: abc\n", "eval:\n  k: abc\n",
                  "eval:\n  k: true\n", "encoder:\n  d_model: true\n",
                  "synth:\n  class_shape: 0.5\n", "seed: 5.9\n", "seed: true\n",
-                 'seed: "7"\n', "synth: {seed: 3}\n", "train: {seed: 9}\n"])
+                 'seed: "7"\n', "synth: {seed: 3}\n", "train: {seed: 9}\n",
+                 pytest.param("seed: " + "[" * 10_000 + "]" * 10_000 + "\n", id="deep")])
     def test_bad_config_exits_2_naming_file(self, tmp_path, caplog, text):
-        # Malformed YAML, a non-mapping section, a non-integer seed and k,
-        # section values of the wrong type, and a section seed: the global seed
-        # is the only one, and it is not coerced.
+        # Malformed YAML, YAML nested past the recursion limit, a non-mapping
+        # section, a non-integer seed and k, section values of the wrong type,
+        # and a section seed: the global seed is the only one, and it is not
+        # coerced.
         cfg = tmp_path / "c.yaml"
         cfg.write_text(text)
         assert run("synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 2
@@ -235,17 +264,60 @@ class TestPipeline:
 
     def test_eval_against_ref(self, pipeline, tmp_path):
         out = str(tmp_path / "ref.json")
-        truth = os.path.join(pipeline["out_dir"], "esl_truth.jsonl")
         assert run("eval", "--task", "overall", "--in", pipeline["esl"],
                    "--vocab", pipeline["vocab"], "--model", "against-ref",
-                   "--refs", pipeline["native"], "--truth", truth,
-                   "--k", "3", "--out", out) == 0
+                   "--refs", pipeline["native"], "--k", "3", "--out", out) == 0
         report = json.loads(open(out).read())
         assert 0.0 <= report["accuracy"]["mean"] <= 1.0
+
+    def test_eval_against_ref_fine_scores_every_break(self, pipeline, tmp_path):
+        out = str(tmp_path / "ref_fine.json")
+        assert run("eval", "--task", "fine", "--in", pipeline["esl"],
+                   "--vocab", pipeline["vocab"], "--model", "against-ref",
+                   "--refs", pipeline["native"], "--k", "3", "--out", out) == 0
+        report = json.loads(open(out).read())
+        n_breaks = sum(sum(break_flags(json.loads(l)["ids"])) for l in open(pipeline["esl"]))
+        assert sum(fold["total"] for fold in report["folds"]) == n_breaks
 
     def test_eval_against_ref_needs_refs(self, pipeline):
         assert run("eval", "--task", "overall", "--in", pipeline["esl"],
                    "--vocab", pipeline["vocab"], "--model", "against-ref") == 2
+
+    def test_eval_against_ref_reads_no_truth_file(self, pipeline):
+        # The learner's breaks are the dataset record's break ids; eval reads no other file.
+        truth = os.path.join(pipeline["out_dir"], "esl_truth.jsonl")
+        assert run("eval", "--task", "overall", "--in", pipeline["esl"],
+                   "--vocab", pipeline["vocab"], "--model", "against-ref",
+                   "--refs", pipeline["native"], "--truth", truth) == 1
+
+    def test_eval_against_ref_reference_word_outside_vocab_exits_2(self, pipeline, tmp_path,
+                                                                    caplog):
+        # [UNK] would match any other unknown word, so such a reference is refused.
+        records = [json.loads(l) for l in open(pipeline["native"])]
+        records[1]["words"][0] = "zyzzyva"
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run("eval", "--task", "overall", "--in", pipeline["esl"],
+                   "--vocab", pipeline["vocab"], "--model", "against-ref",
+                   "--refs", str(refs), "--k", "3") == 2
+        assert f"{refs}: reference {records[1]['id']!r}: word 'zyzzyva' is not in the " \
+               "vocabulary" in caplog.text
+
+    @pytest.mark.parametrize("task", ["overall", "fine"])
+    def test_eval_against_ref_word_mismatch_names_both_ids(self, pipeline, tmp_path, caplog,
+                                                           task):
+        # A learner record without its last word and break no longer encodes
+        # its reference's words.
+        records = [json.loads(l) for l in open(pipeline["esl"])]
+        short = records[2]
+        short["ids"], short["break_mask"] = short["ids"][:-2], short["break_mask"][:-2]
+        short["fine"] = short["fine"][:-1]
+        esl = tmp_path / "esl.jsonl"
+        esl.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run("eval", "--task", task, "--in", str(esl), "--vocab", pipeline["vocab"],
+                   "--model", "against-ref", "--refs", pipeline["native"], "--k", "3") == 2
+        ref_id = short["id"].removeprefix("esl-")
+        assert f"between test {short['id']!r} and reference {ref_id!r}" in caplog.text
 
     def test_finetune_vocab_mismatch_exits_2(self, pipeline, tmp_path):
         # An init checkpoint trained against a different vocabulary is refused.
@@ -277,16 +349,6 @@ class TestPipeline:
                 "--vocab", pipeline["vocab"], "--model", "bilstm", "--k", "2")
         assert run(*argv, "--task", "fine") == 0
         assert run(*argv, "--task", "overall") == 2
-
-    @pytest.mark.parametrize("bad_line", ["{not json\n", '{"words": ["a"], "breaks": []}\n'])
-    def test_eval_bad_truth_line_exits_2(self, pipeline, tmp_path, caplog, bad_line):
-        truth = tmp_path / "truth.jsonl"
-        good = open(os.path.join(pipeline["out_dir"], "esl_truth.jsonl")).readline()
-        truth.write_text(good + bad_line)
-        assert run("eval", "--task", "overall", "--in", pipeline["esl"],
-                   "--vocab", pipeline["vocab"], "--model", "against-ref",
-                   "--refs", pipeline["native"], "--truth", str(truth), "--k", "3") == 2
-        assert "line 2" in caplog.text
 
     def test_checkpoint_without_kind_exits_2(self, pipeline, tmp_path):
         with open(pipeline["rbtd"], "rb") as f:
@@ -621,9 +683,10 @@ _BAD_LINE_2 = {
     "sequence-break-float": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
                                              "--out", str(p["root"] / "x.jsonl")),
                              "native", '{"id":"b","words":["a","b"],"breaks":[0.0]}\n'),
-    "truth": (lambda p, bad: ("eval", "--task", "overall", "--in", p["esl"], "--vocab", p["vocab"],
-                              "--model", "against-ref", "--refs", p["native"], "--truth", bad),
-              "truth", '{"id":"b","words":["a"],"breaks":[1],"overall":0}\n'),
+    # Nested past the recursion limit: json.loads raises RecursionError.
+    "sequence-deep": (lambda p, bad: ("corrupt", "--in", bad, "--vocab", p["vocab"],
+                                      "--out", str(p["root"] / "x.jsonl")),
+                      "native", "[" * 10_000 + "]" * 10_000 + "\n"),
     "vocab": (lambda p, bad: ("corrupt", "--in", p["native"], "--vocab", bad,
                               "--out", str(p["root"] / "x.jsonl")),
               "vocab", "1\t[CLS]\t0\n"),
@@ -647,10 +710,9 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("kind", sorted(_BAD_LINE_2))
     def test_bad_line_names_file_and_line(self, pipeline, tmp_path, caplog, kind):
         argv, good_from, line2 = _BAD_LINE_2[kind]
-        sources = dict(pipeline, truth=os.path.join(pipeline["out_dir"], "esl_truth.jsonl"))
         bad = str(tmp_path / f"bad_{kind}")
         with open(bad, "w") as f:
-            f.write((_first_line(sources[good_from]) if good_from else "") + line2)
+            f.write((_first_line(pipeline[good_from]) if good_from else "") + line2)
         caplog.clear()
         assert run(*argv(pipeline, bad)) == 2
         assert f"{bad}: line 2: " in caplog.text
