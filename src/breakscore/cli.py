@@ -204,20 +204,32 @@ def _against_ref_predictor(task, refs_by_id):
     return predictor
 
 
-def make_trained_predictor(task, model_cfg, vocab, tcfg, init_ckpt):
-    """train_fn for cross_validate over RatedSamples."""
+def make_trained_predictor(task, model_cfg, vocab, tcfg, init_ckpt, items):
+    """train_fn for cross_validate over `items`, a list of RatedSamples.
+
+    `train_fn(train_items, fold_seed)` fine-tunes on the fold's training items.
+    On its first call, the predictor it returns predicts every record of `items`
+    the fold did not train on in one `predict_*` call, under the PREDICT_TOKENS
+    budget of `score`; each call returns its item's pairs from that result.
+    Records are matched by identity, since two records can be equal by value."""
 
     def train_fn(train_items, fold_seed):
         fold_tcfg = dataclasses.replace(tcfg, seed=int(fold_seed))
         ckpt = tasks.finetune(train_items, init_ckpt, fold_tcfg, task, model_cfg, vocab)
+        trained = set(map(id, train_items))
+        pairs = {}
 
         def predictor(item: tasks.RatedSample):
-            seqs = [item.ids]
-            if task == "overall":
-                preds, _ = tasks.predict_overall(ckpt, seqs)
-            else:
-                preds = tasks.predict_finegrained(ckpt, seqs)[0]
-            return _class_pairs(item, task, preds)
+            if not pairs:
+                held_out = [it for it in items if id(it) not in trained]
+                seqs = [it.ids for it in held_out]
+                if task == "overall":
+                    preds = [[rank] for rank in tasks.predict_overall(ckpt, seqs)[0]]
+                else:
+                    preds = tasks.predict_finegrained(ckpt, seqs)
+                for it, ranks in zip(held_out, preds, strict=True):
+                    pairs[id(it)] = _class_pairs(it, task, ranks)
+            return pairs[id(item)]
 
         return predictor
 
@@ -266,7 +278,7 @@ def cmd_eval(args) -> int:
             model_cfg, name = init.model_cfg, "Break-Pretrained"
         # Cut once here, so the folds train and score on what the model reads.
         dataset = tasks.cut_to_max_len(dataset, args.task, model_cfg)
-        train_fn = make_trained_predictor(args.task, model_cfg, vocab, tcfg, init)
+        train_fn = make_trained_predictor(args.task, model_cfg, vocab, tcfg, init, dataset)
 
     report = metrics.cross_validate(dataset, labels, train_fn, k=k, seed=cfg.seed)
     text = metrics.format_report(report, title=f"{name} / {args.task}")

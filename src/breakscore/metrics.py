@@ -137,7 +137,11 @@ def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0) -> dict:
 
     `train_fn(train_items, fold_seed)` returns a predictor mapping an item to
     (true_class, pred_class) pairs over the `Rank` classes; it is given a
-    per-fold derived seed. A fold whose items give no pair is a DataError. With a
+    per-fold derived seed. The predictor is called once per held-out item; the
+    trained one (`cli.make_trained_predictor`) predicts all of the fold's
+    held-out items in one batched call on its first. A BreakscoreError from
+    training or prediction is raised again, of its type, naming the fold. A
+    fold whose items give no pair is a DataError. With a
     second CPU free, a forked worker runs the odd folds while this process runs
     the even ones, both on one BLAS thread; the report is the same either way.
     """
@@ -151,7 +155,10 @@ def cross_validate(items, labels, train_fn, k: int = 5, seed: int = 0) -> dict:
         except BreakscoreError as e:
             # Keep the error's type, so its exit code survives the fold wrapper.
             raise type(e)(f"training failed on fold {fi}: {e}") from e
-        pairs = [pair for i in folds[fi] for pair in predictor(items[i])]
+        try:
+            pairs = [pair for i in folds[fi] for pair in predictor(items[i])]
+        except BreakscoreError as e:
+            raise type(e)(f"prediction failed on fold {fi}: {e}") from e
         if not pairs:
             raise DataError(f"fold {fi}: its {len(folds[fi])} test items give nothing to score")
         return compute_metrics(confusion(pairs, len(Rank)))

@@ -296,7 +296,7 @@ def test_pretraining_transfer(pretrain_bundle):
         ("scratch", b["enc_cfg"], None),
         ("bilstm", BiLstmConfig(vocab_size=b["vocab"].size), None),
     ):
-        fn = make_trained_predictor("fine", mcfg, b["vocab"], tcfg, init)
+        fn = make_trained_predictor("fine", mcfg, b["vocab"], tcfg, init, rated)
         agg = metrics.cross_validate(rated, labels, fn, k=5, seed=SEED)
         scores[name] = agg["macro_f1"]["mean"]
         # Poor/Fair/Great predictions pooled over the folds: a model that

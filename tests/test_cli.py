@@ -251,6 +251,24 @@ class TestPipeline:
         assert open(out + ".txt").read().splitlines()[-1] == \
             "Predicted: Poor {}, Fair {}, Great {}".format(*pooled)
 
+    @pytest.mark.parametrize("task", ["fine", "overall"])
+    @pytest.mark.parametrize("model", ["scratch", "bilstm"])
+    def test_eval_predicts_each_fold_in_one_call(self, pipeline, monkeypatch, model, task):
+        # Every fold runs in this process, so each of its predict calls is counted.
+        monkeypatch.setattr(shards, "usable_cpus", lambda: 1)
+        name = "predict_finegrained" if task == "fine" else "predict_overall"
+        predict, calls = getattr(tasks, name), []
+
+        def counted(ckpt, seqs):
+            calls.append(len(seqs))
+            return predict(ckpt, seqs)
+
+        monkeypatch.setattr(tasks, name, counted)
+        assert run("eval", "--config", pipeline["cfg"], "--task", task, "--in", pipeline["esl"],
+                   "--vocab", pipeline["vocab"], "--model", model, "--k", "3") == 0
+        assert len(calls) == 3
+        assert sum(calls) == sum(1 for _ in open(pipeline["esl"]))
+
     def test_eval_k_is_echoed_and_reruns_identically(self, pipeline, tmp_path):
         # --k lands in the echoed config, so a run from that file alone repeats it.
         first, again = str(tmp_path / "r.json"), str(tmp_path / "again.json")
@@ -1136,6 +1154,24 @@ class TestFoldWorker:
         self.fault_in_fold(monkeypatch, fold, fault)
         assert self._eval(pipeline) == 2
         assert f"training failed on fold {fold}: fault in this fold" in caplog.text
+
+    @pytest.mark.parametrize("fold", [0, 1])
+    def test_prediction_error_exits_2_naming_its_fold(self, pipeline, monkeypatch, caplog, fold):
+        # A fold's checkpoint carries the fold's derived seed (the pipeline's seed is 3).
+        fold_seed = int(make_rng(3, f"fold{fold}").integers(2**31))
+        predict = tasks.predict_finegrained
+
+        def faulty(ckpt, seqs):
+            if ckpt.seed == fold_seed:
+                raise DataError("the fine checkpoint gives non-finite logits")
+            return predict(ckpt, seqs)
+
+        monkeypatch.setattr(tasks, "predict_finegrained", faulty)
+        assert run("eval", "--config", pipeline["cfg"], "--task", "fine", "--in", pipeline["esl"],
+                   "--vocab", pipeline["vocab"], "--model", "scratch", "--k", "3") == 2
+        assert multiprocessing.active_children() == []
+        message = f"prediction failed on fold {fold}: the fine checkpoint gives non-finite logits"
+        assert message in caplog.text
 
     def test_fold_with_nothing_to_score_exits_2_naming_it(self, pipeline, tmp_path, caplog):
         # Two items with breaks, rated Poor, and eight one-word items, rated

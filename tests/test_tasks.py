@@ -530,7 +530,7 @@ class TestFinetuneFinegrained:
 
 class TestBatchedPrediction:
     """`score` predicts many samples per call, cut to a token budget; a
-    fold's predictor runs the same path with a batch of one."""
+    cross-validation fold predicts its held-out items through the same path."""
 
     @staticmethod
     def mixed_seqs(n=40):
